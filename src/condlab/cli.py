@@ -17,7 +17,9 @@ requested above the dimension cap.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import sys
 from math import inf
@@ -168,9 +170,10 @@ def _run_command(args):
     if args.command == "dist":
         a = _require_matrix(args)
         echo["dims"] = list(a.shape)
-        d = conditioning.distance_to_singularity(a, r, s, args.max_enum_dim)
-        kap = conditioning.kappa(a, r, s, args.max_enum_dim)
+        inv_norm = conditioning.inverse_norm(a, r, s, args.max_enum_dim)
         anorm = operator_norm(a, r, s, args.max_enum_dim).value
+        d = 1.0 / inv_norm
+        kap = anorm * inv_norm
         ok = bool(abs(kap * d - anorm) <= 1e-12 * anorm)
         return ({"distance": d, "check_kappa_identity": ok}, echo,
                 EXIT_OK if ok else EXIT_VIOLATED)
@@ -178,8 +181,7 @@ def _run_command(args):
     if args.command == "nearest-singular":
         a = _require_matrix(args)
         echo["dims"] = list(a.shape)
-        e = conditioning.nearest_singular_perturbation(a, r, s, args.max_enum_dim)
-        d = conditioning.distance_to_singularity(a, r, s, args.max_enum_dim)
+        e, d = conditioning.nearest_singular(a, r, s, args.max_enum_dim)
         enorm = operator_norm(e, r, s, args.max_enum_dim).value
         ratio = float(singular_values(a + e)[-1] / singular_values(a)[0])
         ok = bool(ratio <= 1e-8 and abs(enorm - d) <= 1e-10 * d)
@@ -244,10 +246,13 @@ def _experiment_csv(payload):
 
 
 def _flat_csv(payload):
-    lines = ["key,value"]
+    """key,value rows, each value JSON-encoded and quoted as CSV requires."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["key", "value"])
     for key, value in payload.items():
-        lines.append(f"{key},{json.dumps(_jsonable(value))!r}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([key, json.dumps(_jsonable(value))])
+    return buf.getvalue()
 
 
 def main(argv=None):

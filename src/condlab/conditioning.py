@@ -60,17 +60,11 @@ class ConditionReport:
 
 def kappa(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     """kappa_rs(A) = ||A||_rs * ||A^-1||_sr, with inf for singular input."""
-    r = norm_index(r)
-    s = norm_index(s)
-    a = as_square(a)
     try:
-        inv = invert(a)
+        inv_norm = inverse_norm(a, r, s, max_enum_dim)
     except SingularMatrix:
         return inf
-    return (
-        operator_norm(a, r, s, max_enum_dim).value
-        * operator_norm(inv, s, r, max_enum_dim).value
-    )
+    return operator_norm(a, r, s, max_enum_dim).value * inv_norm
 
 
 def _solution_term(inv, vec, r, s, max_enum_dim):
@@ -146,23 +140,44 @@ def mixed_condition(a, b, r=2, s=2, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     return ConditionReport("solve_both", value=kap + term, kappa=kap, mixed_term=term)
 
 
+def inverse_norm(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
+    """||A^-1||_sr from one explicit inverse.
+
+    Raises SingularMatrix for singular input.
+    """
+    r = norm_index(r)
+    s = norm_index(s)
+    return operator_norm(invert(as_square(a)), s, r, max_enum_dim).value
+
+
 def distance_to_singularity(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     """d_rs(A, singular set) = 1 / ||A^-1||_sr.
 
     Raises SingularMatrix for singular input (the distance would be zero).
     """
-    r = norm_index(r)
-    s = norm_index(s)
-    inv = invert(as_square(a))
-    return 1.0 / operator_norm(inv, s, r, max_enum_dim).value
+    return 1.0 / inverse_norm(a, r, s, max_enum_dim)
 
 
 def _extremal_pair(a, r, s, max_enum_dim):
-    """(A^-1, y, A^-1 y) with ||y||_s = 1 and ||A^-1 y||_r = ||A^-1||_sr."""
+    """(||A^-1||_sr, y, A^-1 y) with ||y||_s = 1 and ||A^-1 y||_r = ||A^-1||_sr."""
     inv = invert(as_square(a))
     res = operator_norm(inv, s, r, max_enum_dim)
     y = res.attainer / vector_norm(res.attainer, s)
-    return inv, y, inv @ y
+    return res.value, y, inv @ y
+
+
+def nearest_singular(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
+    """(E, d_rs(A, singular set)) from one inverse and one norm of it.
+
+    E is the rank-one perturbation of :func:`nearest_singular_perturbation`.
+    """
+    r = norm_index(r)
+    s = norm_index(s)
+    inv_norm, y, w = _extremal_pair(a, r, s, max_enum_dim)
+    wnorm = vector_norm(w, r)
+    x = w / wnorm
+    b = rank_one_interpolator(x, -y, r, s)
+    return b / wnorm, 1.0 / inv_norm
 
 
 def nearest_singular_perturbation(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
@@ -171,10 +186,4 @@ def nearest_singular_perturbation(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     With y attaining ||A^-1||_sr and x = A^-1 y / ||A^-1 y||_r, the
     interpolator B maps x to -y, so (A + B/||A^-1 y||_r) x = 0.
     """
-    r = norm_index(r)
-    s = norm_index(s)
-    _, y, w = _extremal_pair(a, r, s, max_enum_dim)
-    wnorm = vector_norm(w, r)
-    x = w / wnorm
-    b = rank_one_interpolator(x, -y, r, s)
-    return b / wnorm
+    return nearest_singular(a, r, s, max_enum_dim)[0]

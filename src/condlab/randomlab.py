@@ -71,8 +71,8 @@ class ExperimentConfig:
         if not sizes or any(n < 1 for n in sizes):
             raise ValueError("sizes must be a nonempty list of positive integers")
         object.__setattr__(self, "sizes", sizes)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if self.trials < 2:
+            raise ValueError("trials must be >= 2: one trial has no standard error")
 
 
 def _sample_batch(ensemble, n, keys):
@@ -143,7 +143,7 @@ class ExperimentSummary:
 
 def _aggregate(n, values, prediction, extra=None):
     values = np.asarray(values, dtype=np.float64)
-    se = float(np.std(values, ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
+    se = float(np.std(values, ddof=1) / np.sqrt(values.size))
     q05, med, q95 = (float(q) for q in np.percentile(values, [5.0, 50.0, 95.0]))
     return SizeStats(
         n=n,
@@ -202,16 +202,14 @@ def run_experiment(config, statistic):
             cols = np.concatenate(columns, axis=0)
             col_pred = 2.0 ** (n - 1 - np.arange(n))
             col_mean = cols.mean(axis=0)
-            col_se = cols.std(axis=0, ddof=1) / np.sqrt(cols.shape[0]) if cols.shape[0] > 1 \
-                else np.zeros(n)
+            col_se = cols.std(axis=0, ddof=1) / np.sqrt(cols.shape[0])
             extra = {
                 "column_means": col_mean.tolist(),
                 "column_std_errors": col_se.tolist(),
                 "column_predictions": col_pred.tolist(),
             }
             stats = _aggregate(n, values, float(2.0**n - 1.0), extra)
-            cols_ok = bool(np.all(np.abs(col_mean - col_pred) <= 4.0 * col_se)) \
-                if cols.shape[0] > 1 else True
+            cols_ok = bool(np.all(np.abs(col_mean - col_pred) <= 4.0 * col_se))
             mean_ok = abs(stats.mean - stats.prediction) <= 4.0 * stats.std_error \
                 if stats.std_error > 0 else stats.mean == stats.prediction
             stats.extra["columns_within_4se"] = cols_ok

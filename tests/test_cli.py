@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import pathlib
 
@@ -167,6 +169,7 @@ def test_experiment_command_json_and_csv(files, capsys):
 def test_exit_code_singular(files, capsys):
     assert main(["kappa", "--matrix", files["sing.csv"]]) == 0  # kappa = inf, not an error
     assert main(["dist", "--matrix", files["sing.csv"]]) == 2
+    assert main(["nearest-singular", "--matrix", files["sing.csv"]]) == 2
     capsys.readouterr()
 
 
@@ -174,6 +177,7 @@ def test_exit_code_bad_input(files, capsys):
     assert main(["kappa"]) == 1  # missing --matrix
     assert main(["kappa", "--matrix", "/nonexistent/file.csv"]) == 1
     assert main(["kappa", "--matrix", files["diag12.csv"], "--r", "7"]) == 1
+    assert main(["experiment", "frob-inv", "--n", "3", "--trials", "1"]) == 1
     capsys.readouterr()
 
 
@@ -206,12 +210,33 @@ def test_exit_code_violated_bound(files, capsys, monkeypatch):
     assert payload["satisfied"] is False
 
 
+def _csv_rows(out):
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"]
+    assert all(len(row) == 2 for row in rows)
+    return {key: json.loads(value) for key, value in rows[1:]}
+
+
 def test_flat_csv_format_for_scalar_commands(files, capsys):
     code = main(["kappa", "--matrix", files["diag12.csv"], "--format", "csv"])
-    out = capsys.readouterr().out
     assert code == 0
-    assert out.splitlines()[0] == "key,value"
-    assert out.splitlines()[1].startswith("kappa,")
+    assert _csv_rows(capsys.readouterr().out) == {"kappa": 2.0}
+    code = main(["norm", "--matrix", files["diag12.csv"], "--r", "inf", "--s", "1",
+                 "--format", "csv"])
+    assert code == 0
+    assert _csv_rows(capsys.readouterr().out) == {
+        "value": 3.0, "method": "vertex_enumeration", "attainer": [1.0, 1.0]}
+
+
+def test_kappa_of_matrix_scaled_to_tiny_exponent(tmp_path, capsys):
+    a = np.random.default_rng(560).standard_normal((64, 64))
+    matio.write_matrix_csv(tmp_path / "a.csv", a)
+    matio.write_matrix_csv(tmp_path / "tiny.csv", np.ldexp(a, -560))
+    code, env = run_json(capsys, ["kappa", "--matrix", str(tmp_path / "tiny.csv")])
+    assert code == 0
+    assert np.isfinite(env["payload"]["kappa"])
+    _, unscaled = run_json(capsys, ["kappa", "--matrix", str(tmp_path / "a.csv")])
+    assert env["payload"] == unscaled["payload"]
 
 
 def test_cond_inversion_needs_no_vector(files, capsys):

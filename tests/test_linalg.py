@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from condlab import linalg
+from condlab import linalg, randomlab, rng
+from condlab.conditioning import kappa
 from condlab.errors import SingularMatrix
 
 from conftest import gaussian
@@ -160,12 +161,49 @@ def test_frobenius_matches_singular_value_identity():
         assert abs(frob**2 - np.sum(sv**2)) <= 1e-10 * frob**2
 
 
-def test_jacobi_numpy_engine_agrees_with_compiled(monkeypatch):
-    a = gaussian(108, 0, shape=(50, 6, 6))
-    fast = linalg.singular_values(a)
-    monkeypatch.setattr(linalg, "numba", None)
-    slow = linalg.singular_values(a)
-    assert np.max(np.abs(fast - slow)) <= 1e-12 * fast[:, 0].max()
+# (ensemble, size, draws): the four experiment ensembles at experiment sizes
+ENGINE_DRAWS = (
+    ("unit_lower_gaussian", 8, 200),
+    ("lower_gaussian", 5, 200),
+    ("lower_gaussian", 10, 200),
+    ("lower_gaussian", 20, 200),
+    ("ql_pushforward", 32, 40),
+    ("ql_pushforward", 64, 10),
+)
+
+
+def _assert_values_close(values, reference, n):
+    # |d sigma_i| <= 1e-10 sigma_i + n eps sigma_max; at sigma_min this is
+    # |d sigma_min| / sigma_min <= 1e-10 + n eps kappa_2.  A flat 1e-10 cannot
+    # hold: LAPACK's absolute error is about n eps sigma_max, and lower
+    # triangular Gaussians at n = 20 reach kappa_2 of 1e16 and beyond.
+    gate = 1e-10 * reference + n * np.finfo(float).eps * reference[:, :1]
+    assert np.all(np.abs(values - reference) <= gate)
+
+
+def test_lapack_values_agree_with_jacobi_reference():
+    for si, (ensemble, n, draws) in enumerate(ENGINE_DRAWS):
+        keys = rng.substream(108, si, np.arange(draws))
+        stack = randomlab._sample_batch(ensemble, n, keys)
+        values = linalg._jacobi(stack, want_vectors=False)[0]
+        jacobi = linalg._jacobi(stack, want_vectors=True)[0]
+        _assert_values_close(values, jacobi, n)
+        _assert_values_close(jacobi, np.linalg.svd(stack, compute_uv=False), n)
+
+
+def test_kappa_of_scaled_matrix_stays_finite():
+    a = np.array([[3.0, 1.0], [1.0, 2.0]])
+    exact = (3.0 + np.sqrt(5.0)) / 2.0
+    for c in (1e160, 1e-160, 1e170, 1e-170):
+        assert abs(kappa(a * c, 2, 2) - exact) <= 1e-14 * exact
+
+
+def test_kappa_bitwise_invariant_under_power_of_two_scaling():
+    for a in (np.array([[3.0, 1.0], [1.0, 2.0]]),
+              np.random.default_rng(560).standard_normal((64, 64))):
+        reference = kappa(a, 2, 2)
+        for k in (-900, -560, 560, 900):
+            assert kappa(np.ldexp(a, k), 2, 2) == reference
 
 
 def test_wide_matrix_singular_values():

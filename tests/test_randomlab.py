@@ -117,6 +117,14 @@ def test_experiment_determinism_across_chunking():
     assert dataclasses.asdict(one) == dataclasses.asdict(two)
 
 
+def test_log_kappa_determinism_across_chunking():
+    for ensemble, sizes in (("lower_gaussian", (5, 10)), ("ql_pushforward", (8, 16))):
+        base = dict(ensemble=ensemble, sizes=sizes, trials=300, seed=14)
+        one = rl.run_experiment(rl.ExperimentConfig(**base, chunk_size=37), "log_kappa")
+        two = rl.run_experiment(rl.ExperimentConfig(**base, chunk_size=4096), "log_kappa")
+        assert dataclasses.asdict(one) == dataclasses.asdict(two)
+
+
 def test_sampler_determinism():
     a = rl.sample_matrix("lower_gaussian", 6, rng.substream(13, 2, 7))
     b = rl.sample_matrix("lower_gaussian", 6, rng.substream(13, 2, 7))
@@ -130,5 +138,7 @@ def test_config_validation():
         rl.ExperimentConfig("unit_lower_gaussian", sizes=(), trials=10)
     with pytest.raises(ValueError):
         rl.ExperimentConfig("unit_lower_gaussian", sizes=(3,), trials=0)
+    with pytest.raises(ValueError):  # one trial has no standard error
+        rl.ExperimentConfig("unit_lower_gaussian", sizes=(3,), trials=1)
     with pytest.raises(ValueError):
         rl.ExperimentConfig("nonsense", sizes=(3,), trials=10)
