@@ -69,11 +69,12 @@ componentwise_max = ErrorModel(COMPONENTWISE_MAX)
 componentwise_sum = ErrorModel(COMPONENTWISE_SUM)
 
 
-def relerror(x_tilde, x, model):
+def relerror(x_tilde, x, model, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     """Relative error of ``x_tilde`` against reference ``x`` under ``model``.
 
     Works on vectors and matrices; batched over leading dimensions (the
-    reference broadcasts against the perturbed stack).
+    reference broadcasts against the perturbed stack).  ``max_enum_dim``
+    gates the matrix norms that need sign enumeration.
     """
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -82,10 +83,10 @@ def relerror(x_tilde, x, model):
         if x.ndim >= 2:
             if model.s is None:
                 raise ValueError("matrix normwise error model needs both indices (r, s)")
-            denom = operator_norm_values(x, model.r, model.s)
+            denom = operator_norm_values(x, model.r, model.s, max_enum_dim)
             if np.any(denom == 0.0):
                 raise ZeroVector("relative error of a zero reference is undefined")
-            return operator_norm_values(diff, model.r, model.s) / denom
+            return operator_norm_values(diff, model.r, model.s, max_enum_dim) / denom
         denom = vector_norm(x, model.r)
         if np.any(denom == 0.0):
             raise ZeroVector("relative error of a zero reference is undefined")
@@ -141,7 +142,7 @@ def _directional_ratio(kind, a, vec, r, s, delta, max_enum_dim, input_model=None
     anorm = operator_norm(a, r, s, max_enum_dim).value
     if kind == "inversion":
         e = worst_inversion_perturbation(a, r, s, delta * anorm, max_enum_dim)
-        return relerror(invert(a - e), invert(a), normwise(s, r)) / delta
+        return relerror(invert(a - e), invert(a), normwise(s, r), max_enum_dim) / delta
     # solve_fixed_b / solve_both: perturb A towards the kappa-attaining direction
     _, y, _ = _extremal_pair(a, r, s, max_enum_dim)
     x = solve(a, vec)
@@ -379,7 +380,7 @@ def _sampled_ratios(kind, a, vec, input_model, output_model, delta, config, di, 
                 n = a.shape[-1]
                 eye = np.broadcast_to(np.eye(n), a_tilde[ok].shape).copy()
                 inv_t = _lu_solve_packed(lu[ok], perm[ok], eye)
-                out_err = relerror(inv_t, inv_a, output_model)
+                out_err = relerror(inv_t, inv_a, output_model, max_enum_dim)
             else:
                 rhs = np.broadcast_to(vec, a_tilde[ok].shape[:-2] + vec.shape)
                 if kind == "solve_both":

@@ -4,7 +4,10 @@ Supported exponents are 1, 2, and inf.  Six of the nine operator-norm pairs
 have closed forms (column maxima for r = 1, row dual norms for s = inf, and
 the spectral case); the remaining pairs {(inf,1), (inf,2), (2,1)} are
 NP-hard in general and are computed exactly here by enumerating sign
-vectors, gated by ``max_enum_dim``.
+vectors, gated by ``max_enum_dim``.  The enumeration meets in the middle:
+the images of the two halves' sign patterns are formed once and summed, so
+each sign vector costs O(n) work rather than O(n m), with temporaries
+bounded near 2^16 elements.  Single matrices and stacks share one core.
 
 Also provides the rank-one norm interpolator: given unit vectors x, y it
 builds B = y u^T with ||B||_rs = 1 and B x = y, the workhorse behind the
@@ -18,6 +21,7 @@ from math import inf
 
 import numpy as np
 
+from . import linalg
 from .errors import DimensionTooLarge, NotUnitVector, ZeroVector
 from .linalg import as_matrix, spectral_norm_attainer
 
@@ -25,6 +29,9 @@ DEFAULT_MAX_ENUM_DIM = 20
 
 _DUAL = {1.0: inf, 2.0: 2.0, inf: 1.0}
 _NAMES = {"1": 1.0, "one": 1.0, "2": 2.0, "two": 2.0, "inf": inf, "infinity": inf}
+
+#: Elements in one chunk of the enumeration's temporaries.
+_CHUNK_ELEMENTS = 1 << 16
 
 #: Pairs computed by sign-vector enumeration rather than a closed form.
 ENUMERATION_PAIRS = ((inf, 1.0), (inf, 2.0), (2.0, 1.0))
@@ -87,22 +94,6 @@ def dual_witness(x, r):
     return u
 
 
-def _sign_vector_blocks(m, block=4096):
-    """Yield blocks of sign vectors covering {-1,1}^m up to global sign.
-
-    The first coordinate is pinned to +1 since z and -z give equal norms.
-    """
-    total = 1 << (m - 1) if m > 1 else 1
-    shifts = np.arange(max(m - 1, 1), dtype=np.uint64)
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.uint64)
-        z = np.ones((idx.size, m))
-        if m > 1:
-            bits = (idx[:, None] >> shifts[None, :]) & np.uint64(1)
-            z[:, 1:] = 1.0 - 2.0 * bits.astype(np.float64)
-        yield z
-
-
 @dataclass
 class OperatorNormResult:
     """An operator-norm value together with a unit vector attaining it."""
@@ -112,105 +103,113 @@ class OperatorNormResult:
     attainer: np.ndarray
 
 
-def _enum_input_sup(a, s):
-    """max over z in {-1,1}^m of ||A z||_s, with the best z."""
-    best_val = -1.0
-    best_z = None
-    for z in _sign_vector_blocks(a.shape[-1]):
-        vals = vector_norm(z @ a.T, s)
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val = float(vals[k])
-            best_z = z[k]
-    return best_val, best_z
+def _half_images(cols, img):
+    """``img`` plus cols @ z for every sign pattern, z_j = -1 at its set bits j.
+    Only elementwise sums, so the bits do not depend on the chunking."""
+    for j in range(cols.shape[-1]):
+        img = np.concatenate((img + cols[..., j, None], img - cols[..., j, None]), axis=-1)
+    return img
+
+
+def _best_signs(t, s):
+    """Sign vectors z, z_0 = +1, maximizing ||t z||_s over a (b, n, m) stack.
+
+    Index high * 2^l + low sets z_{j+1} = -1 at its set bits j; the images
+    of the l low and m-1-l high signs are formed once and summed a chunk at
+    a time.  The first maximum in index order wins.
+    """
+    b, n, m = t.shape
+    low = (m - 1) // 2
+    lsize, hsize = 1 << low, 1 << (m - 1 - low)
+    cols = min(hsize, max(1, _CHUNK_ELEMENTS // lsize))
+    batch = max(1, _CHUNK_ELEMENTS // (cols * lsize))
+    power = np.abs if s == 1.0 else np.square
+    best, index = np.full(b, -1.0), np.zeros(b, dtype=np.int64)
+    for b0 in range(0, b, batch):
+        part, sl = t[b0:b0 + batch], slice(b0, b0 + batch)
+        lo = _half_images(part[..., 1:1 + low], part[..., :1])
+        hi = _half_images(part[..., 1 + low:], np.zeros_like(part[..., :1]))
+        for c0 in range(0, hsize, cols):
+            # the n rows are summed in one order whatever the chunk shape
+            acc = sum(power(hi[:, i, c0:c0 + cols, None] + lo[:, i, None, :]) for i in range(n))
+            acc = acc.reshape(len(part), -1)
+            k = np.argmax(acc, axis=1)
+            val = acc[np.arange(len(part)), k]
+            better = val > best[sl]
+            np.copyto(best[sl], val, where=better)
+            np.copyto(index[sl], c0 * lsize + k, where=better)
+    bits = (index[:, None] >> np.arange(m - 1)) & 1
+    return np.concatenate((np.ones((b, 1)), 1.0 - 2.0 * bits), axis=1)
+
+
+def _operator_norms(a, r, s, max_enum_dim, want_attainers):
+    """(values, attainers or None) of the (r, s) norm over a stack of matrices;
+    (2,2) attainers come from Jacobi, which takes a single matrix."""
+    r, s = norm_index(r), norm_index(s)
+    a = as_matrix(a)
+    lead, m = a.shape[:-2], a.shape[-1]
+    attainers = None
+    if r == 1.0:
+        vals = vector_norm(np.swapaxes(a, -2, -1), s)
+        values = np.max(vals, axis=-1)
+        if want_attainers:
+            attainers = np.eye(m)[np.argmax(vals, axis=-1)]
+    elif s == inf:
+        rstar = dual_exponent(r)
+        vals = vector_norm(a, rstar)
+        values = np.max(vals, axis=-1)
+        if want_attainers:
+            i = np.argmax(vals, axis=-1)[..., None, None]
+            row = np.take_along_axis(a, i, axis=-2)[..., 0, :]
+            attainers = np.where(row >= 0.0, 1.0, -1.0) if rstar == 1.0 else \
+                row / np.where(values > 0.0, vector_norm(row, 2), 1.0)[..., None]
+            attainers[values == 0.0] = np.eye(m)[0]
+    elif r == 2.0 and s == 2.0:
+        if not want_attainers:
+            return linalg.singular_values(a)[..., 0], None
+        values, attainers = spectral_norm_attainer(a)  # a single matrix
+    else:
+        # (2, 1) enumerates over rows: sup ||A x||_1 = max over z of ||A^T z||_2
+        t = a if r == inf else np.swapaxes(a, -2, -1)
+        if t.shape[-1] > max_enum_dim:
+            raise DimensionTooLarge(f"({r:g},{s:g}) norm needs 2^{t.shape[-1]} sign vectors")
+        t = t.reshape((-1,) + t.shape[-2:])
+        _, exponent = np.frexp(np.max(np.abs(t), axis=(1, 2)))
+        t = np.ldexp(t, -exponent[:, None, None])  # exact power-of-two scaling
+        s = s if r == inf else 2.0
+        z = _best_signs(t, s)
+        image = np.einsum("...j,...ij->...i", z, t)
+        norm = vector_norm(image, s)
+        values = np.ldexp(norm, exponent).reshape(lead)
+        if want_attainers and r == 2.0:
+            z = image / np.where(norm > 0.0, norm, 1.0)[:, None]
+            z[norm == 0.0] = np.eye(m)[0]
+        attainers = z.reshape(lead + (m,)) if want_attainers else None
+    return values, attainers
 
 
 def operator_norm(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     """Exact operator norm sup ||A x||_s / ||x||_r with its attainer.
 
-    Closed forms: r = 1 maximizes over columns; s = inf over rows (the
-    attainer is the dual witness of the best row); (2,2) is sigma_max with
-    its right singular vector.  The pairs (inf,1), (inf,2) and (2,1) are
-    solved by exact enumeration over sign vectors and raise
-    DimensionTooLarge when the enumerated dimension exceeds
-    ``max_enum_dim``.
+    Closed forms: r = 1 maximizes over columns; s = inf over rows; (2,2) is
+    Jacobi's sigma_max with its right singular vector.  (inf,1), (inf,2) and
+    (2,1) enumerate sign vectors and raise DimensionTooLarge past ``max_enum_dim``.
     """
-    r = norm_index(r)
-    s = norm_index(s)
-    a = as_matrix(a)
-    if a.ndim != 2:
+    if np.ndim(a) != 2:
         raise ValueError("operator_norm expects a single matrix; see operator_norm_values")
-    n, m = a.shape
-    if r == 1.0:
-        vals = vector_norm(a.T, s)
-        j = int(np.argmax(vals))
-        attainer = np.zeros(m)
-        attainer[j] = 1.0
-        return OperatorNormResult(float(vals[j]), "closed_form", attainer)
-    if s == inf:
-        rstar = dual_exponent(r)
-        vals = vector_norm(a, rstar)
-        i = int(np.argmax(vals))
-        if vals[i] == 0.0:
-            attainer = np.zeros(m)
-            attainer[0] = 1.0
-        else:
-            attainer = dual_witness(a[i], rstar)
-        return OperatorNormResult(float(vals[i]), "closed_form", attainer)
-    if r == 2.0 and s == 2.0:
-        sigma, attainer = spectral_norm_attainer(a)
-        return OperatorNormResult(sigma, "closed_form", attainer)
-    # enumeration regime
-    if r == inf:
-        if m > max_enum_dim:
-            raise DimensionTooLarge(f"(inf,{s:g}) norm needs 2^{m} sign vectors")
-        value, attainer = _enum_input_sup(a, s)
-        return OperatorNormResult(value, "vertex_enumeration", attainer)
-    # (2, 1): sup ||A x||_1 = max over signs z of ||A^T z||_2, x = A^T z / ||.||
-    if n > max_enum_dim:
-        raise DimensionTooLarge(f"(2,1) norm needs 2^{n} sign vectors")
-    value, z = _enum_input_sup(a.T, 2)
-    w = a.T @ z
-    nw = vector_norm(w, 2)
-    if nw == 0.0:
-        attainer = np.zeros(m)
-        attainer[0] = 1.0
-    else:
-        attainer = w / nw
-    return OperatorNormResult(value, "vertex_enumeration", attainer)
+    value, attainer = _operator_norms(a, r, s, max_enum_dim, want_attainers=True)
+    enumerated = (norm_index(r), norm_index(s)) in ENUMERATION_PAIRS
+    method = "vertex_enumeration" if enumerated else "closed_form"
+    return OperatorNormResult(float(value), method, attainer)
 
 
 def operator_norm_values(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     """Operator-norm values for a stack of matrices (no attainers).
 
-    Same exact methods as :func:`operator_norm`, vectorized over leading
-    dimensions; used by the sampling estimator.
+    The same core as :func:`operator_norm`, so a matrix gets the same bits
+    alone or in a stack; (2,2) values come from LAPACK rather than Jacobi.
     """
-    r = norm_index(r)
-    s = norm_index(s)
-    a = as_matrix(a)
-    if r == 1.0:
-        return np.max(vector_norm(np.swapaxes(a, -2, -1), s), axis=-1)
-    if s == inf:
-        return np.max(vector_norm(a, dual_exponent(r)), axis=-1)
-    if r == 2.0 and s == 2.0:
-        from .linalg import singular_values
-
-        return singular_values(a)[..., 0]
-    if r == inf:
-        enum_dim, target = a.shape[-1], a
-    else:  # (2, 1) enumerates over rows of A
-        enum_dim, target = a.shape[-2], np.swapaxes(a, -2, -1)
-        s = 2.0
-    if enum_dim > max_enum_dim:
-        raise DimensionTooLarge(f"enumeration needs 2^{enum_dim} sign vectors")
-    best = None
-    for z in _sign_vector_blocks(enum_dim, block=1024):
-        # (..., blocks, out_dim) image of every sign vector
-        img = np.einsum("zj,...ij->...zi", z, target)
-        vals = np.max(vector_norm(img, s), axis=-1)
-        best = vals if best is None else np.maximum(best, vals)
-    return best
+    return _operator_norms(a, r, s, max_enum_dim, want_attainers=False)[0]
 
 
 def rank_one_interpolator(x, y, r, s):

@@ -43,7 +43,12 @@ def precision_mode(name):
 
 
 def round_reduced(x):
-    """Round to the nearest 24-bit significand, ties to even, any exponent."""
+    """Round to the nearest 24-bit significand, ties to even, any exponent.
+
+    Magnitudes at or above (1 - 2^-25) * 2^1024, the midpoint between the
+    largest 24-bit value below DBL_MAX and 2^1024, round up to 2^1024 and come
+    out as inf: the correctly rounded overflow, as IEEE round to nearest gives.
+    """
     x = np.asarray(x, dtype=np.float64)
     mantissa, exponent = np.frexp(x)
     return np.ldexp(np.rint(mantissa * 2.0**24) * 2.0**-24, exponent)

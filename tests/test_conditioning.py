@@ -2,6 +2,8 @@ from math import inf, isinf, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from condlab import conditioning as cond
 from condlab import linalg, norms
@@ -106,6 +108,21 @@ def test_kappa_times_distance_identity(r, s):
         dist = cond.distance_to_singularity(a, r, s)
         anorm = norms.operator_norm(a, r, s).value
         assert kap * dist == pytest.approx(anorm, rel=1e-12)
+
+
+@given(st.sampled_from(ALL_PAIRS), st.integers(1, 8), st.integers(-900, 900),
+       st.integers(0, 2**32))
+@settings(max_examples=500, deadline=None)
+def test_scaling_by_power_of_two_is_exact(pair, n, k, seed):
+    # kappa is scale-free and dist scales with A, so both must hold to the bit
+    r, s = pair
+    a = gaussian(310, seed, shape=(n, n))
+    kap = cond.kappa(a, r, s)
+    assume(np.isfinite(kap))
+    scaled = np.ldexp(a, k)
+    assert cond.kappa(scaled, r, s) == kap
+    assert cond.distance_to_singularity(scaled, r, s) == np.ldexp(
+        cond.distance_to_singularity(a, r, s), k)
 
 
 @pytest.mark.parametrize("r,s", ALL_PAIRS)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from condlab import conditioning, empirical as emp
 from condlab import linalg, norms
-from condlab.errors import DeltaTooLarge, ZeroComponent, ZeroVector
+from condlab.errors import DeltaTooLarge, DimensionTooLarge, ZeroComponent, ZeroVector
 
 from conftest import gaussian
 
@@ -194,6 +194,21 @@ def test_estimate_inversion_enumeration_pair():
     )
     assert rep.estimate == pytest.approx(rep.closed_form, rel=0.05)
     assert rep.per_delta[-1].directional_ratio == pytest.approx(rep.closed_form, rel=1e-3)
+
+
+def test_estimator_passes_max_enum_dim_to_relerror():
+    # the (inf,1) output error of a 21x21 inverse needs 2^21 sign vectors,
+    # one past the default cap, so the caller's cap has to reach relerror
+    from math import inf
+    a = gaussian(409, 0, shape=(21, 21)) + 8.0 * np.eye(21)
+    rep = emp.estimate_condition(
+        "inversion", a, None, 1, inf,
+        config=emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=2), max_enum_dim=21,
+    )
+    assert rep.estimate == pytest.approx(rep.closed_form, rel=1e-3)
+    with pytest.raises(DimensionTooLarge):
+        emp.relerror(2.0 * a, a, emp.normwise(inf, 1))
+    assert emp.relerror(2.0 * a, a, emp.normwise(inf, 1), max_enum_dim=21) == 1.0
 
 
 def test_estimate_componentwise_sum_input_exposed():

@@ -34,6 +34,17 @@ def test_round_reduced_keeps_binary64_range():
     assert np.max(np.abs(out - big) / np.abs(big)) < 2.0**-24
 
 
+def test_round_reduced_overflows_to_inf_near_dbl_max():
+    # above the largest 24-bit value the nearest neighbour is 2^1024, which
+    # is not representable: rounding overflows to inf, as IEEE specifies
+    top = np.ldexp(1.0 - 2.0**-24, 1024)
+    midpoint = np.ldexp(1.0 - 2.0**-25, 1024)
+    x = np.array([top, np.nextafter(midpoint, 0.0), midpoint, np.finfo(np.float64).max])
+    with np.errstate(over="ignore"):
+        out = tri.round_reduced(np.concatenate((x, -x)))
+    assert np.array_equal(out, [top, top, np.inf, np.inf, -top, -top, -np.inf, -np.inf])
+
+
 def test_forward_substitution_identity_and_hand_case():
     b = np.array([3.0, -1.0, 2.0])
     assert np.array_equal(tri.forward_substitution(np.eye(3), b), b)
