@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, conditioning, empirical, matio, randomlab, triangular
 from .errors import CondLabError, DimensionTooLarge, SingularMatrix
 from .linalg import singular_values
-from .norms import norm_index, operator_norm
+from .norms import norm_index, operator_norm, operator_norm_values
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -171,7 +171,7 @@ def _run_command(args):
         a = _require_matrix(args)
         echo["dims"] = list(a.shape)
         inv_norm = conditioning.inverse_norm(a, r, s, args.max_enum_dim)
-        anorm = operator_norm(a, r, s, args.max_enum_dim).value
+        anorm = float(operator_norm_values(a, r, s, args.max_enum_dim))
         d = 1.0 / inv_norm
         kap = anorm * inv_norm
         ok = bool(abs(kap * d - anorm) <= 1e-12 * anorm)
@@ -182,7 +182,7 @@ def _run_command(args):
         a = _require_matrix(args)
         echo["dims"] = list(a.shape)
         e, d = conditioning.nearest_singular(a, r, s, args.max_enum_dim)
-        enorm = operator_norm(e, r, s, args.max_enum_dim).value
+        enorm = float(operator_norm_values(e, r, s, args.max_enum_dim))
         ratio = float(singular_values(a + e)[-1] / singular_values(a)[0])
         ok = bool(ratio <= 1e-8 and abs(enorm - d) <= 1e-10 * d)
         return ({"distance": d, "perturbation_norm": enorm,

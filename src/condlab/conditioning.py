@@ -13,6 +13,11 @@ Input norms are ||.||_rs on matrices and ||.||_r on primal vectors; the
 output side uses the transposed pair (s, r).  kappa of a singular matrix is
 inf by convention, while distance_to_singularity raises because its formula
 divides by ||A^-1||.
+
+Every norm here is a value from the value-only core
+(:func:`~condlab.norms.operator_norm_values`, LAPACK at (2,2)).  Attainers
+are computed only in :func:`_extremal_pair`, for the nearest singular
+perturbation and the estimator's worst directions.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .norms import (
     DEFAULT_MAX_ENUM_DIM,
     norm_index,
     operator_norm,
+    operator_norm_values,
     rank_one_interpolator,
     vector_norm,
 )
@@ -58,13 +64,20 @@ class ConditionReport:
     mixed_term: float | None = None
 
 
+def _norm(a, r, s, max_enum_dim):
+    """||A||_rs of one matrix as a float, without an attainer."""
+    if np.ndim(a) != 2:
+        raise ValueError("expected a single matrix")
+    return float(operator_norm_values(a, r, s, max_enum_dim))
+
+
 def kappa(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     """kappa_rs(A) = ||A||_rs * ||A^-1||_sr, with inf for singular input."""
     try:
         inv_norm = inverse_norm(a, r, s, max_enum_dim)
     except SingularMatrix:
         return inf
-    return operator_norm(a, r, s, max_enum_dim).value * inv_norm
+    return _norm(a, r, s, max_enum_dim) * inv_norm
 
 
 def _solution_term(inv, vec, r, s, max_enum_dim):
@@ -73,7 +86,7 @@ def _solution_term(inv, vec, r, s, max_enum_dim):
     denom = vector_norm(sol, r)
     if denom == 0.0:
         return inf
-    return operator_norm(inv, s, r, max_enum_dim).value * vector_norm(vec, s) / denom
+    return _norm(inv, s, r, max_enum_dim) * vector_norm(vec, s) / denom
 
 
 def condition_closed_form(kind, a, vec=None, r=2, s=2, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
@@ -95,7 +108,7 @@ def condition_closed_form(kind, a, vec=None, r=2, s=2, max_enum_dim=DEFAULT_MAX_
     if kind == "matvec":
         image = a @ vec
         denom = vector_norm(image, s)
-        anorm = operator_norm(a, r, s, max_enum_dim).value
+        anorm = _norm(a, r, s, max_enum_dim)
         value = inf if denom == 0.0 else anorm * vector_norm(vec, r) / denom
         alpha = kap = None
         if a.shape[-1] == a.shape[-2]:
@@ -104,7 +117,7 @@ def condition_closed_form(kind, a, vec=None, r=2, s=2, max_enum_dim=DEFAULT_MAX_
             except SingularMatrix:
                 inv = None
             if inv is not None and denom > 0.0:
-                inv_norm = operator_norm(inv, s, r, max_enum_dim).value
+                inv_norm = _norm(inv, s, r, max_enum_dim)
                 kap = anorm * inv_norm
                 alpha = vector_norm(vec, r) / (inv_norm * denom)
         return ConditionReport(kind, value=value, kappa=kap, alpha=alpha)
@@ -131,8 +144,8 @@ def mixed_condition(a, b, r=2, s=2, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     if not np.any(b != 0.0):
         raise ZeroVector("mixed condition number requires b != 0")
     inv = invert(a)
-    anorm = operator_norm(a, r, s, max_enum_dim).value
-    inv_norm = operator_norm(inv, s, r, max_enum_dim).value
+    anorm = _norm(a, r, s, max_enum_dim)
+    inv_norm = _norm(inv, s, r, max_enum_dim)
     kap = anorm * inv_norm
     sol = inv @ b
     denom = vector_norm(sol, r)
@@ -147,7 +160,7 @@ def inverse_norm(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     """
     r = norm_index(r)
     s = norm_index(s)
-    return operator_norm(invert(as_square(a)), s, r, max_enum_dim).value
+    return _norm(invert(as_square(a)), s, r, max_enum_dim)
 
 
 def distance_to_singularity(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):

@@ -139,7 +139,7 @@ def _directional_ratio(kind, a, vec, r, s, delta, max_enum_dim, input_model=None
         _, y, _ = _extremal_pair(a, r, s, max_enum_dim)
         db = delta * vector_norm(vec, s) * y
         return relerror(solve(a, vec + db), solve(a, vec), normwise(r)) / delta
-    anorm = operator_norm(a, r, s, max_enum_dim).value
+    anorm = operator_norm_values(a, r, s, max_enum_dim)
     if kind == "inversion":
         e = worst_inversion_perturbation(a, r, s, delta * anorm, max_enum_dim)
         return relerror(invert(a - e), invert(a), normwise(s, r), max_enum_dim) / delta

@@ -9,42 +9,60 @@ so a written file re-ingests bit-identically.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 _MM_BANNER = "%%matrixmarket"
 
 
 def read_matrix(path):
-    """Load a matrix from CSV or MatrixMarket array format (sniffed)."""
+    """Load a matrix from CSV or MatrixMarket array format (sniffed).
+
+    The file is parsed a line at a time: values stream into the result
+    array, so no list of lines or of Python floats is ever built.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.lower().startswith(_MM_BANNER):
-        return _parse_matrix_market(text, path)
-    return _parse_csv(text, path)
+        lines = enumerate(fh, start=1)
+        for first in lines:
+            if first[1].strip():
+                break
+        else:
+            raise ValueError(f"{path}: empty matrix file")
+        lines = chain([first], lines)
+        if first[1].lstrip().lower().startswith(_MM_BANNER):
+            return _parse_matrix_market(lines, path)
+        return _parse_csv(lines, path)
 
 
-def _parse_csv(text, path):
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split(",")])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: empty matrix file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: ragged rows in CSV matrix")
-    return np.asarray(rows, dtype=np.float64)
+def _parse_csv(lines, path):
+    """Rows of comma-separated floats, one row held at a time."""
+    rows, width = 0, None
+
+    def values():
+        nonlocal rows, width
+        for lineno, line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ValueError(f"{path}: ragged rows in CSV matrix")
+            rows += 1
+            yield from row
+
+    data = np.fromiter(values(), dtype=np.float64)
+    return data.reshape((rows, width))
 
 
-def _parse_matrix_market(text, path):
-    lines = iter(text.splitlines())
-    banner = next(lines).split()
+def _parse_matrix_market(lines, path):
+    """Banner (the first nonblank line), dims line, column-major values."""
+    banner = next(lines)[1].split()
     if [tok.lower() for tok in banner[:5]] != [
         "%%matrixmarket",
         "matrix",
@@ -53,7 +71,7 @@ def _parse_matrix_market(text, path):
         "general",
     ]:
         raise ValueError(f"{path}: unsupported MatrixMarket header {banner!r}")
-    for line in lines:
+    for _, line in lines:
         line = line.strip()
         if not line or line.startswith("%"):
             continue
@@ -64,15 +82,18 @@ def _parse_matrix_market(text, path):
     if len(dims) != 2:
         raise ValueError(f"{path}: malformed dimensions line {dims!r}")
     rows, cols = int(dims[0]), int(dims[1])
-    values = []
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("%"):
-            continue
-        values.append(float(line.split()[0]))
-    if len(values) != rows * cols:
-        raise ValueError(f"{path}: expected {rows * cols} values, found {len(values)}")
-    return np.asarray(values, dtype=np.float64).reshape((cols, rows)).T
+
+    def values():
+        for _, line in lines:
+            line = line.strip()
+            if line and not line.startswith("%"):
+                yield float(line.split()[0])
+
+    # sized by what the file holds, never by what its header claims
+    data = np.fromiter(values(), dtype=np.float64)
+    if data.size != rows * cols:
+        raise ValueError(f"{path}: expected {rows * cols} values, found {data.size}")
+    return data.reshape((cols, rows)).T
 
 
 def read_vector(path):

@@ -125,16 +125,21 @@ def _best_signs(t, s):
     batch = max(1, _CHUNK_ELEMENTS // (cols * lsize))
     power = np.abs if s == 1.0 else np.square
     best, index = np.full(b, -1.0), np.zeros(b, dtype=np.int64)
+    acc, term = np.empty((2, min(b, batch), cols, lsize))  # reused by every chunk
     for b0 in range(0, b, batch):
         part, sl = t[b0:b0 + batch], slice(b0, b0 + batch)
         lo = _half_images(part[..., 1:1 + low], part[..., :1])
         hi = _half_images(part[..., 1 + low:], np.zeros_like(part[..., :1]))
+        sums, tmp = acc[:len(part)], term[:len(part)]
         for c0 in range(0, hsize, cols):
             # the n rows are summed in one order whatever the chunk shape
-            acc = sum(power(hi[:, i, c0:c0 + cols, None] + lo[:, i, None, :]) for i in range(n))
-            acc = acc.reshape(len(part), -1)
-            k = np.argmax(acc, axis=1)
-            val = acc[np.arange(len(part)), k]
+            h = hi[:, :, c0:c0 + cols, None]
+            power(np.add(h[:, 0], lo[:, 0, None, :], out=sums), out=sums)
+            for i in range(1, n):
+                sums += power(np.add(h[:, i], lo[:, i, None, :], out=tmp), out=tmp)
+            flat = sums.reshape(len(part), -1)
+            k = np.argmax(flat, axis=1)
+            val = flat[np.arange(len(part)), k]
             better = val > best[sl]
             np.copyto(best[sl], val, where=better)
             np.copyto(index[sl], c0 * lsize + k, where=better)

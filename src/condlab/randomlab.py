@@ -22,7 +22,10 @@ Statistics
   reports the sample mean next to both constants and asserts the pointwise
   inequality kappa^2 >= ||L^-1||_F^2 / n per sample.
 * ``log_kappa``    ln kappa_2(L): grows like n ln 2 for the general lower
-  ensemble but only like ln n for the QL pushforward.
+  ensemble but only like ln n for the QL pushforward.  For the QL
+  pushforward it is computed on the dense draw A itself: A = QL with Q
+  orthogonal, so kappa_2(L) = kappa_2(Q^T A) = kappa_2(A) and the QL step
+  drops out of the statistic.
 
 Determinism: trial t of size index i draws from substream (seed, i, t), so
 summaries are bit-identical for a fixed seed regardless of chunking.
@@ -183,18 +186,22 @@ def run_experiment(config, statistic):
         for start in range(0, config.trials, config.chunk_size):
             idx = np.arange(start, min(start + config.chunk_size, config.trials))
             keys = rng.substream(config.seed, si, idx)
-            lower = _sample_batch(config.ensemble, n, keys)
+            if config.ensemble == "ql_pushforward":
+                # log_kappa only: kappa_2(L) = kappa_2(A), so the QL step is skipped
+                draws = rng.normal_matrix(keys, n, n)
+            else:
+                draws = _sample_batch(config.ensemble, n, keys)
             if statistic in ("frob_inv_sq", "col_sums_sq"):
-                cols = np.sum(_lower_inverse_batched(lower) ** 2, axis=1)
+                cols = np.sum(_lower_inverse_batched(draws) ** 2, axis=1)
                 columns.append(cols)
                 values.append(np.sum(cols, axis=1))
             elif statistic == "kappa_sq":
-                kap2, _ = _kappa2_batched(lower)
-                frob2 = np.sum(_lower_inverse_batched(lower) ** 2, axis=(1, 2))
+                kap2, _ = _kappa2_batched(draws)
+                frob2 = np.sum(_lower_inverse_batched(draws) ** 2, axis=(1, 2))
                 pointwise_bad += int(np.sum(kap2 < _POINTWISE_SLACK * frob2 / n))
                 values.append(kap2)
             else:  # log_kappa
-                kap2, _ = _kappa2_batched(lower)
+                kap2, _ = _kappa2_batched(draws)
                 values.append(0.5 * np.log(kap2))
         values = np.concatenate(values)
 

@@ -10,7 +10,11 @@ binary64 exponent range, so the model never sees spurious overflow on the
 huge intermediate values that random ill-conditioned triangles produce.
 
 The inner sum of forward substitution accumulates strictly left to right;
-the backward-error bound assumes a fixed sequential summation order.
+the backward-error bound assumes a fixed sequential summation order.  The
+solver sweeps by columns (Higham, Accuracy and Stability of Numerical
+Algorithms, 8.1), which keeps that per-row order and every rounding of the
+row-oriented algorithm, so its results are the same bit for bit from O(n)
+array operations instead of O(n^2).
 """
 
 from __future__ import annotations
@@ -88,19 +92,21 @@ def forward_substitution(lower, b, precision=WORKING):
 def _forward_substitution_batched(lower, b, precision):
     """Forward substitution on a stack of systems sharing one size.
 
-    ``lower`` has shape (B, n, n), ``b`` shape (B, n).  Vectorizing across
-    systems keeps the per-operation rounding model intact: each scalar
-    operation of the algorithm becomes one elementwise array operation.
+    ``lower`` has shape (B, n, n), ``b`` shape (B, n).  A column sweep: once
+    x_j is known, the partial sums of all rows i > j take their j-th term in
+    one elementwise step, w_i = fl(w_i + fl(l_ij x_j)).  Row i thus sees the
+    operations of the row-oriented loop in the same order j = 0, ..., i-1,
+    rounded the same way, and x is the same bit for bit.  Elementwise array
+    operations keep the per-operation rounding model intact across the stack.
     """
     rnd = _rounder(precision)
     nb, n = b.shape
     x = np.empty((nb, n))
+    w = np.zeros((nb, n))
     x[:, 0] = rnd(b[:, 0] / lower[:, 0, 0])
-    for i in range(1, n):
-        w = np.zeros(nb)
-        for j in range(i):
-            w = rnd(w + rnd(lower[:, i, j] * x[:, j]))
-        x[:, i] = rnd(rnd(b[:, i] - w) / lower[:, i, i])
+    for j in range(1, n):
+        w[:, j:] = rnd(w[:, j:] + rnd(lower[:, j:, j - 1] * x[:, j - 1, None]))
+        x[:, j] = rnd(rnd(b[:, j] - w[:, j]) / lower[:, j, j])
     return x
 
 

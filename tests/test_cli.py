@@ -61,6 +61,45 @@ def test_matrix_market_column_major(tmp_path):
     assert np.array_equal(matio.read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
 
 
+def test_round_trip_is_bit_identical(tmp_path):
+    tiny = np.nextafter(0.0, 1.0)
+    special = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, np.finfo(float).max,
+               -np.finfo(float).max, 0.1, 1.0 / 3.0, -7e-200, 1e300]
+    a = np.concatenate((special, [0.5])).reshape(3, 4)
+    writers = {"m.csv": matio.write_matrix_csv, "m.mtx": matio.write_matrix_market}
+    for name, write in writers.items():
+        write(tmp_path / name, a)
+        back = matio.read_matrix(tmp_path / name)
+        assert back.shape == a.shape
+        assert np.array_equal(back.view(np.uint64), a.view(np.uint64))
+
+
+def test_matrix_market_after_leading_blank_lines(tmp_path, capsys):
+    path = tmp_path / "m.mtx"
+    path.write_text("\n  \n%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n")
+    assert np.array_equal(matio.read_matrix(path), [[1.0, 3.0], [2.0, 4.0]])
+    code, env = run_json(capsys, ["kappa", "--matrix", str(path)])
+    assert code == 0 and env["payload"]["kappa"] > 1.0
+
+
+def test_crlf_line_endings(tmp_path):
+    csv_path, mm_path = tmp_path / "m.csv", tmp_path / "m.mtx"
+    csv_path.write_bytes(b"1.5,-2\r\n3,4e-300\r\n")
+    mm_path.write_bytes(b"%%MatrixMarket matrix array real general\r\n% c\r\n"
+                        b"2 2\r\n1.5\r\n3\r\n-2\r\n4e-300\r\n")
+    for path in (csv_path, mm_path):
+        assert np.array_equal(matio.read_matrix(path), [[1.5, -2.0], [3.0, 4e-300]])
+
+
+def test_matrix_market_header_larger_than_its_values(tmp_path):
+    # the value count is checked against the header without allocating what
+    # the header claims
+    path = tmp_path / "m.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n1000000000 1000000000\n1.0\n")
+    with pytest.raises(ValueError, match="expected 1000000000000000000 values, found 1"):
+        matio.read_matrix(path)
+
+
 def test_read_vector_rejects_matrices(tmp_path):
     path = tmp_path / "m.csv"
     matio.write_matrix_csv(path, np.eye(2))

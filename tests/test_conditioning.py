@@ -160,3 +160,41 @@ def test_rectangular_matvec_has_no_kappa():
     r = cond.condition_closed_form("matvec", a, x, 2, 2)
     assert r.kappa is None and r.alpha is None
     assert r.value > 0.0
+
+
+def _no_attainer(*args, **kwargs):
+    raise AssertionError("a value-only path asked for the spectral attainer")
+
+
+def test_value_only_paths_never_build_an_attainer(monkeypatch):
+    monkeypatch.setattr(norms, "spectral_norm_attainer", _no_attainer)
+    a = gaussian(308, 0, shape=(6, 6))
+    b = gaussian(308, 1, shape=(6,))
+    assert np.isfinite(cond.kappa(a, 2, 2))
+    assert np.isfinite(cond.inverse_norm(a, 2, 2))
+    assert np.isfinite(cond.distance_to_singularity(a, 2, 2))
+    assert np.isfinite(cond.mixed_condition(a, b, 2, 2).value)
+    for kind in cond.PROBLEM_KINDS:
+        vec = None if kind == "inversion" else b
+        assert np.isfinite(cond.condition_closed_form(kind, a, vec, 2, 2).value)
+    with pytest.raises(AssertionError, match="spectral attainer"):
+        cond.nearest_singular(a, 2, 2)  # the one reader of the vector
+
+
+def test_kappa_is_a_product_of_value_only_norms(monkeypatch):
+    a = gaussian(309, 0, shape=(9, 9))
+    want = norms.operator_norm_values(a, 2, 2) * norms.operator_norm_values(
+        linalg.invert(a), 2, 2)
+    assert cond.kappa(a, 2, 2) == want
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return linalg.spectral_norm_attainer(m)
+
+    monkeypatch.setattr(norms, "spectral_norm_attainer", spy)
+    e, d = cond.nearest_singular(a, 2, 2)
+    assert len(calls) == 1 and np.array_equal(calls[0], linalg.invert(a))
+    assert linalg.singular_values(a + e)[-1] <= 1e-12 * linalg.singular_values(a)[0]
+    assert d == pytest.approx(1.0 / norms.operator_norm_values(linalg.invert(a), 2, 2),
+                              rel=1e-12)

@@ -37,6 +37,17 @@ def test_ql_pushforward_matches_generating_gaussian():
     assert np.max(np.abs(sv_l - sv_a)) <= 1e-10 * sv_a[0]
 
 
+def test_ql_factor_keeps_kappa_of_dense_draw():
+    # the QL statistic is taken on the dense draw, which needs
+    # kappa_2(L) = kappa_2(Q^T A) = kappa_2(A) to hold to rounding
+    for n in (1, 2, 8, 32, 64, 128):
+        dense = rng.normal_matrix(rng.substream(7, n, np.arange(20)), n, n)
+        sv_l = linalg.singular_values(linalg.ql_lower(dense))
+        sv_a = linalg.singular_values(dense)
+        kappa_l, kappa_a = sv_l[:, 0] / sv_l[:, -1], sv_a[:, 0] / sv_a[:, -1]
+        assert np.max(np.abs(kappa_l - kappa_a) / kappa_a) <= 1e-11
+
+
 def test_exact_law_at_n2():
     # ||L^-1||_F^2 = 2 + l21^2 exactly for the unit ensemble at n = 2
     keys = rng.substream(4, 0, np.arange(200))

@@ -157,3 +157,62 @@ def test_precision_mode_parsing():
     assert tri.WORKING.eps_mach == 2.0**-53
     with pytest.raises(ValueError):
         tri.precision_mode("half")
+
+
+def _scalar_substitution(lower, b, rnd):
+    """Row-oriented forward substitution on Python floats, every operation
+    rounded by ``rnd`` and each inner sum taken left to right."""
+    n = len(b)
+    x = [0.0] * n
+    x[0] = rnd(b[0] / lower[0][0])
+    for i in range(1, n):
+        w = 0.0
+        for j in range(i):
+            w = rnd(w + rnd(lower[i][j] * x[j]))
+        x[i] = rnd(rnd(b[i] - w) / lower[i][i])
+    return x
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and np.array_equal(
+        got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def _stacks():
+    """(lower, b) stacks: unit and general diagonals, signed-zero right-hand
+    sides, entries spread over +-300 decades, and n = 1."""
+    for n in (1, 2, 7, 23):
+        g = np.tril(gaussian(506, n, 0, shape=(6, n, n)))
+        rhs = gaussian(506, n, 1, shape=(6, n))
+        unit = g.copy()
+        unit[:, np.arange(n), np.arange(n)] = 1.0
+        yield unit, rhs
+        yield g, rhs
+        signs = np.where(gaussian(506, n, 2, shape=(6, n)) > 0.0, 0.0, -0.0)
+        yield g, signs
+        # D1 L D2 with D's over +-150 decades: the system stays finite
+        d1 = 10.0 ** (300.0 * gaussian(506, n, 3, shape=(6, n, 1)).clip(-1, 1) / 2)
+        d2 = 10.0 ** (300.0 * gaussian(506, n, 4, shape=(6, 1, n)).clip(-1, 1) / 2)
+        yield d1 * g * d2, rhs * d1[..., 0]
+        # independent magnitudes per entry: overflow and NaN must match too
+        spread = g * 10.0 ** (300.0 * gaussian(506, n, 5, shape=(6, n, n)).clip(-1, 1))
+        yield spread, rhs * 10.0 ** (300.0 * gaussian(506, n, 6, shape=(6, n)).clip(-1, 1))
+
+
+@pytest.mark.parametrize("precision", [tri.WORKING, tri.REDUCED])
+def test_batched_substitution_bitwise_equals_scalar_reference(precision):
+    if precision.mode == "reduced":
+        def rnd(v):
+            return float(tri.round_reduced(v))
+    else:
+        def rnd(v):
+            return v
+    for lower, b in _stacks():
+        assert np.all(np.diagonal(lower, axis1=1, axis2=2) != 0.0)
+        with np.errstate(all="ignore"):
+            x = tri._forward_substitution_batched(lower, b, precision)
+            for k in range(len(b)):
+                want = _scalar_substitution(lower[k].tolist(), b[k].tolist(), rnd)
+                assert _same_bits(x[k], want), (lower.shape, k)
