@@ -3,15 +3,25 @@
 The definition is a limit of suprema: over perturbed inputs with relative
 error at most delta, take the worst ratio of output to input relative error,
 then let delta -> 0.  This module realizes it directly: for each delta in a
-decreasing schedule it draws perturbations uniformly on the delta-sphere of
+decreasing schedule it places perturbations uniformly on the delta-sphere of
 the chosen input error model, pushes them through the exact map (LU solve /
 inverse in binary64), and records the supremum ratio.
+
+Everything that does not depend on delta is built once per estimate: the LU
+factors of A and from them the exact output (A^-1 or A^-1 b), the reference
+norms that divide the output errors, and the sample directions.  The
+directions are drawn from the keys of the first delta and normalized once;
+every delta rescales the same directions onto its own sphere (common random
+numbers), so the first delta of any schedule gets the bits of a one-delta
+schedule.  A sample whose perturbed matrix is singular is redrawn from keys
+of its own delta and attempt.
 
 Random sampling alone systematically under-covers a sup over a
 high-dimensional sphere, so for every problem kind the estimator also
 evaluates one analytically worst direction built from norm attainers and
 the rank-one interpolator (for inversion this is exactly the construction
-from the lower-bound half of the equality cond = kappa).  The reported
+from the lower-bound half of the equality cond = kappa).  That direction is
+built once as well, and only its length follows delta.  The reported
 estimate is the max of sampled and directional ratios at the smallest
 delta; no extrapolation is applied.
 """
@@ -28,7 +38,14 @@ from .conditioning import (
     problem_kind,
 )
 from .errors import DeltaTooLarge, SingularMatrix, ZeroComponent, ZeroVector
-from .linalg import _lu_raw, _lu_solve_packed, as_square, invert, solve
+from .linalg import (
+    DEFAULT_PIVOT_TOL,
+    _lu_raw,
+    _lu_solve_packed,
+    as_square,
+    invert,
+    solve,
+)
 from .norms import (
     DEFAULT_MAX_ENUM_DIM,
     norm_index,
@@ -69,6 +86,32 @@ componentwise_max = ErrorModel(COMPONENTWISE_MAX)
 componentwise_sum = ErrorModel(COMPONENTWISE_SUM)
 
 
+def _relerror_to(x, model, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
+    """``relerror(., x, model)`` as a function, with the size of ``x`` taken once."""
+    x = np.asarray(x, dtype=np.float64)
+    if model.mode == NORMWISE:
+        if x.ndim >= 2 and model.s is None:
+            raise ValueError("matrix normwise error model needs both indices (r, s)")
+
+        def size(v):
+            if x.ndim >= 2:
+                return operator_norm_values(v, model.r, model.s, max_enum_dim)
+            return vector_norm(v, model.r)
+
+        denom = size(x)
+        if np.any(denom == 0.0):
+            raise ZeroVector("relative error of a zero reference is undefined")
+        return lambda x_tilde: size(np.asarray(x_tilde, dtype=np.float64) - x) / denom
+    if np.any(x == 0.0):
+        raise ZeroComponent("componentwise error needs every reference component nonzero")
+    scale = np.abs(x)
+    axes = tuple(range(-x.ndim, 0))
+    combine = np.max if model.mode == COMPONENTWISE_MAX else np.sum
+    return lambda x_tilde: combine(
+        np.abs(np.asarray(x_tilde, dtype=np.float64) - x) / scale, axis=axes
+    )
+
+
 def relerror(x_tilde, x, model, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     """Relative error of ``x_tilde`` against reference ``x`` under ``model``.
 
@@ -76,28 +119,22 @@ def relerror(x_tilde, x, model, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     reference broadcasts against the perturbed stack).  ``max_enum_dim``
     gates the matrix norms that need sign enumeration.
     """
-    x_tilde = np.asarray(x_tilde, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    diff = x_tilde - x
-    if model.mode == NORMWISE:
-        if x.ndim >= 2:
-            if model.s is None:
-                raise ValueError("matrix normwise error model needs both indices (r, s)")
-            denom = operator_norm_values(x, model.r, model.s, max_enum_dim)
-            if np.any(denom == 0.0):
-                raise ZeroVector("relative error of a zero reference is undefined")
-            return operator_norm_values(diff, model.r, model.s, max_enum_dim) / denom
-        denom = vector_norm(x, model.r)
-        if np.any(denom == 0.0):
-            raise ZeroVector("relative error of a zero reference is undefined")
-        return vector_norm(diff, model.r) / denom
-    if np.any(x == 0.0):
-        raise ZeroComponent("componentwise error needs every reference component nonzero")
-    ratios = np.abs(diff) / np.abs(x)
-    axes = tuple(range(-x.ndim, 0))
-    if model.mode == COMPONENTWISE_MAX:
-        return np.max(ratios, axis=axes)
-    return np.sum(ratios, axis=axes)
+    return _relerror_to(x, model, max_enum_dim)(x_tilde)
+
+
+def _worst_inversion_direction(a, r, s, max_enum_dim):
+    """B with ||B||_rs = 1 sending x = A^-1 y / ||A^-1 y||_r to the attainer y
+    of ||A^-1||_sr."""
+    _, y, w = _extremal_pair(a, r, s, max_enum_dim)
+    return rank_one_interpolator(w / vector_norm(w, r), y, r, s)
+
+
+def _inverse_of_perturbed(a, e, delta):
+    """(A - E)^-1, raising DeltaTooLarge when A - E is singular."""
+    try:
+        return invert(a - e)
+    except SingularMatrix:
+        raise DeltaTooLarge(f"A - E is singular at delta={delta:g}") from None
 
 
 def worst_inversion_perturbation(a, r, s, delta, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
@@ -112,50 +149,87 @@ def worst_inversion_perturbation(a, r, s, delta, max_enum_dim=DEFAULT_MAX_ENUM_D
     a = as_square(a)
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    _, y, w = _extremal_pair(a, r, s, max_enum_dim)
-    x = w / vector_norm(w, r)
-    b = rank_one_interpolator(x, y, r, s)
-    e = delta * b
-    try:
-        invert(a - e)
-    except SingularMatrix:
-        raise DeltaTooLarge(f"A - E is singular at delta={delta:g}") from None
+    e = delta * _worst_inversion_direction(a, r, s, max_enum_dim)
+    _inverse_of_perturbed(a, e, delta)
     return e
 
 
-def _directional_ratio(kind, a, vec, r, s, delta, max_enum_dim, input_model=None):
-    """Exact-map error ratio along the analytically worst direction.
+class _Instance:
+    """One problem instance with the parts that every delta reuses.
+
+    A is factored once, by the same ``_lu_raw``/``_lu_solve_packed`` calls
+    that ``invert`` and ``solve`` make, so the exact output (A x, A^-1 or
+    A^-1 b) has their bits.
+    """
+
+    def __init__(self, kind, a, vec, r, s, max_enum_dim):
+        self.kind, self.vec, self.r, self.s, self.max_enum_dim = kind, vec, r, s, max_enum_dim
+        if kind == "matvec":
+            self.a, self.factors, self.exact = a, None, a @ vec
+            return
+        self.a = a = as_square(a)
+        lu, perm, _, singular = _lu_raw(a, DEFAULT_PIVOT_TOL)
+        if np.any(singular):
+            raise SingularMatrix("matrix is singular within tolerance")
+        self.factors = lu, perm
+        if kind == "inversion":
+            self.exact = self.solve(np.eye(a.shape[-1]))
+        else:
+            self.exact = self.solve(vec[:, None])[:, 0]
+
+    def solve(self, rhs):
+        """A^-1 rhs for a block ``(n, k)`` of right-hand sides."""
+        return _lu_solve_packed(*self.factors, rhs)
+
+
+def _directional_ratios(inst, input_model, deltas):
+    """Exact-map error ratio along the analytically worst direction, for each
+    delta in turn.
 
     ``delta`` is the input *relative* error; the direction construction per
-    kind mirrors the closed-form formula it is meant to attain.  For
-    solve_both under the blockwise-sum model the same direction is used but
-    the ratio divides by the sum of the block errors.
+    kind mirrors the closed-form formula it is meant to attain.  The
+    direction (attainer or extremal pair, rank-one interpolator, ||A||_rs)
+    is built once and only its length follows delta.  For solve_both under
+    the blockwise-sum model the same direction is used but the ratio
+    divides by the sum of the block errors.
     """
+    kind, a, vec, r, s, med = inst.kind, inst.a, inst.vec, inst.r, inst.s, inst.max_enum_dim
+    x = inst.exact
     if kind == "matvec":
-        att = operator_norm(a, r, s, max_enum_dim).attainer
-        dx = delta * vector_norm(vec, r) * att
-        return relerror(a @ (vec + dx), a @ vec, normwise(s)) / delta
+        att = operator_norm(a, r, s, med).attainer
+        xnorm = vector_norm(vec, r)
+        err = _relerror_to(x, normwise(s))
+        for delta in deltas:
+            yield err(a @ (vec + delta * xnorm * att)) / delta
+        return
     if kind == "solve_fixed_a":
-        _, y, _ = _extremal_pair(a, r, s, max_enum_dim)
-        db = delta * vector_norm(vec, s) * y
-        return relerror(solve(a, vec + db), solve(a, vec), normwise(r)) / delta
-    anorm = operator_norm_values(a, r, s, max_enum_dim)
+        _, y, _ = _extremal_pair(a, r, s, med)
+        bnorm = vector_norm(vec, s)
+        err = _relerror_to(x, normwise(r))
+        for delta in deltas:
+            yield err(inst.solve((vec + delta * bnorm * y)[:, None])[:, 0]) / delta
+        return
+    anorm = operator_norm_values(a, r, s, med)
     if kind == "inversion":
-        e = worst_inversion_perturbation(a, r, s, delta * anorm, max_enum_dim)
-        return relerror(invert(a - e), invert(a), normwise(s, r), max_enum_dim) / delta
+        b_mat = _worst_inversion_direction(a, r, s, med)
+        err = _relerror_to(x, normwise(s, r), med)
+        for delta in deltas:
+            size = delta * anorm
+            yield err(_inverse_of_perturbed(a, size * b_mat, size)) / delta
+        return
     # solve_fixed_b / solve_both: perturb A towards the kappa-attaining direction
-    _, y, _ = _extremal_pair(a, r, s, max_enum_dim)
-    x = solve(a, vec)
-    xhat = x / vector_norm(x, r)
-    b_mat = rank_one_interpolator(xhat, y, r, s)
-    a_tilde = a - delta * anorm * b_mat
-    if kind == "solve_fixed_b":
-        return relerror(solve(a_tilde, vec), x, normwise(r)) / delta
-    b_tilde = vec + delta * vector_norm(vec, s) * y
-    in_err = delta
-    if input_model is not None and input_model.mode == COMPONENTWISE_SUM:
-        in_err = 2.0 * delta  # both blocks sit on their own delta-sphere
-    return relerror(solve(a_tilde, b_tilde), x, normwise(r)) / in_err
+    _, y, _ = _extremal_pair(a, r, s, med)
+    b_mat = rank_one_interpolator(x / vector_norm(x, r), y, r, s)
+    bnorm = vector_norm(vec, s)
+    err = _relerror_to(x, normwise(r))
+    # under the blockwise sum both blocks sit on their own delta-sphere
+    blocks = 2.0 if input_model.mode == COMPONENTWISE_SUM else 1.0
+    for delta in deltas:
+        a_tilde = a - delta * anorm * b_mat
+        if kind == "solve_fixed_b":
+            yield err(solve(a_tilde, vec)) / delta
+        else:
+            yield err(solve(a_tilde, vec + delta * bnorm * y)) / (blocks * delta)
 
 
 @dataclass(frozen=True)
@@ -197,29 +271,33 @@ class EstimateReport:
     first_order_bound_check: bool | None = None
 
 
-def _sphere_vectors(base, delta, keys, model):
-    """Perturbations of a vector on the delta-sphere of ``model``, one per key."""
+def _sphere_vectors(base, deltas, keys, model):
+    """Perturbations of a vector on the delta-sphere of ``model``, one per key,
+    for each of ``deltas`` in turn: the directions are drawn and normalized
+    here, once, and rescaled lazily for every delta."""
     g = rng.standard_normals(keys, base.size)
     if model.mode == NORMWISE:
-        scale = delta * vector_norm(base, model.r) / vector_norm(g, model.r)
-        return scale[:, None] * g
+        ref, gnorm = vector_norm(base, model.r), vector_norm(g, model.r)
+        return ((delta * ref / gnorm)[:, None] * g for delta in deltas)
     if np.any(base == 0.0):
         raise ZeroComponent("componentwise perturbation of a zero component")
     if model.mode == COMPONENTWISE_MAX:
         unit = g / np.max(np.abs(g), axis=-1, keepdims=True)
     else:
         unit = g / np.sum(np.abs(g), axis=-1, keepdims=True)
-    return delta * np.abs(base) * unit
+    return (delta * np.abs(base) * unit for delta in deltas)
 
 
-def _sphere_matrices(base, delta, keys, model, max_enum_dim):
-    """Perturbations of a matrix on the delta-sphere of ``model``, one per key."""
+def _sphere_matrices(base, deltas, keys, model, max_enum_dim):
+    """Perturbations of a matrix on the delta-sphere of ``model``, one per key,
+    for each of ``deltas`` in turn: the directions are drawn and normalized
+    here, once, and rescaled lazily for every delta."""
     n, m = base.shape
     g = rng.normal_matrix(keys, n, m)
     if model.mode == NORMWISE:
         gnorm = operator_norm_values(g, model.r, model.s, max_enum_dim)
         ref = operator_norm_values(base, model.r, model.s, max_enum_dim)
-        return (delta * ref / gnorm)[:, None, None] * g
+        return ((delta * ref / gnorm)[:, None, None] * g for delta in deltas)
     if np.any(base == 0.0):
         raise ZeroComponent("componentwise perturbation of a zero entry")
     flat = np.abs(g.reshape(g.shape[0], -1))
@@ -227,7 +305,7 @@ def _sphere_matrices(base, delta, keys, model, max_enum_dim):
         unit = g / np.max(flat, axis=1)[:, None, None]
     else:
         unit = g / np.sum(flat, axis=1)[:, None, None]
-    return delta * np.abs(base) * unit
+    return (delta * np.abs(base) * unit for delta in deltas)
 
 
 def _default_models(kind, r, s):
@@ -261,12 +339,14 @@ def estimate_condition(
 ):
     """Estimate the definitional condition number of ``kind`` at an instance.
 
-    For each delta the estimator draws ``samples_per_delta`` perturbations on
-    the input-error sphere, evaluates the exact map, and records the supremum
-    ratio together with the ratio along the analytically worst direction.
-    Samples whose perturbed matrix is singular are discarded and resampled
-    (their count is reported).  The final estimate is the max over the
-    smallest delta's sampled and directional ratios.
+    For each delta the estimator places ``samples_per_delta`` perturbations
+    on the input-error sphere, evaluates the exact map, and records the
+    supremum ratio together with the ratio along the analytically worst
+    direction.  The sample directions and the worst direction are built
+    once and rescaled for every delta.  Samples whose perturbed matrix is
+    singular are discarded and resampled (their count is reported).  The
+    final estimate is the max over the smallest delta's sampled and
+    directional ratios.
 
     For ``solve_both`` the input error is the blockwise componentwise-max
     max(||dA||_rs / ||A||_rs, ||db||_s / ||b||_s); pass
@@ -290,16 +370,11 @@ def estimate_condition(
     closed = condition_closed_form(kind, a, vec, r, s, max_enum_dim).value
     report = EstimateReport(kind=kind, closed_form=closed)
 
-    for di, delta in enumerate(config.deltas):
-        ratios, resampled = _sampled_ratios(
-            kind, a, vec, input_model, output_model, delta, config, di, max_enum_dim
-        )
-        directional = float(
-            _directional_ratio(kind, a, vec, r, s, delta, max_enum_dim, input_model)
-        )
-        report.per_delta.append(
-            DeltaSample(delta, float(np.max(ratios)), directional, resampled)
-        )
+    inst = _Instance(kind, a, vec, r, s, max_enum_dim)
+    sampled = _sampled_ratios(inst, input_model, output_model, config)
+    directional = _directional_ratios(inst, input_model, config.deltas)
+    for delta, (ratios, resampled), ratio in zip(config.deltas, sampled, directional):
+        report.per_delta.append(DeltaSample(delta, float(np.max(ratios)), float(ratio), resampled))
 
     last = report.per_delta[-1]
     report.estimate = max(last.sampled_sup_ratio, last.directional_ratio)
@@ -311,88 +386,102 @@ def estimate_condition(
     return report
 
 
-def _sampled_ratios(kind, a, vec, input_model, output_model, delta, config, di, max_enum_dim):
-    """Sup-ratio samples at one delta, resampling singular perturbations.
+def _input_blocks(kind, input_model, r, s):
+    """(matrix model, vector model or None, whether each block takes all of delta).
 
-    Sample k of delta index di draws from substream (seed, di, k) for
-    vector-only kinds and from (seed, di, k, attempt, block) for kinds that
-    perturb the matrix (block 0 = matrix entries, 1 = right-hand side,
-    2 = auxiliary draws), so results do not depend on evaluation order or
-    on which other samples were discarded.
+    solve_both perturbs A on its (r, s)-sphere and b on its s-sphere under
+    the blockwise models, or under the pair a normwise model names.
     """
+    if kind != "solve_both":
+        return input_model, None, True
+    if input_model.mode == NORMWISE:
+        matrix_model = normwise(input_model.r or 2, input_model.s or 2)
+    else:
+        matrix_model = normwise(r, s)
+    return matrix_model, normwise(matrix_model.s), input_model.mode != COMPONENTWISE_SUM
+
+
+def _perturbations(inst, blocks, deltas, seed, path):
+    """(dA, db or None) for each of ``deltas`` in turn, from one draw per
+    sample: sample k of ``path = (di, k, attempt)`` draws block j from
+    substream (seed, di, k, attempt, j)."""
+    matrix_model, vector_model, whole = blocks
+
+    def keys(block):
+        return rng.substream(seed, *path, block)
+
+    radii = deltas if whole else (1.0,)
+    da = _sphere_matrices(inst.a, radii, keys(0), matrix_model, inst.max_enum_dim)
+    if vector_model is None:
+        return ((d, None) for d in da)
+    db = _sphere_vectors(inst.vec, radii, keys(1), vector_model)
+    if whole:  # blockwise max: both blocks sit on their own delta-sphere
+        return zip(da, db)
+    # blockwise sum: split the budget so that the block errors add to delta
+    t = rng.uniforms(keys(2), 1)[:, 0]
+    da, db = next(da), next(db)
+    return ((da * (delta * t)[:, None, None], db * (delta * (1.0 - t))[:, None])
+            for delta in deltas)
+
+
+def _sampled_ratios(inst, input_model, output_model, config):
+    """Sup-ratio samples and the number of resampled ones, for each delta in turn.
+
+    The directions are drawn once per estimate, from the keys of delta
+    index 0: sample k draws from substream (seed, 0, k) for the vector-only
+    kinds and from (seed, 0, k, 0, block) for the kinds that perturb the
+    matrix (block 0 = matrix entries, 1 = right-hand side, 2 = the split of
+    the blockwise-sum budget).  Their norms are taken once too, and every
+    delta rescales the same directions onto its own sphere (common random
+    numbers).  A sample whose perturbed matrix is singular within tolerance
+    is redrawn at its own delta index di from (seed, di, k, attempt, block)
+    for attempt >= 1.  So results do not depend on evaluation order or on
+    which other samples were discarded, and the first delta of a schedule
+    matches a one-delta schedule bit for bit.
+    """
+    kind, a, vec = inst.kind, inst.a, inst.vec
     idx = np.arange(config.samples_per_delta)
+    err = _relerror_to(inst.exact, output_model, inst.max_enum_dim)
 
-    if kind == "matvec":
-        keys = rng.substream(config.seed, di, idx)
-        dx = _sphere_vectors(vec, delta, keys, input_model)
-        out_err = relerror((vec + dx) @ a.T, a @ vec, output_model)
-        return out_err / delta, 0
-
-    if kind == "solve_fixed_a":
-        keys = rng.substream(config.seed, di, idx)
-        db = _sphere_vectors(vec, delta, keys, input_model)
-        x = solve(a, vec)
-        xt = solve(a, (vec + db).T).T  # one solve with a block of right-hand sides
-        return relerror(xt, x, output_model) / delta, 0
-
-    # remaining kinds perturb the matrix and may cross the singular set
-    a = as_square(a)
-    if kind == "solve_both":
-        matrix_model = normwise(input_model.r or 2, input_model.s or 2) \
-            if input_model.mode == NORMWISE else normwise(2, 2)
-        vector_model = normwise(matrix_model.s)
-        split_blocks = input_model.mode != COMPONENTWISE_SUM
-    else:
-        matrix_model = input_model
-        x = None
-    resampled = 0
-    pending = idx
-    ratios = np.empty(len(idx))
-    if kind == "inversion":
-        inv_a = invert(a)
-    else:
-        x = solve(a, vec)
-    for attempt in range(config.max_attempts + 1):
-        if not pending.size:
-            break
-        keys_a = rng.substream(config.seed, di, pending, attempt, 0)
-        if kind == "solve_both":
-            keys_b = rng.substream(config.seed, di, pending, attempt, 1)
-            if split_blocks:
-                # blockwise max: both blocks sit on their own delta-sphere
-                da = _sphere_matrices(a, delta, keys_a, matrix_model, max_enum_dim)
-                db = _sphere_vectors(vec, delta, keys_b, vector_model)
+    if kind in ("matvec", "solve_fixed_a"):
+        keys = rng.substream(config.seed, 0, idx)
+        spheres = _sphere_vectors(vec, config.deltas, keys, input_model)
+        for delta, dv in zip(config.deltas, spheres):
+            if kind == "matvec":
+                out = (vec + dv) @ a.T
             else:
-                # blockwise sum: split the budget so the block errors add to delta
-                keys_t = rng.substream(config.seed, di, pending, attempt, 2)
-                t = rng.uniforms(keys_t, 1)[:, 0]
-                da = _sphere_matrices(a, 1.0, keys_a, matrix_model, max_enum_dim)
-                da *= (delta * t)[:, None, None]
-                db = _sphere_vectors(vec, 1.0, keys_b, vector_model)
-                db *= (delta * (1.0 - t))[:, None]
-        else:
-            da = _sphere_matrices(a, delta, keys_a, matrix_model, max_enum_dim)
-        a_tilde = a + da
-        lu, perm, _, singular = _lu_raw(a_tilde, 1e-13)
-        ok = ~singular
-        if np.any(ok):
-            if kind == "inversion":
-                n = a.shape[-1]
-                eye = np.broadcast_to(np.eye(n), a_tilde[ok].shape).copy()
-                inv_t = _lu_solve_packed(lu[ok], perm[ok], eye)
-                out_err = relerror(inv_t, inv_a, output_model, max_enum_dim)
-            else:
-                rhs = np.broadcast_to(vec, a_tilde[ok].shape[:-2] + vec.shape)
-                if kind == "solve_both":
-                    rhs = rhs + db[ok]
-                xt = _lu_solve_packed(lu[ok], perm[ok], rhs[..., None])[..., 0]
-                out_err = relerror(xt, x, output_model)
-            ratios[pending[ok]] = out_err / delta
-        resampled += int(np.sum(singular))
-        pending = pending[singular]
-    if pending.size:
-        raise SingularMatrix(
-            "perturbation kept crossing the singular set after "
-            f"{config.max_attempts} resampling rounds"
-        )
-    return ratios, resampled
+                out = inst.solve((vec + dv).T).T  # one block of right-hand sides
+            yield err(out) / delta, 0
+        return
+
+    # the other kinds perturb the matrix and may cross the singular set
+    blocks = _input_blocks(kind, input_model, inst.r, inst.s)
+    first = _perturbations(inst, blocks, config.deltas, config.seed, (0, idx, 0))
+    for di, (delta, (da, db)) in enumerate(zip(config.deltas, first)):
+        ratios = np.empty(len(idx))
+        pending, resampled = idx, 0
+        for attempt in range(config.max_attempts + 1):
+            if not pending.size:
+                break
+            if attempt:
+                path = (di, pending, attempt)
+                da, db = next(_perturbations(inst, blocks, (delta,), config.seed, path))
+            lu, perm, _, singular = _lu_raw(a + da, 1e-13)
+            ok = ~singular
+            if np.any(ok):
+                lu, perm = lu[ok], perm[ok]
+                if kind == "inversion":
+                    eye = np.broadcast_to(np.eye(a.shape[-1]), lu.shape)
+                    out = _lu_solve_packed(lu, perm, eye)
+                else:
+                    rhs = np.broadcast_to(vec, lu.shape[:-1]) if db is None else vec + db[ok]
+                    out = _lu_solve_packed(lu, perm, rhs[..., None])[..., 0]
+                ratios[pending[ok]] = err(out) / delta
+            resampled += int(np.sum(singular))
+            pending = pending[singular]
+        if pending.size:
+            raise SingularMatrix(
+                "perturbation kept crossing the singular set after "
+                f"{config.max_attempts} resampling rounds"
+            )
+        yield ratios, resampled

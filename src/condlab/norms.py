@@ -30,6 +30,9 @@ DEFAULT_MAX_ENUM_DIM = 20
 _DUAL = {1.0: inf, 2.0: 2.0, inf: 1.0}
 _NAMES = {"1": 1.0, "one": 1.0, "2": 2.0, "two": 2.0, "inf": inf, "infinity": inf}
 
+#: Stacks with a last axis shorter than this are reduced column by column.
+_SHORT_AXIS = 8
+
 #: Elements in one chunk of the enumeration's temporaries.
 _CHUNK_ELEMENTS = 1 << 16
 
@@ -55,6 +58,18 @@ def dual_exponent(r):
     return _DUAL[norm_index(r)]
 
 
+def _reduce_last(op, x):
+    """``op.reduce`` along the last axis.  numpy reduces an axis shorter than
+    8 strictly left to right, so for such stacks a loop over the columns
+    gives the same bits, several times faster."""
+    if x.ndim >= 2 and 0 < x.shape[-1] < _SHORT_AXIS:
+        acc = x[..., 0].copy()
+        for j in range(1, x.shape[-1]):
+            op(acc, x[..., j], out=acc)
+        return acc
+    return op.reduce(x, axis=-1)
+
+
 def vector_norm(x, r):
     """1-, 2- or inf-norm along the last axis.
 
@@ -64,12 +79,24 @@ def vector_norm(x, r):
     r = norm_index(r)
     x = np.asarray(x, dtype=np.float64)
     if r == 1.0:
-        return np.sum(np.abs(x), axis=-1)
+        return _reduce_last(np.add, np.abs(x))
     if r == 2.0:
-        scale = np.max(np.abs(x), axis=-1, keepdims=True)
+        scale = _reduce_last(np.maximum, np.abs(x))[..., None]
         y = x / np.where(scale > 0.0, scale, 1.0)
-        return scale[..., 0] * np.sqrt(np.sum(y * y, axis=-1))
-    return np.max(np.abs(x), axis=-1)
+        return scale[..., 0] * np.sqrt(_reduce_last(np.add, y * y))
+    return _reduce_last(np.maximum, np.abs(x))
+
+
+def _unit_2(x):
+    """x / ||x||_2 along the last axis, zero vectors left as they are.
+
+    x is first scaled by 2^-e, e the binary exponent of max|x_i|; that is
+    exact, and keeps subnormal input from rounding its norm to max|x_i|.
+    """
+    _, exponent = np.frexp(np.max(np.abs(x), axis=-1, keepdims=True))
+    x = np.ldexp(x, -exponent)
+    norm = vector_norm(x, 2)[..., None]
+    return x / np.where(norm > 0.0, norm, 1.0)
 
 
 def dual_witness(x, r):
@@ -87,7 +114,7 @@ def dual_witness(x, r):
     if r == 1.0:
         return np.where(x >= 0.0, 1.0, -1.0)
     if r == 2.0:
-        return x / vector_norm(x, 2)
+        return _unit_2(x)
     k = int(np.argmax(np.abs(x)))
     u = np.zeros_like(x)
     u[k] = 1.0 if x[k] >= 0.0 else -1.0
@@ -166,8 +193,7 @@ def _operator_norms(a, r, s, max_enum_dim, want_attainers):
         if want_attainers:
             i = np.argmax(vals, axis=-1)[..., None, None]
             row = np.take_along_axis(a, i, axis=-2)[..., 0, :]
-            attainers = np.where(row >= 0.0, 1.0, -1.0) if rstar == 1.0 else \
-                row / np.where(values > 0.0, vector_norm(row, 2), 1.0)[..., None]
+            attainers = np.where(row >= 0.0, 1.0, -1.0) if rstar == 1.0 else _unit_2(row)
             attainers[values == 0.0] = np.eye(m)[0]
     elif r == 2.0 and s == 2.0:
         if not want_attainers:

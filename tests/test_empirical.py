@@ -221,3 +221,105 @@ def test_estimate_componentwise_sum_input_exposed():
         config=emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=100, seed=12),
     )
     assert rep.estimate > 0.0
+
+
+def test_one_spectral_attainer_per_estimate(monkeypatch):
+    # the worst direction does not depend on delta, so it is built once per
+    # estimate, not once for each of the four default deltas
+    calls = []
+    attainer = norms.spectral_norm_attainer
+
+    def spy(a):
+        calls.append(a.shape)
+        return attainer(a)
+
+    monkeypatch.setattr(norms, "spectral_norm_attainer", spy)
+    a = gaussian(410, 0, shape=(4, 4))
+    b = gaussian(410, 1, shape=(4,))
+    config = emp.EstimatorConfig(samples_per_delta=20, seed=15)
+    assert len(config.deltas) == 4
+    for kind in conditioning.PROBLEM_KINDS:
+        calls.clear()
+        emp.estimate_condition(kind, a, None if kind == "inversion" else b, 2, 2, config=config)
+        assert len(calls) == 1, kind
+
+
+@pytest.mark.parametrize("kind", conditioning.PROBLEM_KINDS)
+def test_first_delta_matches_a_one_delta_schedule(kind):
+    from math import inf
+    a = gaussian(411, 0, shape=(4, 4))
+    b = None if kind == "inversion" else gaussian(411, 1, shape=(4,))
+    for r, s in ((2, 2), (inf, 1)):
+        one, two = (
+            emp.estimate_condition(
+                kind, a, b, r, s,
+                config=emp.EstimatorConfig(deltas=deltas, samples_per_delta=100, seed=16),
+            )
+            for deltas in ((1e-4,), (1e-4, 1e-6))
+        )
+        assert two.per_delta[0] == one.per_delta[0]
+
+
+@pytest.mark.parametrize("kind", ("inversion", "solve_fixed_b", "solve_both"))
+def test_first_delta_matches_a_one_delta_schedule_with_resampling(kind):
+    # perturbations of relative size 1e-12 push the 3e-13 pivot below the
+    # singular tolerance, so some samples are redrawn at the first delta
+    a = np.diag([1.0, 3e-13])
+    b = None if kind == "inversion" else np.array([1.0, -1.0])
+    one, two = (
+        emp.estimate_condition(
+            kind, a, b, 2, 2,
+            config=emp.EstimatorConfig(deltas=deltas, samples_per_delta=200, seed=3),
+        )
+        for deltas in ((1e-12,), (1e-12, 1e-14))
+    )
+    assert one.per_delta[0].resampled > 0
+    assert two.per_delta[0] == one.per_delta[0]
+
+
+def test_matvec_samples_share_their_directions_across_deltas():
+    # matvec is linear: on the same directions the sampled sup ratio cannot
+    # depend on delta beyond the rounding of x + dx (eps / delta relative)
+    a = gaussian(412, 0, shape=(4, 4))
+    x = gaussian(412, 1, shape=(4,))
+    rep = emp.estimate_condition(
+        "matvec", a, x, 2, 2,
+        config=emp.EstimatorConfig(deltas=(1e-1, 1e-2, 1e-3), samples_per_delta=200, seed=17),
+    )
+    ratios = [d.sampled_sup_ratio for d in rep.per_delta]
+    assert max(abs(t - ratios[0]) for t in ratios) <= 1e-12 * ratios[0]
+
+
+@pytest.mark.parametrize("r,s", [(1, 1), ("inf", 1)])
+def test_solve_both_samples_on_the_rs_and_s_spheres(monkeypatch, r, s):
+    # under the blockwise-max model every sample has ||dA||_rs = delta ||A||_rs
+    # and ||db||_s = delta ||b||_s; the perturbed inputs are read where they
+    # enter the batched LU and solve
+    a = gaussian(413, 0, shape=(4, 4)) + 4.0 * np.eye(4)
+    b = gaussian(413, 1, shape=(4,))
+    delta = 1e-2
+    seen_a, seen_b = [], []
+    lu_raw, lu_solve = emp._lu_raw, emp._lu_solve_packed
+
+    def spy_lu(m, tol):
+        if m.ndim == 3:
+            seen_a.append(m - a)
+        return lu_raw(m, tol)
+
+    def spy_solve(lu, perm, rhs):
+        if rhs.ndim == 3:
+            seen_b.append(rhs[..., 0] - b)
+        return lu_solve(lu, perm, rhs)
+
+    monkeypatch.setattr(emp, "_lu_raw", spy_lu)
+    monkeypatch.setattr(emp, "_lu_solve_packed", spy_solve)
+    emp.estimate_condition(
+        "solve_both", a, b, r, s,
+        config=emp.EstimatorConfig(deltas=(delta,), samples_per_delta=50, seed=18),
+    )
+    da, db = np.concatenate(seen_a), np.concatenate(seen_b)
+    assert len(da) == len(db) == 50
+    want_a = delta * norms.operator_norm_values(a, r, s)
+    want_b = delta * norms.vector_norm(b, s)
+    assert np.max(np.abs(norms.operator_norm_values(da, r, s) / want_a - 1.0)) <= 1e-12
+    assert np.max(np.abs(norms.vector_norm(db, s) / want_b - 1.0)) <= 1e-12

@@ -3,7 +3,7 @@ from math import inf
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condlab import norms
@@ -60,6 +60,7 @@ def test_vector_norm_axioms(x, y, r, alpha):
 
 
 @given(vectors, st.sampled_from(INDICES))
+@example(np.array([5e-324, 5e-324]), 2.0)
 @settings(max_examples=200)
 def test_dual_witness_contract(x, r):
     if not np.any(x != 0.0):
@@ -68,6 +69,42 @@ def test_dual_witness_contract(x, r):
     rstar = norms.dual_exponent(r)
     assert abs(norms.vector_norm(u, rstar) - 1.0) <= 1e-12
     assert abs(u @ x - norms.vector_norm(x, r)) <= 1e-9 * max(1.0, norms.vector_norm(x, r))
+
+
+def test_unit_vectors_of_subnormal_input():
+    # the norm of [5e-324, 5e-324] rounds to 5e-324, so dividing by it
+    # gave [1, 1]; normalizing after an exact power-of-two scaling does not
+    for k in (-1070, -1060, -1000, -500, 0, 500, 1000):
+        u = norms.dual_witness(np.ldexp([3.0, -4.0], k), 2)
+        assert np.array_equal(u, norms.dual_witness(np.array([3.0, -4.0]), 2))
+    u = norms.dual_witness(np.array([5e-324, 5e-324]), 2)
+    assert np.array_equal(u, [u[0], u[0]])
+    assert norms.vector_norm(u, 2) == pytest.approx(1.0, abs=1e-15)
+    res = norms.operator_norm(np.array([[5e-324, 5e-324], [0.0, 1e-324]]), 2, inf)
+    assert np.array_equal(res.attainer, u)
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_short_axis_norms_bitwise_equal_numpy_reductions(width):
+    # stacks whose last axis is shorter than 8 are reduced column by column;
+    # numpy reduces such an axis left to right, so the bits must agree
+    decades = np.clip(np.round(100.0 * gaussian(206, width, 1, shape=(400, width))), -300, 300)
+    x = gaussian(206, width, shape=(400, width)) * 10.0**decades
+    x[:: 7] = 0.0
+    x[3, 0] = -0.0
+    views = (x, np.ascontiguousarray(x.T).T, np.swapaxes(x.reshape(8, 50, width), 0, 1))
+    for view in views:
+        mag = np.abs(view)
+        scale = np.max(mag, axis=-1, keepdims=True)
+        y = view / np.where(scale > 0.0, scale, 1.0)
+        expected = {
+            1: np.sum(mag, axis=-1),
+            2: scale[..., 0] * np.sqrt(np.sum(y * y, axis=-1)),
+            inf: np.max(mag, axis=-1),
+        }
+        for r, want in expected.items():
+            got = norms.vector_norm(view, r)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (width, r)
 
 
 def test_operator_norm_examples():
