@@ -18,11 +18,17 @@ Every norm here is a value from the value-only core
 (:func:`~condlab.norms.operator_norm_values`, LAPACK at (2,2)).  Attainers
 are computed only in :func:`_extremal_pair`, for the nearest singular
 perturbation and the estimator's worst directions.
+
+The closed forms and :func:`_extremal_pair` read A^-1 and ||A||_rs from an
+:class:`_Operand`, which computes each at most once.  A caller that already
+holds them (the estimator's instance, which owns the LU factors of A)
+passes its own operand through the private ``_op`` parameter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import inf
 
 import numpy as np
@@ -71,13 +77,35 @@ def _norm(a, r, s, max_enum_dim):
     return float(operator_norm_values(a, r, s, max_enum_dim))
 
 
-def kappa(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
+class _Operand:
+    """A matrix A with A^-1 and its operator norms, each computed at most once."""
+
+    def __init__(self, a, max_enum_dim):
+        self.a = np.asarray(a, dtype=np.float64)
+        self.max_enum_dim = max_enum_dim
+        self._norms = {}
+
+    @cached_property
+    def inverse(self):
+        """A^-1; raises SingularMatrix for singular A."""
+        return invert(as_square(self.a))
+
+    def norm(self, r, s):
+        """||A||_rs as a float."""
+        key = norm_index(r), norm_index(s)
+        if key not in self._norms:
+            self._norms[key] = _norm(self.a, *key, self.max_enum_dim)
+        return self._norms[key]
+
+
+def kappa(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM, *, _op=None):
     """kappa_rs(A) = ||A||_rs * ||A^-1||_sr, with inf for singular input."""
+    op = _op or _Operand(a, max_enum_dim)
     try:
-        inv_norm = inverse_norm(a, r, s, max_enum_dim)
+        inv_norm = inverse_norm(a, r, s, max_enum_dim, _op=op)
     except SingularMatrix:
         return inf
-    return _norm(a, r, s, max_enum_dim) * inv_norm
+    return op.norm(r, s) * inv_norm
 
 
 def _solution_term(inv, vec, r, s, max_enum_dim):
@@ -89,7 +117,9 @@ def _solution_term(inv, vec, r, s, max_enum_dim):
     return _norm(inv, s, r, max_enum_dim) * vector_norm(vec, s) / denom
 
 
-def condition_closed_form(kind, a, vec=None, r=2, s=2, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
+def condition_closed_form(
+    kind, a, vec=None, r=2, s=2, max_enum_dim=DEFAULT_MAX_ENUM_DIM, *, _op=None
+):
     """Closed-form condition number of ``kind`` at the given instance."""
     kind = problem_kind(kind)
     r = norm_index(r)
@@ -102,18 +132,20 @@ def condition_closed_form(kind, a, vec=None, r=2, s=2, max_enum_dim=DEFAULT_MAX_
         if not np.any(vec != 0.0):
             raise ZeroVector(f"{kind} requires a nonzero vector")
 
+    op = _op or _Operand(a, max_enum_dim)
+
     if kind == "inversion":
-        return ConditionReport(kind, value=kappa(a, r, s, max_enum_dim))
+        return ConditionReport(kind, value=kappa(a, r, s, max_enum_dim, _op=op))
 
     if kind == "matvec":
         image = a @ vec
         denom = vector_norm(image, s)
-        anorm = _norm(a, r, s, max_enum_dim)
+        anorm = op.norm(r, s)
         value = inf if denom == 0.0 else anorm * vector_norm(vec, r) / denom
         alpha = kap = None
         if a.shape[-1] == a.shape[-2]:
             try:
-                inv = invert(a)
+                inv = op.inverse
             except SingularMatrix:
                 inv = None
             if inv is not None and denom > 0.0:
@@ -123,16 +155,15 @@ def condition_closed_form(kind, a, vec=None, r=2, s=2, max_enum_dim=DEFAULT_MAX_
         return ConditionReport(kind, value=value, kappa=kap, alpha=alpha)
 
     if kind == "solve_fixed_a":
-        inv = invert(as_square(a))
-        return ConditionReport(kind, value=_solution_term(inv, vec, r, s, max_enum_dim))
+        return ConditionReport(kind, value=_solution_term(op.inverse, vec, r, s, max_enum_dim))
 
     if kind == "solve_fixed_b":
-        return ConditionReport(kind, value=kappa(a, r, s, max_enum_dim))
+        return ConditionReport(kind, value=kappa(a, r, s, max_enum_dim, _op=op))
 
-    return mixed_condition(a, vec, r, s, max_enum_dim)
+    return mixed_condition(a, vec, r, s, max_enum_dim, _op=op)
 
 
-def mixed_condition(a, b, r=2, s=2, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
+def mixed_condition(a, b, r=2, s=2, max_enum_dim=DEFAULT_MAX_ENUM_DIM, *, _op=None):
     """Mixed condition number of (A, b) -> A^-1 b: kappa plus the solution term.
 
     Always sandwiched between kappa and 2*kappa.
@@ -143,8 +174,9 @@ def mixed_condition(a, b, r=2, s=2, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     b = np.asarray(b, dtype=np.float64)
     if not np.any(b != 0.0):
         raise ZeroVector("mixed condition number requires b != 0")
-    inv = invert(a)
-    anorm = _norm(a, r, s, max_enum_dim)
+    op = _op or _Operand(a, max_enum_dim)
+    inv = op.inverse
+    anorm = op.norm(r, s)
     inv_norm = _norm(inv, s, r, max_enum_dim)
     kap = anorm * inv_norm
     sol = inv @ b
@@ -153,14 +185,14 @@ def mixed_condition(a, b, r=2, s=2, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     return ConditionReport("solve_both", value=kap + term, kappa=kap, mixed_term=term)
 
 
-def inverse_norm(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
+def inverse_norm(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM, *, _op=None):
     """||A^-1||_sr from one explicit inverse.
 
     Raises SingularMatrix for singular input.
     """
     r = norm_index(r)
     s = norm_index(s)
-    return _norm(invert(as_square(a)), s, r, max_enum_dim)
+    return _norm((_op or _Operand(a, max_enum_dim)).inverse, s, r, max_enum_dim)
 
 
 def distance_to_singularity(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
@@ -171,9 +203,9 @@ def distance_to_singularity(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     return 1.0 / inverse_norm(a, r, s, max_enum_dim)
 
 
-def _extremal_pair(a, r, s, max_enum_dim):
+def _extremal_pair(a, r, s, max_enum_dim, _op=None):
     """(||A^-1||_sr, y, A^-1 y) with ||y||_s = 1 and ||A^-1 y||_r = ||A^-1||_sr."""
-    inv = invert(as_square(a))
+    inv = (_op or _Operand(a, max_enum_dim)).inverse
     res = operator_norm(inv, s, r, max_enum_dim)
     y = res.attainer / vector_norm(res.attainer, s)
     return res.value, y, inv @ y

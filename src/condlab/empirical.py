@@ -8,8 +8,10 @@ the chosen input error model, pushes them through the exact map (LU solve /
 inverse in binary64), and records the supremum ratio.
 
 Everything that does not depend on delta is built once per estimate: the LU
-factors of A and from them the exact output (A^-1 or A^-1 b), the reference
-norms that divide the output errors, and the sample directions.  The
+factors of A and from them A^-1 and the exact output (A^-1 or A^-1 b),
+||A||_rs, the reference norms that divide the output errors, and the sample
+directions.  The closed form and the worst direction read A^-1 and ||A||_rs
+from the same instance, so A is factored once per estimate.  The
 directions are drawn from the keys of the first delta and normalized once;
 every delta rescales the same directions onto its own sphere (common random
 numbers), so the first delta of any schedule gets the bits of a one-delta
@@ -29,11 +31,14 @@ delta; no extrapolation is applied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
 import numpy as np
 
 from . import rng
 from .conditioning import (
     _extremal_pair,
+    _Operand,
     condition_closed_form,
     problem_kind,
 )
@@ -122,11 +127,15 @@ def relerror(x_tilde, x, model, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     return _relerror_to(x, model, max_enum_dim)(x_tilde)
 
 
-def _worst_inversion_direction(a, r, s, max_enum_dim):
+def _worst_inversion_direction(op, r, s):
     """B with ||B||_rs = 1 sending x = A^-1 y / ||A^-1 y||_r to the attainer y
-    of ||A^-1||_sr."""
-    _, y, w = _extremal_pair(a, r, s, max_enum_dim)
+    of ||A^-1||_sr, for the matrix A of the operand ``op``."""
+    _, y, w = _extremal_pair(op.a, r, s, op.max_enum_dim, _op=op)
     return rank_one_interpolator(w / vector_norm(w, r), y, r, s)
+
+
+def _singular_at(delta):
+    return DeltaTooLarge(f"A - E is singular at delta={delta:g}")
 
 
 def _inverse_of_perturbed(a, e, delta):
@@ -134,7 +143,7 @@ def _inverse_of_perturbed(a, e, delta):
     try:
         return invert(a - e)
     except SingularMatrix:
-        raise DeltaTooLarge(f"A - E is singular at delta={delta:g}") from None
+        raise _singular_at(delta) from None
 
 
 def worst_inversion_perturbation(a, r, s, delta, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
@@ -149,33 +158,45 @@ def worst_inversion_perturbation(a, r, s, delta, max_enum_dim=DEFAULT_MAX_ENUM_D
     a = as_square(a)
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    e = delta * _worst_inversion_direction(a, r, s, max_enum_dim)
-    _inverse_of_perturbed(a, e, delta)
+    e = delta * _worst_inversion_direction(_Operand(a, max_enum_dim), r, s)
+    if np.any(_lu_raw(a - e, DEFAULT_PIVOT_TOL)[3]):
+        raise _singular_at(delta)
     return e
 
 
-class _Instance:
+class _Instance(_Operand):
     """One problem instance with the parts that every delta reuses.
 
-    A is factored once, by the same ``_lu_raw``/``_lu_solve_packed`` calls
-    that ``invert`` and ``solve`` make, so the exact output (A x, A^-1 or
-    A^-1 b) has their bits.
+    It owns the LU factors of A, A^-1 and ||A||_rs: the closed form, the
+    worst direction and the sphere radius all read them from here.  A is
+    factored at most once, by the same ``_lu_raw``/``_lu_solve_packed``
+    calls that ``invert`` and ``solve`` make, so A^-1 and the exact output
+    (A x, A^-1 or A^-1 b) have their bits.  Matvec needs A^-1 only for the
+    kappa and alpha of its closed form, so it factors A only when that asks;
+    a singular A then leaves them out, and the estimate goes on.
     """
 
     def __init__(self, kind, a, vec, r, s, max_enum_dim):
-        self.kind, self.vec, self.r, self.s, self.max_enum_dim = kind, vec, r, s, max_enum_dim
+        super().__init__(a, max_enum_dim)
+        self.kind, self.vec, self.r, self.s = kind, vec, r, s
         if kind == "matvec":
-            self.a, self.factors, self.exact = a, None, a @ vec
-            return
-        self.a = a = as_square(a)
-        lu, perm, _, singular = _lu_raw(a, DEFAULT_PIVOT_TOL)
-        if np.any(singular):
-            raise SingularMatrix("matrix is singular within tolerance")
-        self.factors = lu, perm
-        if kind == "inversion":
-            self.exact = self.solve(np.eye(a.shape[-1]))
+            self.exact = self.a @ vec
+        elif kind == "inversion":
+            self.exact = self.inverse
         else:
             self.exact = self.solve(vec[:, None])[:, 0]
+
+    @cached_property
+    def factors(self):
+        """Packed LU and row permutation of A; raises SingularMatrix."""
+        lu, perm, _, singular = _lu_raw(as_square(self.a), DEFAULT_PIVOT_TOL)
+        if np.any(singular):
+            raise SingularMatrix("matrix is singular within tolerance")
+        return lu, perm
+
+    @cached_property
+    def inverse(self):
+        return self.solve(np.eye(self.a.shape[-1]))
 
     def solve(self, rhs):
         """A^-1 rhs for a block ``(n, k)`` of right-hand sides."""
@@ -203,22 +224,22 @@ def _directional_ratios(inst, input_model, deltas):
             yield err(a @ (vec + delta * xnorm * att)) / delta
         return
     if kind == "solve_fixed_a":
-        _, y, _ = _extremal_pair(a, r, s, med)
+        _, y, _ = _extremal_pair(a, r, s, med, _op=inst)
         bnorm = vector_norm(vec, s)
         err = _relerror_to(x, normwise(r))
         for delta in deltas:
             yield err(inst.solve((vec + delta * bnorm * y)[:, None])[:, 0]) / delta
         return
-    anorm = operator_norm_values(a, r, s, med)
+    anorm = inst.norm(r, s)
     if kind == "inversion":
-        b_mat = _worst_inversion_direction(a, r, s, med)
+        b_mat = _worst_inversion_direction(inst, r, s)
         err = _relerror_to(x, normwise(s, r), med)
         for delta in deltas:
             size = delta * anorm
             yield err(_inverse_of_perturbed(a, size * b_mat, size)) / delta
         return
     # solve_fixed_b / solve_both: perturb A towards the kappa-attaining direction
-    _, y, _ = _extremal_pair(a, r, s, med)
+    _, y, _ = _extremal_pair(a, r, s, med, _op=inst)
     b_mat = rank_one_interpolator(x / vector_norm(x, r), y, r, s)
     bnorm = vector_norm(vec, s)
     err = _relerror_to(x, normwise(r))
@@ -288,15 +309,17 @@ def _sphere_vectors(base, deltas, keys, model):
     return (delta * np.abs(base) * unit for delta in deltas)
 
 
-def _sphere_matrices(base, deltas, keys, model, max_enum_dim):
-    """Perturbations of a matrix on the delta-sphere of ``model``, one per key,
-    for each of ``deltas`` in turn: the directions are drawn and normalized
-    here, once, and rescaled lazily for every delta."""
+def _sphere_matrices(op, deltas, keys, model):
+    """Perturbations of the matrix of the operand ``op`` on the delta-sphere
+    of ``model``, one per key, for each of ``deltas`` in turn: the directions
+    are drawn and normalized here, once, and rescaled lazily for every delta.
+    The radius reads ||A||_rs from ``op``."""
+    base = op.a
     n, m = base.shape
     g = rng.normal_matrix(keys, n, m)
     if model.mode == NORMWISE:
-        gnorm = operator_norm_values(g, model.r, model.s, max_enum_dim)
-        ref = operator_norm_values(base, model.r, model.s, max_enum_dim)
+        gnorm = operator_norm_values(g, model.r, model.s, op.max_enum_dim)
+        ref = op.norm(model.r, model.s)
         return ((delta * ref / gnorm)[:, None, None] * g for delta in deltas)
     if np.any(base == 0.0):
         raise ZeroComponent("componentwise perturbation of a zero entry")
@@ -367,10 +390,10 @@ def estimate_condition(
     input_model = input_model or default_in
     output_model = output_model or default_out
 
-    closed = condition_closed_form(kind, a, vec, r, s, max_enum_dim).value
+    inst = _Instance(kind, a, vec, r, s, max_enum_dim)
+    closed = condition_closed_form(kind, a, vec, r, s, max_enum_dim, _op=inst).value
     report = EstimateReport(kind=kind, closed_form=closed)
 
-    inst = _Instance(kind, a, vec, r, s, max_enum_dim)
     sampled = _sampled_ratios(inst, input_model, output_model, config)
     directional = _directional_ratios(inst, input_model, config.deltas)
     for delta, (ratios, resampled), ratio in zip(config.deltas, sampled, directional):
@@ -411,7 +434,7 @@ def _perturbations(inst, blocks, deltas, seed, path):
         return rng.substream(seed, *path, block)
 
     radii = deltas if whole else (1.0,)
-    da = _sphere_matrices(inst.a, radii, keys(0), matrix_model, inst.max_enum_dim)
+    da = _sphere_matrices(inst, radii, keys(0), matrix_model)
     if vector_model is None:
         return ((d, None) for d in da)
     db = _sphere_vectors(inst.vec, radii, keys(1), vector_model)
@@ -468,16 +491,19 @@ def _sampled_ratios(inst, input_model, output_model, config):
                 da, db = next(_perturbations(inst, blocks, (delta,), config.seed, path))
             lu, perm, _, singular = _lu_raw(a + da, 1e-13)
             ok = ~singular
-            if np.any(ok):
-                lu, perm = lu[ok], perm[ok]
+            crossed = int(np.sum(singular))
+            if crossed < len(pending):
+                if crossed:
+                    lu, perm = lu[ok], perm[ok]
+                    db = None if db is None else db[ok]
                 if kind == "inversion":
                     eye = np.broadcast_to(np.eye(a.shape[-1]), lu.shape)
                     out = _lu_solve_packed(lu, perm, eye)
                 else:
-                    rhs = np.broadcast_to(vec, lu.shape[:-1]) if db is None else vec + db[ok]
+                    rhs = np.broadcast_to(vec, lu.shape[:-1]) if db is None else vec + db
                     out = _lu_solve_packed(lu, perm, rhs[..., None])[..., 0]
                 ratios[pending[ok]] = err(out) / delta
-            resampled += int(np.sum(singular))
+            resampled += crossed
             pending = pending[singular]
         if pending.size:
             raise SingularMatrix(

@@ -6,6 +6,14 @@ Everything works in binary64 and accepts stacked inputs: a shape
 carries the leading batch dimensions.  The Monte Carlo modules lean on this
 to evaluate thousands of small factorizations per numpy call.
 
+LU factors a stack in a batch-last working array ``(n, n, batch)``, so each
+step of the elimination is a few operations on contiguous rows as long as
+the batch.  Every matrix still goes through the same scalar operations in
+the same order as it would alone, so its packed factors, permutation,
+parity and singular flag are bitwise the same whether it is factored alone
+or inside any stack, and they come back C-contiguous in the ``(..., n, n)``
+layout that the triangular solves read.
+
 Singular values have one entry point, ``_jacobi``, with two branches.
 Value-only stacks go to LAPACK through ``np.linalg.svd(compute_uv=False)``.
 Requests for singular vectors (the spectral-norm attainer) run one-sided
@@ -80,40 +88,56 @@ class LUFactors:
 def _lu_raw(a, pivot_tol):
     """Batched LU, no raising: returns (packed LU, perm, parity, singular mask).
 
+    The stack is factored in a batch-last working array ``w`` of shape
+    ``(n, n, batch)``: row i of every matrix is the contiguous block
+    ``w[i]``, so the pivot search, the row swaps, the pivot test and the
+    rank-1 update each run over rows as long as the batch.  Every matrix
+    goes through the same scalar operations as in a matrix-by-matrix
+    elimination: the first largest |pivot| wins, a matrix is singular once
+    a pivot falls to ``pivot_tol * max|a_ij|`` or below, and from then on
+    its multipliers are divided by 1.  So each matrix gets the same bits
+    alone as inside a stack.  The results come back C-contiguous in the
+    ``(..., n, n)`` layout.
+
     Elements flagged singular carry garbage factors; callers must mask.
     """
     a = as_square(a)
     lead = a.shape[:-2]
     n = a.shape[-1]
-    lu = a.reshape(-1, n, n).copy()
-    nb = lu.shape[0]
-    perm = np.tile(np.arange(n), (nb, 1))
+    w = a.reshape(-1, n, n).transpose(1, 2, 0).copy()
+    nb = w.shape[-1]
+    perm = np.arange(n).repeat(nb).reshape(n, nb)
     parity = np.ones(nb)
     singular = np.zeros(nb, dtype=bool)
-    amax = np.max(np.abs(lu), axis=(1, 2))
-    rows = np.arange(nb)
+    amax = np.max(np.abs(w), axis=(0, 1))
+    # a row swap moves w[k] and w[k + j] through flat indices into w and perm
+    batch = np.arange(nb)
+    w_flat, perm_flat = w.reshape(-1), perm.reshape(-1)
+    row_offsets = np.arange(n)[:, None] * nb + batch
     for k in range(n):
-        j = np.argmax(np.abs(lu[:, k:, k]), axis=1)
-        piv_row = k + j
-        moved = piv_row != k
+        j = np.argmax(np.abs(w[k:, k]), axis=0)
+        moved = j != 0
         if moved.any():
-            tmp = lu[rows, piv_row, :].copy()
-            lu[rows, piv_row, :] = lu[rows, k, :]
-            lu[rows, k, :] = tmp
-            tmp = perm[rows, piv_row].copy()
-            perm[rows, piv_row] = perm[rows, k]
-            perm[rows, k] = tmp
+            piv_row = k + j
+            at = piv_row * nb + batch
+            row = perm_flat[at]
+            perm_flat[at] = perm[k]
+            perm[k] = row
+            at = row_offsets + piv_row * (n * nb)
+            row = w_flat[at]
+            w_flat[at] = w[k]
+            w[k] = row
             parity = np.where(moved, -parity, parity)
-        piv = lu[:, k, k]
+        piv = w[k, k]
         singular |= np.abs(piv) <= pivot_tol * amax
         safe = np.where(singular, 1.0, piv)
         if k + 1 < n:
-            f = lu[:, k + 1 :, k] / safe[:, None]
-            lu[:, k + 1 :, k] = f
-            lu[:, k + 1 :, k + 1 :] -= f[:, :, None] * lu[:, k, None, k + 1 :]
+            f = w[k + 1 :, k] / safe
+            w[k + 1 :, k] = f
+            w[k + 1 :, k + 1 :] -= f[:, None] * w[k, None, k + 1 :]
     return (
-        lu.reshape(lead + (n, n)),
-        perm.reshape(lead + (n,)),
+        np.ascontiguousarray(w.transpose(2, 0, 1)).reshape(lead + (n, n)),
+        np.ascontiguousarray(perm.T).reshape(lead + (n,)),
         parity.reshape(lead),
         singular.reshape(lead),
     )
@@ -139,7 +163,7 @@ def lu_decompose(a, pivot_tol=DEFAULT_PIVOT_TOL):
 def _lu_solve_packed(lu, perm, b):
     """Solve with packed factors; ``b`` has shape ``lead + (n, k)``."""
     n = lu.shape[-1]
-    x = np.take_along_axis(b, perm[..., :, None], axis=-2).copy()
+    x = np.take_along_axis(b, perm[..., :, None], axis=-2)
     for i in range(1, n):
         x[..., i, :] -= np.einsum("...j,...jk->...k", lu[..., i, :i], x[..., :i, :])
     for i in range(n - 1, -1, -1):
@@ -181,8 +205,7 @@ def invert(a, pivot_tol=DEFAULT_PIVOT_TOL):
     if np.any(singular):
         raise SingularMatrix("cannot invert: matrix is singular within tolerance")
     n = a.shape[-1]
-    eye = np.broadcast_to(np.eye(n), a.shape).copy()
-    return _lu_solve_packed(lu, perm, eye)
+    return _lu_solve_packed(lu, perm, np.broadcast_to(np.eye(n), a.shape))
 
 
 @dataclass

@@ -212,6 +212,11 @@ def test_exit_code_singular(files, capsys):
     capsys.readouterr()
 
 
+def test_estimate_exit_code_singular(files, capsys):
+    assert main(["estimate", "inversion", "--matrix", files["sing.csv"]]) == 2
+    capsys.readouterr()
+
+
 def test_exit_code_bad_input(files, capsys):
     assert main(["kappa"]) == 1  # missing --matrix
     assert main(["kappa", "--matrix", "/nonexistent/file.csv"]) == 1

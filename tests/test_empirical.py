@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from condlab import conditioning, empirical as emp
 from condlab import linalg, norms
-from condlab.errors import DeltaTooLarge, DimensionTooLarge, ZeroComponent, ZeroVector
+from condlab.errors import (
+    DeltaTooLarge,
+    DimensionTooLarge,
+    SingularMatrix,
+    ZeroComponent,
+    ZeroVector,
+)
 
 from conftest import gaussian
 
@@ -323,3 +329,45 @@ def test_solve_both_samples_on_the_rs_and_s_spheres(monkeypatch, r, s):
     want_b = delta * norms.vector_norm(b, s)
     assert np.max(np.abs(norms.operator_norm_values(da, r, s) / want_a - 1.0)) <= 1e-12
     assert np.max(np.abs(norms.vector_norm(db, s) / want_b - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", conditioning.PROBLEM_KINDS)
+def test_one_factorization_of_a_per_estimate(monkeypatch, kind):
+    # the instance owns A's LU factors, A^-1 and ||A||_rs; the closed form
+    # and the worst direction read them instead of inverting A again
+    a = gaussian(414, 0, shape=(4, 4))
+    b = None if kind == "inversion" else gaussian(414, 1, shape=(4,))
+    factored, inverted = [], []
+    lu_raw, invert = linalg._lu_raw, linalg.invert
+
+    def spy_lu(m, tol):
+        factored.append(np.array_equal(m, a))
+        return lu_raw(m, tol)
+
+    def spy_invert(m, *args, **kwargs):
+        inverted.append(np.array_equal(m, a))
+        return invert(m, *args, **kwargs)
+
+    for owner in (linalg, emp):
+        monkeypatch.setattr(owner, "_lu_raw", spy_lu)
+    for owner in (conditioning, emp):
+        monkeypatch.setattr(owner, "invert", spy_invert)
+    config = emp.EstimatorConfig(deltas=(1e-4, 1e-6), samples_per_delta=20, seed=19)
+    for r, s in ((2, 2), ("inf", 1)):
+        factored.clear()
+        inverted.clear()
+        emp.estimate_condition(kind, a, b, r, s, config=config)
+        assert sum(factored) == 1, (kind, r, s)
+        assert not any(inverted), (kind, r, s)
+
+
+def test_singular_matrix_outcomes_per_kind():
+    a = np.array([[1.0, 2.0], [2.0, 4.0]])
+    b = np.array([1.0, -1.0])
+    config = emp.EstimatorConfig(deltas=(1e-4,), samples_per_delta=20, seed=20)
+    for kind in ("inversion", "solve_fixed_a", "solve_fixed_b", "solve_both"):
+        with pytest.raises(SingularMatrix):
+            emp.estimate_condition(kind, a, None if kind == "inversion" else b, config=config)
+    rep = emp.estimate_condition("matvec", a, b, config=config)
+    assert rep.closed_form == conditioning.condition_closed_form("matvec", a, b).value
+    assert np.isfinite(rep.estimate)

@@ -38,6 +38,78 @@ def test_lu_reconstruction_100_seeded():
     assert np.all(np.diagonal(f.unit_lower, axis1=-2, axis2=-1) == 1.0)
 
 
+def _lu_reference(a, tol):
+    """Partial-pivoting LU of one matrix, one Python float operation at a time.
+
+    The first largest |pivot| wins; the matrix is singular once a pivot is
+    at most tol * max|a_ij|, and from then on its multipliers are divided
+    by 1, which is what ``_lu_raw`` promises for every matrix of a stack.
+    """
+    rows = [[float(x) for x in row] for row in a]
+    n = len(rows)
+    perm, parity, singular = list(range(n)), 1.0, False
+    amax = max(abs(x) for row in rows for x in row)
+    for k in range(n):
+        p = k
+        for i in range(k + 1, n):
+            if abs(rows[i][k]) > abs(rows[p][k]):
+                p = i
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            perm[k], perm[p] = perm[p], perm[k]
+            parity = -parity
+        singular = singular or abs(rows[k][k]) <= tol * amax
+        pivot = 1.0 if singular else rows[k][k]
+        for i in range(k + 1, n):
+            f = rows[i][k] / pivot
+            rows[i][k] = f
+            for j in range(k + 1, n):
+                rows[i][j] -= f * rows[k][j]
+    return np.array(rows), np.array(perm), parity, singular
+
+
+def _lu_oracle_cases(n):
+    """Six n x n matrices that stress the pivoting and the singular test."""
+    ties = np.round(2.0 * gaussian(111, n, 1, shape=(n, n)))
+    ties[:, 0] = [1.0, -3.0, 3.0, 3.0, -3.0, 2.0, 3.0, 0.0, -3.0, 1.0, 3.0, -1.0][:n]
+    zero_column = gaussian(111, n, 2, shape=(n, n))
+    zero_column[:, n // 2] = 0.0
+    # the last column is the first plus 2^-50 of a random column, so the last
+    # pivot is of order 1e-15 * max|a_ij|: singular only within the tolerance
+    near = gaussian(111, n, 3, shape=(n, n))
+    near[:, -1] = near[:, 0] + np.ldexp(gaussian(111, n, 4, shape=(n,)), -50)
+    huge = np.ldexp(gaussian(111, n, 5, shape=(n, n)), 1000)
+    tiny = np.ldexp(gaussian(111, n, 6, shape=(n, n)), -1000)
+    subnormal = np.ldexp(gaussian(111, n, 7, shape=(n, n)), -1060)
+    return [ties, zero_column, near, huge, tiny, subnormal]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lu_raw_matches_scalar_reference_bitwise(n):
+    cases = _lu_oracle_cases(n)
+    stack = np.stack(cases).reshape(2, 3, n, n)
+    lu, perm, parity, singular = linalg._lu_raw(stack, linalg.DEFAULT_PIVOT_TOL)
+    assert lu.shape == (2, 3, n, n) and perm.shape == parity.shape + (n,) == (2, 3, n)
+    assert lu.flags.c_contiguous and perm.flags.c_contiguous
+    for i, a in enumerate(cases):
+        want = _lu_reference(a, linalg.DEFAULT_PIVOT_TOL)
+        alone = linalg._lu_raw(a, linalg.DEFAULT_PIVOT_TOL)
+        inside = tuple(x[divmod(i, 3)] for x in (lu, perm, parity, singular))
+        for g in (alone, inside):
+            assert np.array_equal(g[0], want[0]), i
+            assert np.array_equal(g[1], want[1]), i
+            assert g[2] == want[2] and bool(g[3]) == want[3], i
+    # the cases do what they are named for
+    assert _lu_reference(cases[1], linalg.DEFAULT_PIVOT_TOL)[3]
+    if n >= 2:
+        near = _lu_reference(cases[2], linalg.DEFAULT_PIVOT_TOL)
+        assert near[3] and np.all(near[0][np.arange(n), np.arange(n)] != 0.0)
+    if n >= 3:
+        assert _lu_reference(cases[0], linalg.DEFAULT_PIVOT_TOL)[1][0] == 1  # first of the tied rows
+    subnormal_lu = _lu_reference(cases[5], linalg.DEFAULT_PIVOT_TOL)[0]
+    assert np.any((subnormal_lu != 0.0) & (np.abs(subnormal_lu) < np.finfo(float).tiny))
+
+
 def test_invert_diagonal():
     assert np.allclose(linalg.invert(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]), atol=0)
 
