@@ -15,12 +15,15 @@ inf by convention, while distance_to_singularity raises because its formula
 divides by ||A^-1||.
 
 Every norm here is a value from the value-only core
-(:func:`~condlab.norms.operator_norm_values`, LAPACK at (2,2)).  Attainers
-are computed only in :func:`_extremal_pair`, for the nearest singular
-perturbation and the estimator's worst directions.
+(:func:`~condlab.norms.operator_norm_values`, LAPACK at (2,2)), except that
+||A^-1||_sr at the enumeration pairs comes from
+:func:`~condlab.norms.operator_norm`, whose value has the same bits.
+Attainers are used only in :func:`_extremal_pair`, for the nearest
+singular perturbation and the estimator's worst directions.
 
-The closed forms and :func:`_extremal_pair` read A^-1 and ||A||_rs from an
-:class:`_Operand`, which computes each at most once.  A caller that already
+The closed forms and :func:`_extremal_pair` read A^-1, ||A||_rs and
+||A^-1||_sr from an :class:`_Operand`, which computes A^-1 and ||A||_rs at
+most once and enumerates ||A^-1||_sr at most once.  A caller that already
 holds them (the estimator's instance, which owns the LU factors of A)
 passes its own operand through the private ``_op`` parameter.
 """
@@ -37,6 +40,7 @@ from .errors import SingularMatrix, ZeroVector
 from .linalg import as_square, invert
 from .norms import (
     DEFAULT_MAX_ENUM_DIM,
+    ENUMERATION_PAIRS,
     norm_index,
     operator_norm,
     operator_norm_values,
@@ -78,12 +82,14 @@ def _norm(a, r, s, max_enum_dim):
 
 
 class _Operand:
-    """A matrix A with A^-1 and its operator norms, each computed at most once."""
+    """A matrix A with A^-1 and the operator norms of both, each computed at
+    most once."""
 
     def __init__(self, a, max_enum_dim):
         self.a = np.asarray(a, dtype=np.float64)
         self.max_enum_dim = max_enum_dim
         self._norms = {}
+        self._attained = {}
 
     @cached_property
     def inverse(self):
@@ -97,6 +103,22 @@ class _Operand:
             self._norms[key] = _norm(self.a, *key, self.max_enum_dim)
         return self._norms[key]
 
+    def inverse_norm(self, r, s):
+        """||A^-1||_rs as a float.  At the enumeration pairs it is the value of
+        :meth:`inverse_attained`, which has the bits of the value-only norm,
+        so the closed form and the extremal pair share one enumeration."""
+        key = norm_index(r), norm_index(s)
+        if key in ENUMERATION_PAIRS:
+            return self.inverse_attained(*key).value
+        return _norm(self.inverse, *key, self.max_enum_dim)
+
+    def inverse_attained(self, r, s):
+        """``operator_norm(A^-1, r, s)``: the value with its attainer."""
+        key = norm_index(r), norm_index(s)
+        if key not in self._attained:
+            self._attained[key] = operator_norm(self.inverse, *key, self.max_enum_dim)
+        return self._attained[key]
+
 
 def kappa(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM, *, _op=None):
     """kappa_rs(A) = ||A||_rs * ||A^-1||_sr, with inf for singular input."""
@@ -108,13 +130,13 @@ def kappa(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM, *, _op=None):
     return op.norm(r, s) * inv_norm
 
 
-def _solution_term(inv, vec, r, s, max_enum_dim):
-    """||A^-1||_sr * ||b||_s / ||A^-1 b||_r given the explicit inverse."""
-    sol = inv @ vec
+def _solution_term(op, vec, r, s):
+    """||A^-1||_sr * ||b||_s / ||A^-1 b||_r from the operand's inverse."""
+    sol = op.inverse @ vec
     denom = vector_norm(sol, r)
     if denom == 0.0:
         return inf
-    return _norm(inv, s, r, max_enum_dim) * vector_norm(vec, s) / denom
+    return op.inverse_norm(s, r) * vector_norm(vec, s) / denom
 
 
 def condition_closed_form(
@@ -149,13 +171,13 @@ def condition_closed_form(
             except SingularMatrix:
                 inv = None
             if inv is not None and denom > 0.0:
-                inv_norm = _norm(inv, s, r, max_enum_dim)
+                inv_norm = op.inverse_norm(s, r)
                 kap = anorm * inv_norm
                 alpha = vector_norm(vec, r) / (inv_norm * denom)
         return ConditionReport(kind, value=value, kappa=kap, alpha=alpha)
 
     if kind == "solve_fixed_a":
-        return ConditionReport(kind, value=_solution_term(op.inverse, vec, r, s, max_enum_dim))
+        return ConditionReport(kind, value=_solution_term(op, vec, r, s))
 
     if kind == "solve_fixed_b":
         return ConditionReport(kind, value=kappa(a, r, s, max_enum_dim, _op=op))
@@ -177,7 +199,7 @@ def mixed_condition(a, b, r=2, s=2, max_enum_dim=DEFAULT_MAX_ENUM_DIM, *, _op=No
     op = _op or _Operand(a, max_enum_dim)
     inv = op.inverse
     anorm = op.norm(r, s)
-    inv_norm = _norm(inv, s, r, max_enum_dim)
+    inv_norm = op.inverse_norm(s, r)
     kap = anorm * inv_norm
     sol = inv @ b
     denom = vector_norm(sol, r)
@@ -190,9 +212,7 @@ def inverse_norm(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM, *, _op=None):
 
     Raises SingularMatrix for singular input.
     """
-    r = norm_index(r)
-    s = norm_index(s)
-    return _norm((_op or _Operand(a, max_enum_dim)).inverse, s, r, max_enum_dim)
+    return (_op or _Operand(a, max_enum_dim)).inverse_norm(s, r)
 
 
 def distance_to_singularity(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
@@ -205,10 +225,10 @@ def distance_to_singularity(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
 
 def _extremal_pair(a, r, s, max_enum_dim, _op=None):
     """(||A^-1||_sr, y, A^-1 y) with ||y||_s = 1 and ||A^-1 y||_r = ||A^-1||_sr."""
-    inv = (_op or _Operand(a, max_enum_dim)).inverse
-    res = operator_norm(inv, s, r, max_enum_dim)
+    op = _op or _Operand(a, max_enum_dim)
+    res = op.inverse_attained(s, r)
     y = res.attainer / vector_norm(res.attainer, s)
-    return res.value, y, inv @ y
+    return res.value, y, op.inverse @ y
 
 
 def nearest_singular(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):

@@ -10,13 +10,14 @@ inverse in binary64), and records the supremum ratio.
 Everything that does not depend on delta is built once per estimate: the LU
 factors of A and from them A^-1 and the exact output (A^-1 or A^-1 b),
 ||A||_rs, the reference norms that divide the output errors, and the sample
-directions.  The closed form and the worst direction read A^-1 and ||A||_rs
-from the same instance, so A is factored once per estimate.  The
-directions are drawn from the keys of the first delta and normalized once;
-every delta rescales the same directions onto its own sphere (common random
-numbers), so the first delta of any schedule gets the bits of a one-delta
-schedule.  A sample whose perturbed matrix is singular is redrawn from keys
-of its own delta and attempt.
+directions.  The closed form and the worst direction read A^-1, ||A||_rs and
+||A^-1||_sr from the same instance, and so does the reference norm of the
+exact inverse, so A is factored once and ||A^-1||_sr enumerated at most
+once per estimate.  The directions are drawn from the keys of the first
+delta and normalized once; every delta rescales the same directions onto
+its own sphere (common random numbers), so the first delta of any schedule
+gets the bits of a one-delta schedule.  A sample whose perturbed matrix
+is singular is redrawn from keys of its own delta and attempt.
 
 Random sampling alone systematically under-covers a sup over a
 high-dimensional sphere, so for every problem kind the estimator also
@@ -91,8 +92,9 @@ componentwise_max = ErrorModel(COMPONENTWISE_MAX)
 componentwise_sum = ErrorModel(COMPONENTWISE_SUM)
 
 
-def _relerror_to(x, model, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
-    """``relerror(., x, model)`` as a function, with the size of ``x`` taken once."""
+def _relerror_to(x, model, max_enum_dim=DEFAULT_MAX_ENUM_DIM, denom=None):
+    """``relerror(., x, model)`` as a function, with the size of ``x`` taken
+    once, or given as the normwise ``denom``."""
     x = np.asarray(x, dtype=np.float64)
     if model.mode == NORMWISE:
         if x.ndim >= 2 and model.s is None:
@@ -103,7 +105,8 @@ def _relerror_to(x, model, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
                 return operator_norm_values(v, model.r, model.s, max_enum_dim)
             return vector_norm(v, model.r)
 
-        denom = size(x)
+        if denom is None:
+            denom = size(x)
         if np.any(denom == 0.0):
             raise ZeroVector("relative error of a zero reference is undefined")
         return lambda x_tilde: size(np.asarray(x_tilde, dtype=np.float64) - x) / denom
@@ -202,6 +205,15 @@ class _Instance(_Operand):
         """A^-1 rhs for a block ``(n, k)`` of right-hand sides."""
         return _lu_solve_packed(*self.factors, rhs)
 
+    def output_error(self, model):
+        """``relerror(., exact output, model)`` as a function.  The normwise
+        size of the exact inverse is the operand's ||A^-1||, so an estimate
+        enumerates ||A^-1||_sr once."""
+        denom = None
+        if self.kind == "inversion" and model.mode == NORMWISE and model.s is not None:
+            denom = self.inverse_norm(model.r, model.s)
+        return _relerror_to(self.exact, model, self.max_enum_dim, denom)
+
 
 def _directional_ratios(inst, input_model, deltas):
     """Exact-map error ratio along the analytically worst direction, for each
@@ -233,7 +245,7 @@ def _directional_ratios(inst, input_model, deltas):
     anorm = inst.norm(r, s)
     if kind == "inversion":
         b_mat = _worst_inversion_direction(inst, r, s)
-        err = _relerror_to(x, normwise(s, r), med)
+        err = inst.output_error(normwise(s, r))
         for delta in deltas:
             size = delta * anorm
             yield err(_inverse_of_perturbed(a, size * b_mat, size)) / delta
@@ -464,7 +476,7 @@ def _sampled_ratios(inst, input_model, output_model, config):
     """
     kind, a, vec = inst.kind, inst.a, inst.vec
     idx = np.arange(config.samples_per_delta)
-    err = _relerror_to(inst.exact, output_model, inst.max_enum_dim)
+    err = inst.output_error(output_model)
 
     if kind in ("matvec", "solve_fixed_a"):
         keys = rng.substream(config.seed, 0, idx)

@@ -14,18 +14,14 @@ parity and singular flag are bitwise the same whether it is factored alone
 or inside any stack, and they come back C-contiguous in the ``(..., n, n)``
 layout that the triangular solves read.
 
-Singular values have one entry point, ``_jacobi``, with two branches.
-Value-only stacks go to LAPACK through ``np.linalg.svd(compute_uv=False)``.
-Requests for singular vectors (the spectral-norm attainer) run one-sided
-Jacobi sweeps in numpy, which rotate disjoint column pairs in rounds across
-the whole stack.  Jacobi is also the high-relative-accuracy reference
-(Demmel & Veselic 1992): on the random triangular ensembles the two agree
-on sigma_min to within 1e-10 + n * eps * kappa_2 relative.  The gap exceeds
-1e-10 only on ill-conditioned lower triangular draws at n = 10 and 20, and
-on the worst of those Jacobi was the closer to a 60-digit SVD.
-Both branches first scale each matrix by the power of two that brings its
-largest magnitude into [1/2, 1).  That scaling is exact, so the values of
-2^k * A are exactly 2^k times those of A while the entries stay normal.
+Singular values have one entry point, ``_jacobi``, and one engine, LAPACK
+(``np.linalg.svd``): value-only stacks skip the singular vectors, and the
+spectral-norm attainer takes sigma_max and its right singular vector from
+one decomposition.  Before LAPACK sees a matrix it is scaled by the power of
+two that brings its largest magnitude into [1/2, 1).  That scaling is
+exact, so the values of 2^k * A are exactly 2^k times those of A while the
+entries stay normal.  The tests keep one-sided Jacobi, a high-relative-
+accuracy method (Demmel & Veselic 1992), as the reference for both.
 
 All functions are pure; inputs are never modified.
 """
@@ -40,9 +36,6 @@ from .errors import NoConvergence, SingularMatrix
 
 #: Relative pivot tolerance below which a matrix is reported singular.
 DEFAULT_PIVOT_TOL = 1e-13
-
-_JACOBI_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 30
 
 
 def as_matrix(a):
@@ -266,131 +259,41 @@ def ql_lower(a):
     return lower
 
 
-def _round_robin_schedule(m):
-    """Brent-Luk tournament: m-1 rounds of disjoint column pairs covering all
-    pairs once per sweep (a dummy column absorbs the bye when m is odd)."""
-    players = list(range(m if m % 2 == 0 else m + 1))
-    dummy = players[-1] if m % 2 else None
-    half = len(players) // 2
-    rounds = []
-    for _ in range(len(players) - 1):
-        pairs = [
-            (min(players[i], players[-1 - i]), max(players[i], players[-1 - i]))
-            for i in range(half)
-            if dummy not in (players[i], players[-1 - i])
-        ]
-        rounds.append(
-            (
-                np.array([p for p, _ in pairs], dtype=np.intp),
-                np.array([q for _, q in pairs], dtype=np.intp),
-            )
-        )
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return rounds
+def _jacobi(a, want_vectors):
+    """Singular values of a stack, nonincreasing, shape ``(..., k)``, and with
+    ``want_vectors`` the unit right singular vector of the largest, shape
+    ``(..., m)``; else None.
 
-
-def _jacobi(a, want_vectors, tol=_JACOBI_TOL, max_sweeps=_JACOBI_MAX_SWEEPS):
-    """Singular values of the columns of ``a`` (requires rows >= cols).
+    Both come from one LAPACK call (``np.linalg.svd``).  The name is that of
+    the one-sided Jacobi engine this replaced; it stays the single entry
+    point for singular values, which the benchmark's tracing wraps.
 
     Each matrix is scaled by 2^-e, e the binary exponent of its largest
     magnitude, and its values are scaled back by 2^e.  The factor is a power
-    of two, so the scaling is exact and the Gram sums can neither underflow
-    nor overflow.
+    of two, so the scaling is exact: 2^k * A gets exactly 2^k times the
+    values of A and the same vector.  The vector's first entry of largest
+    magnitude is positive.
 
-    Value-only requests go to LAPACK.  With ``want_vectors`` the values and
-    right singular vectors come from one-sided Jacobi: columns are stored as
-    contiguous rows and each sweep applies m-1 rounds of m/2 disjoint
-    rotations at once, so the work per sweep is a handful of large array
-    operations rather than one call per column pair.
-
-    Returns (singular values desc, right-rotation product V or None).
-    Raises NoConvergence when either engine fails to converge.
+    Raises NoConvergence when LAPACK fails to converge.
     """
     lead = a.shape[:-2]
-    n, m = a.shape[-2], a.shape[-1]
-    stack = a.reshape(-1, n, m)
+    stack = a.reshape((-1,) + a.shape[-2:])
     _, exponent = np.frexp(np.max(np.abs(stack), axis=(1, 2)))
     stack = np.ldexp(stack, -exponent[:, None, None])
-    if not want_vectors:
-        try:
+    try:
+        if want_vectors:
+            _, values, vh = np.linalg.svd(stack, full_matrices=False)
+        else:
             values = np.linalg.svd(stack, compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"LAPACK singular values did not converge: {exc}") from None
-        return np.ldexp(values, exponent[:, None]).reshape(lead + (m,)), None
-    g = np.swapaxes(stack, 1, 2).copy()  # (nb, m, n): columns as contiguous rows
-    nb = g.shape[0]
-    v = np.broadcast_to(np.eye(m), (nb, m, m)).copy()
-    iu, ju = np.triu_indices(m, 1)
-    schedule = _round_robin_schedule(m) if m > 1 else []
-
-    def max_off(g):
-        if m == 1:
-            return np.zeros(g.shape[0])
-        gram = np.matmul(g, np.swapaxes(g, 1, 2))
-        d = np.sqrt(np.maximum(np.einsum("bjj->bj", gram), 0.0))
-        scale = d[:, iu] * d[:, ju]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(scale > 0.0, np.abs(gram[:, iu, ju]) / scale, 0.0)
-        return np.max(rel, axis=1)
-
-    def rotate_rows(mat, pidx, qidx, cc, ss):
-        rp = mat[:, pidx, :]
-        rq = mat[:, qidx, :]
-        mat[:, pidx, :] = cc * rp - ss * rq
-        mat[:, qidx, :] = ss * rp + cc * rq
-
-    # converged elements retire from the working set between sweeps
-    g_out = np.empty_like(g)
-    v_out = np.empty_like(v)
-    active = np.arange(nb)
-    stalled = False
-    for sweep in range(max_sweeps + 1):
-        done = max_off(g) <= tol
-        if stalled:
-            done[:] = True
-        if np.any(done):
-            g_out[active[done]] = g[done]
-            v_out[active[done]] = v[done]
-            keep = ~done
-            if not np.any(keep):
-                active = active[:0]
-                break
-            active = active[keep]
-            g = np.ascontiguousarray(g[keep])
-            v = np.ascontiguousarray(v[keep])
-        if sweep == max_sweeps:
-            break
-        before = g.copy()
-        for pidx, qidx in schedule:
-            gp = g[:, pidx, :]
-            gq = g[:, qidx, :]
-            app = np.einsum("bpn,bpn->bp", gp, gp)
-            aqq = np.einsum("bpn,bpn->bp", gq, gq)
-            apq = np.einsum("bpn,bpn->bp", gp, gq)
-            rotate = np.abs(apq) > tol * np.sqrt(app * aqq)  # (nb, npairs)
-            if not rotate.any():
-                continue
-            safe_apq = np.where(rotate, apq, 1.0)
-            tau = (aqq - app) / (2.0 * safe_apq)
-            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = np.where(rotate, c * t, 0.0)
-            c = np.where(rotate, c, 1.0)
-            cc, ss = c[:, :, None], s[:, :, None]
-            g[:, pidx, :] = cc * gp - ss * gq
-            g[:, qidx, :] = ss * gp + cc * gq
-            rotate_rows(v, pidx, qidx, cc, ss)
-        # An unchanged sweep means remaining rotations round to no-ops: the
-        # iteration is at its floating-point fixed point, as orthogonal as
-        # representable; accept those elements on the next pass.
-        stalled = np.array_equal(g, before)
-    if active.size:
-        raise NoConvergence(f"one-sided Jacobi did not converge in {max_sweeps} sweeps")
-    values = np.ldexp(np.sqrt(np.einsum("bij,bij->bi", g_out, g_out)), exponent[:, None])
-    order = np.argsort(-values, axis=1, kind="stable")
-    values = np.take_along_axis(values, order, axis=1)
-    v_out = np.take_along_axis(v_out, order[:, :, None], axis=1)
-    return values.reshape(lead + (m,)), np.swapaxes(v_out, 1, 2).reshape(lead + (m, m))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK singular values did not converge: {exc}") from None
+    values = np.ldexp(values, exponent[:, None]).reshape(lead + values.shape[-1:])
+    if not want_vectors:
+        return values, None
+    v = vh[:, 0, :]
+    lead_entry = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
+    v *= np.where(lead_entry < 0.0, -1.0, 1.0)[:, None]
+    return values, v.reshape(lead + v.shape[-1:])
 
 
 def singular_values(a):
@@ -408,23 +311,13 @@ def singular_values(a):
 
 
 def spectral_norm_attainer(a):
-    """(sigma_max, unit right singular vector attaining it) for a single matrix."""
+    """(sigma_max, unit right singular vector attaining it) for a single
+    matrix, from LAPACK; e_0 for the zero matrix."""
     a = as_matrix(a)
     if a.ndim != 2:
         raise ValueError("attainer is defined for a single matrix")
-    n, m = a.shape
-    if n >= m:
-        values, v = _jacobi(a, want_vectors=True)
-        sigma = values[0]
-        vec = v[:, 0]
-    else:
-        # Jacobi on the transpose gives left vectors of A; map back through A^T.
-        values, u = _jacobi(a.T, want_vectors=True)
-        sigma = values[0]
-        if sigma > 0.0:
-            vec = a.T @ u[:, 0] / sigma
-            vec = vec / np.sqrt(vec @ vec)
+    values, vec = _jacobi(a, want_vectors=True)
+    sigma = float(values[0])
     if sigma == 0.0:
-        vec = np.zeros(m)
-        vec[0] = 1.0
-    return float(sigma), vec
+        vec = np.eye(a.shape[1])[0]
+    return sigma, vec

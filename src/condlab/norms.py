@@ -7,7 +7,12 @@ NP-hard in general and are computed exactly here by enumerating sign
 vectors, gated by ``max_enum_dim``.  The enumeration meets in the middle:
 the images of the two halves' sign patterns are formed once and summed, so
 each sign vector costs O(n) work rather than O(n m), with temporaries
-bounded near 2^16 elements.  Single matrices and stacks share one core.
+bounded near 2^16 elements.  (inf,2) and (2,1) are quadratic forms, so one
+batched GEMM screens every sign vector, and only those within a derived
+rounding bound of the maximum are confirmed by the elementwise score; the
+sign vector chosen, and so every value and attainer, is the same as if all
+were scored elementwise.  Single matrices and stacks share one core, and
+the (2,2) norm comes from LAPACK.
 
 Also provides the rank-one norm interpolator: given unit vectors x, y it
 builds B = y u^T with ||B||_rs = 1 and B x = y, the workhorse behind the
@@ -130,53 +135,128 @@ class OperatorNormResult:
     attainer: np.ndarray
 
 
-def _half_images(cols, img):
-    """``img`` plus cols @ z for every sign pattern, z_j = -1 at its set bits j.
-    Only elementwise sums, so the bits do not depend on the chunking."""
+def _half_images(init, cols):
+    """(2^k, b, n) images init + cols @ z of a (b, n) ``init`` and the k
+    columns of a (b, n, k) stack, one for every sign pattern, z_j = -1 at
+    its set bits j.  Each doubling writes the - half from the + half, then
+    adds the column to the + half in place: every image is the same chain
+    of elementwise sums at any chunking."""
+    out = np.empty((1 << cols.shape[-1],) + init.shape)
+    out[0] = init
     for j in range(cols.shape[-1]):
-        img = np.concatenate((img + cols[..., j, None], img - cols[..., j, None]), axis=-1)
-    return img
+        half, col = 1 << j, cols[..., j]
+        np.subtract(out[:half], col, out=out[half:2 * half])
+        out[:half] += col
+    return out
+
+
+def _chunk(buf, shape):
+    """A C-contiguous ``shape`` array over the start of the flat ``buf``."""
+    return buf[:np.prod(shape)].reshape(shape)
+
+
+def _abs_scores(hi, lo, cols):
+    """For each chunk of ``cols`` high patterns: (matrices, score, sign
+    index) of the first maximum of each matrix, scoring sum_i |H_i + L_i|
+    in row order."""
+    hi, lo = hi.transpose(1, 2, 0).copy(), lo.transpose(1, 2, 0).copy()  # (b, n, 2^k)
+    bb, n, lsize = lo.shape
+    buf = np.empty((2, bb * cols * lsize))  # reused by every chunk
+    for c0 in range(0, hi.shape[-1], cols):
+        h = hi[:, :, c0:c0 + cols, None]
+        acc, term = (_chunk(x, (bb, h.shape[2], lsize)) for x in buf)
+        np.abs(np.add(h[:, 0], lo[:, 0, None, :], out=acc), out=acc)
+        for i in range(1, n):
+            acc += np.abs(np.add(h[:, i], lo[:, i, None, :], out=term), out=term)
+        flat = acc.reshape(bb, -1)
+        k = np.argmax(flat, axis=1)
+        yield np.arange(bb), flat[np.arange(bb), k], c0 * lsize + k
+
+
+def _square_scores(hi, lo, cols, part):
+    """:func:`_abs_scores` for sum_i (H_i + L_i)^2, screened by one GEMM.
+
+    H and L are the computed half images, so q = ||H||^2 + ||L||^2 +
+    2<H, L> and the elementwise score S differ only in how they round
+    sum_i (H_i + L_i)^2.  Each is within gamma_{n+2} U of it, in Higham's
+    gamma_k = k eps / (1 - k eps), whatever order the GEMM sums in;
+    U = sum_i (|H_i| + |L_i|)^2 is at most (1 + eps)^{2m} W, with
+    W = sum_i (sum_j |t_ij|)^2.  So |q - S| <= gamma W for gamma =
+    2 (n + 4) eps, which leaves room for rounding W and the threshold, and
+    the first maximum of S has q >= max q - 2 gamma W (compared here as
+    q / 2 against max q / 2 - gamma W).  Only the sign vectors past that
+    screen are scored elementwise, in row order and index order, so the
+    winner is the one the elementwise search picks.  They are scored a block
+    at a time, which bounds the temporaries even when every sign vector
+    ties.
+    """
+    hsize, bb, n = hi.shape
+    lsize = lo.shape[0]
+    gamma = 2.0 * (n + 4) * np.finfo(np.float64).eps
+    slack = gamma * np.sum(np.sum(np.abs(part), axis=2) ** 2, axis=1)  # of q / 2
+    hnorm = 0.5 * np.einsum("kbi,kbi->bk", hi, hi)
+    lnorm = 0.5 * np.einsum("kbi,kbi->bk", lo, lo)
+    lo_t = np.ascontiguousarray(lo.transpose(1, 2, 0))  # (b, n, 2^l) for BLAS
+    hi_rows, lo_rows = hi.reshape(-1, n), lo.reshape(-1, n)
+    buf = np.empty(bb * cols * lsize)  # reused by every chunk
+    block = max(1, _CHUNK_ELEMENTS >> 4)
+    for c0 in range(0, hsize, cols):
+        h = hi[c0:c0 + cols].transpose(1, 0, 2)
+        q = _chunk(buf, (bb, h.shape[1], lsize))
+        np.matmul(h, lo_t, out=q)
+        q += hnorm[:, c0:c0 + cols, None]
+        q += lnorm[:, None, :]
+        flat = q.reshape(bb, -1)
+        top = flat[np.arange(bb), np.argmax(flat, axis=1)]
+        passed = np.flatnonzero(flat >= (top - slack)[:, None])
+        for c in range(0, len(passed), block):  # in matrix, then index order
+            b, k = np.divmod(passed[c:c + block], flat.shape[1])
+            hrow, lrow = (c0 + k // lsize) * bb + b, (k % lsize) * bb + b
+            score = np.square(hi_rows[hrow, 0] + lo_rows[lrow, 0])
+            for i in range(1, n):
+                score += np.square(hi_rows[hrow, i] + lo_rows[lrow, i])
+            start = np.flatnonzero(np.diff(b, prepend=-1))
+            if len(start) < len(b):  # the first maximum of each matrix's run
+                top = np.repeat(np.maximum.reduceat(score, start), np.diff(start, append=len(b)))
+                first = np.flatnonzero(score == top)
+                first = first[np.diff(b[first], prepend=-1) != 0]
+                b, k, score = b[first], k[first], score[first]
+            yield b, score, c0 * lsize + k
 
 
 def _best_signs(t, s):
     """Sign vectors z, z_0 = +1, maximizing ||t z||_s over a (b, n, m) stack.
 
-    Index high * 2^l + low sets z_{j+1} = -1 at its set bits j; the images
-    of the l low and m-1-l high signs are formed once and summed a chunk at
-    a time.  The first maximum in index order wins.
+    Index high * 2^l + low sets z_{j+1} = -1 at its set bits j.  The images
+    L and H of the l low and m-1-l high signs are formed once, and a sign
+    vector scores sum_i |H_i + L_i|^s over the rows in order; s = 2 screens
+    with one GEMM first (:func:`_square_scores`).  Chunks keep every
+    temporary near ``_CHUNK_ELEMENTS``.  The first maximum in index order
+    wins.
     """
     b, n, m = t.shape
     low = (m - 1) // 2
     lsize, hsize = 1 << low, 1 << (m - 1 - low)
     cols = min(hsize, max(1, _CHUNK_ELEMENTS // lsize))
-    batch = max(1, _CHUNK_ELEMENTS // (cols * lsize))
-    power = np.abs if s == 1.0 else np.square
+    batch = max(1, _CHUNK_ELEMENTS // max(cols * lsize, n * (lsize + hsize)))
     best, index = np.full(b, -1.0), np.zeros(b, dtype=np.int64)
-    acc, term = np.empty((2, min(b, batch), cols, lsize))  # reused by every chunk
     for b0 in range(0, b, batch):
-        part, sl = t[b0:b0 + batch], slice(b0, b0 + batch)
-        lo = _half_images(part[..., 1:1 + low], part[..., :1])
-        hi = _half_images(part[..., 1 + low:], np.zeros_like(part[..., :1]))
-        sums, tmp = acc[:len(part)], term[:len(part)]
-        for c0 in range(0, hsize, cols):
-            # the n rows are summed in one order whatever the chunk shape
-            h = hi[:, :, c0:c0 + cols, None]
-            power(np.add(h[:, 0], lo[:, 0, None, :], out=sums), out=sums)
-            for i in range(1, n):
-                sums += power(np.add(h[:, i], lo[:, i, None, :], out=tmp), out=tmp)
-            flat = sums.reshape(len(part), -1)
-            k = np.argmax(flat, axis=1)
-            val = flat[np.arange(len(part)), k]
-            better = val > best[sl]
-            np.copyto(best[sl], val, where=better)
-            np.copyto(index[sl], c0 * lsize + k, where=better)
+        part = t[b0:b0 + batch]
+        lo = _half_images(part[..., 0], part[..., 1:1 + low])
+        hi = _half_images(np.zeros_like(part[..., 0]), part[..., 1 + low:])
+        chunks = _abs_scores(hi, lo, cols) if s == 1.0 else _square_scores(hi, lo, cols, part)
+        for rows, val, idx in chunks:
+            rows = b0 + rows
+            better = val > best[rows]
+            best[rows[better]] = val[better]
+            index[rows[better]] = idx[better]
     bits = (index[:, None] >> np.arange(m - 1)) & 1
     return np.concatenate((np.ones((b, 1)), 1.0 - 2.0 * bits), axis=1)
 
 
 def _operator_norms(a, r, s, max_enum_dim, want_attainers):
     """(values, attainers or None) of the (r, s) norm over a stack of matrices;
-    (2,2) attainers come from Jacobi, which takes a single matrix."""
+    the (2,2) attainer takes a single matrix."""
     r, s = norm_index(r), norm_index(s)
     a = as_matrix(a)
     lead, m = a.shape[:-2], a.shape[-1]
@@ -223,7 +303,7 @@ def operator_norm(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     """Exact operator norm sup ||A x||_s / ||x||_r with its attainer.
 
     Closed forms: r = 1 maximizes over columns; s = inf over rows; (2,2) is
-    Jacobi's sigma_max with its right singular vector.  (inf,1), (inf,2) and
+    LAPACK's sigma_max with its right singular vector.  (inf,1), (inf,2) and
     (2,1) enumerate sign vectors and raise DimensionTooLarge past ``max_enum_dim``.
     """
     if np.ndim(a) != 2:
@@ -238,7 +318,8 @@ def operator_norm_values(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     """Operator-norm values for a stack of matrices (no attainers).
 
     The same core as :func:`operator_norm`, so a matrix gets the same bits
-    alone or in a stack; (2,2) values come from LAPACK rather than Jacobi.
+    alone or in a stack, and the value of :func:`operator_norm` at every pair
+    but (2,2), whose values skip LAPACK's singular vectors.
     """
     return _operator_norms(a, r, s, max_enum_dim, want_attainers=False)[0]
 

@@ -115,7 +115,7 @@ def _lower_inverse_batched(lower):
 
 def _kappa2_batched(lower):
     sigma = _jacobi(lower, want_vectors=False)[0]
-    return (sigma[:, 0] / sigma[:, -1]) ** 2, sigma
+    return (sigma[:, 0] / sigma[:, -1]) ** 2
 
 
 @dataclass
@@ -196,12 +196,12 @@ def run_experiment(config, statistic):
                 columns.append(cols)
                 values.append(np.sum(cols, axis=1))
             elif statistic == "kappa_sq":
-                kap2, _ = _kappa2_batched(draws)
+                kap2 = _kappa2_batched(draws)
                 frob2 = np.sum(_lower_inverse_batched(draws) ** 2, axis=(1, 2))
                 pointwise_bad += int(np.sum(kap2 < _POINTWISE_SLACK * frob2 / n))
                 values.append(kap2)
             else:  # log_kappa
-                kap2, _ = _kappa2_batched(draws)
+                kap2 = _kappa2_batched(draws)
                 values.append(0.5 * np.log(kap2))
         values = np.concatenate(values)
 

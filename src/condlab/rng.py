@@ -22,11 +22,17 @@ _MASK = (1 << 64) - 1
 
 
 def _finalize(z):
+    """The SplitMix64 finalizer of a uint64 array, in place with one scratch
+    buffer; a scalar comes back as a new 0-d array."""
     z = np.asarray(z, dtype=np.uint64)
+    t = np.empty_like(z)
     with np.errstate(over="ignore"):  # uint64 wraparound is the point
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+            np.right_shift(z, np.uint64(shift), out=t)
+            z ^= t
+            if mix is not None:
+                z *= mix
+    return z
 
 
 def substream(seed, *path):
@@ -43,7 +49,19 @@ def substream(seed, *path):
                 raise TypeError("substream indices must be integers")
             part = part.astype(np.uint64)
             key = _finalize(key ^ (part * _GOLDEN + np.uint64(0x1D8E4E27C47D124F)))
-    return key
+    return key[()]
+
+
+def _uniforms_at(key, counters):
+    """The floats in (0, 1] at the given uint64 counters of each key, shape
+    ``key.shape + counters.shape``."""
+    with np.errstate(over="ignore"):
+        bits = _finalize(np.asarray(key, dtype=np.uint64)[..., None] + counters * _GOLDEN)
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u += 1.0
+    u *= 2.0**-53
+    return u
 
 
 def uniforms(key, count):
@@ -51,21 +69,26 @@ def uniforms(key, count):
 
     Returns shape ``key.shape + (count,)``.
     """
-    counters = np.arange(1, count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        bits = _finalize(np.asarray(key, dtype=np.uint64)[..., None] + counters * _GOLDEN)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    return _uniforms_at(key, np.arange(1, count + 1, dtype=np.uint64))
 
 
 def standard_normals(key, count):
-    """``count`` N(0,1) draws per key via Box-Muller, shape ``key.shape + (count,)``."""
+    """``count`` N(0,1) draws per key via Box-Muller, shape ``key.shape + (count,)``.
+
+    Pair p takes its radius from uniform 2p+1 and its angle from uniform
+    2p+2 of the stream; each set is drawn as one contiguous array.
+    """
     pairs = (count + 1) // 2
-    u = uniforms(key, 2 * pairs)
-    radius = np.sqrt(-2.0 * np.log(u[..., 0::2]))
-    angle = (2.0 * np.pi) * u[..., 1::2]
-    out = np.empty(u.shape, dtype=np.float64)
-    out[..., 0::2] = radius * np.cos(angle)
-    out[..., 1::2] = radius * np.sin(angle)
+    odd = np.arange(1, 2 * pairs, 2, dtype=np.uint64)
+    radius = _uniforms_at(key, odd)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = _uniforms_at(key, odd + np.uint64(1))
+    angle *= 2.0 * np.pi
+    out = np.empty(radius.shape[:-1] + (2 * pairs,))
+    np.multiply(radius, np.cos(angle), out=out[..., 0::2])
+    np.multiply(radius, np.sin(angle, out=angle), out=out[..., 1::2])
     return out[..., :count]
 
 

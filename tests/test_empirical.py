@@ -361,6 +361,27 @@ def test_one_factorization_of_a_per_estimate(monkeypatch, kind):
         assert not any(inverted), (kind, r, s)
 
 
+@pytest.mark.parametrize("kind", conditioning.PROBLEM_KINDS)
+def test_one_enumeration_of_the_inverse_per_estimate(monkeypatch, kind):
+    # at (1, inf) ||A^-1||_{inf,1} is enumerated; the closed form, the worst
+    # direction and the reference norm of the inverse share that one search
+    a = gaussian(415, 0, shape=(7, 7))
+    b = None if kind == "inversion" else gaussian(415, 1, shape=(7,))
+    inverse = linalg.invert(a)
+    scaled = np.ldexp(inverse, -np.frexp(np.max(np.abs(inverse)))[1])
+    searched = []
+    best_signs = norms._best_signs
+
+    def spy(t, s):
+        searched.extend(np.array_equal(m, scaled) for m in t)
+        return best_signs(t, s)
+
+    monkeypatch.setattr(norms, "_best_signs", spy)
+    config = emp.EstimatorConfig(deltas=(1e-6, 1e-7), samples_per_delta=20, seed=21)
+    emp.estimate_condition(kind, a, b, 1, "inf", config=config)
+    assert sum(searched) == 1
+
+
 def test_singular_matrix_outcomes_per_kind():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
     b = np.array([1.0, -1.0])

@@ -5,6 +5,7 @@ from condlab import linalg, randomlab, rng
 from condlab.conditioning import kappa
 from condlab.errors import SingularMatrix
 
+import jacobi_reference
 from conftest import gaussian
 
 
@@ -258,7 +259,7 @@ def test_lapack_values_agree_with_jacobi_reference():
         keys = rng.substream(108, si, np.arange(draws))
         stack = randomlab._sample_batch(ensemble, n, keys)
         values = linalg._jacobi(stack, want_vectors=False)[0]
-        jacobi = linalg._jacobi(stack, want_vectors=True)[0]
+        jacobi = jacobi_reference.jacobi(stack)[0]
         _assert_values_close(values, jacobi, n)
         _assert_values_close(jacobi, np.linalg.svd(stack, compute_uv=False), n)
 
@@ -286,9 +287,33 @@ def test_wide_matrix_singular_values():
     assert np.all(sv >= 0)
 
 
-def test_spectral_attainer_contract():
+def _attainer_corpus():
+    """Square, tall and wide matrices, rank-deficient ones and zeros."""
     for t in range(10):
-        a = gaussian(110, t, shape=(5, 5))
+        yield gaussian(110, t, shape=(5, 5))
+    for shape in ((1, 1), (1, 6), (6, 1), (9, 4), (4, 9), (12, 3), (3, 12), (16, 16)):
+        n, m = shape
+        yield gaussian(111, n, m, shape=shape)
+        yield gaussian(112, n, m, 0, shape=(n, 2)) @ gaussian(112, n, m, 1, shape=(2, m))
+        yield np.outer(gaussian(113, n, m, 0, shape=(n,)), gaussian(113, n, m, 1, shape=(m,)))
+        yield np.zeros(shape)
+    yield np.eye(4)
+
+
+def test_spectral_attainer_contract():
+    # LAPACK's sigma_max and vector against the one-sided Jacobi reference
+    for a in _attainer_corpus():
         sigma, vec = linalg.spectral_norm_attainer(a)
-        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
-        assert abs(np.linalg.norm(a @ vec) - sigma) <= 1e-10 * sigma
+        assert vec.shape == (a.shape[1],)
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-14
+        reference = jacobi_reference.sigma_max(a)
+        if reference == 0.0:
+            assert sigma == 0.0 and np.array_equal(vec, np.eye(a.shape[1])[0])
+        else:
+            assert abs(sigma - reference) <= 1e-14 * reference
+            assert abs(np.linalg.norm(a @ vec) / reference - 1.0) <= 1e-14
+            assert vec[np.argmax(np.abs(vec))] > 0.0
+        for k in (-900, -300, 300, 900):  # exact scalings move sigma exactly
+            scaled_sigma, scaled_vec = linalg.spectral_norm_attainer(np.ldexp(a, k))
+            assert scaled_sigma == np.ldexp(sigma, k)
+            assert np.array_equal(scaled_vec, vec)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from condlab import norms
 from condlab.errors import DimensionTooLarge, NotUnitVector, ZeroVector
 
+import enumeration_reference
 from conftest import gaussian
 
 INDICES = (1, 2, inf)
@@ -139,7 +140,7 @@ def test_duality_and_attainer(r, s):
         ratio = norms.vector_norm(a @ res.attainer, s) / norms.vector_norm(res.attainer, r)
         assert ratio == pytest.approx(res.value, rel=1e-10)
         batched = norms.operator_norm_values(a[None], r, s)[0]
-        if (r, s) == (2, 2):  # LAPACK values against Jacobi's, by design
+        if (r, s) == (2, 2):  # value-only LAPACK against LAPACK with vectors
             assert batched == pytest.approx(res.value, rel=1e-12)
         else:  # one core: the same bits alone or in a stack
             assert batched == res.value
@@ -308,3 +309,67 @@ def test_rank_one_interpolator_contract_all_pairs(r, s):
         b = norms.rank_one_interpolator(x, y, r, s)
         assert norms.operator_norm(b, r, s).value == pytest.approx(1.0, rel=1e-10)
         assert np.max(np.abs(b @ x - y)) <= 1e-12
+
+
+def _enumeration_corpus():
+    """(b, n, m) stacks for the enumeration kernel.  Integer, zero, all-ones
+    and rank-one stacks have exact ties.  Duplicated and negated columns
+    have mathematical ties that round differently in the GEMM screen and in
+    the elementwise score.  So does [R; R D], D negating column 1: z and D z
+    give the same rows in another order, so every maximum is such a tie; it
+    is posed for (inf, 2) and, transposed, for (2, 1)."""
+    for n, m in ((1, 2), (2, 3), (3, 5), (4, 7), (5, 10), (6, 6), (3, 9)):
+        r = gaussian(219, n, m, shape=(8, n, m))
+        twin = np.concatenate((r, r * np.where(np.arange(m) == 1, -1.0, 1.0)), axis=1)
+        yield twin
+        yield np.swapaxes(twin, 1, 2)
+    for n, m in ((1, 1), (3, 1), (1, 5), (2, 2), (4, 4), (7, 7), (10, 10), (5, 9), (12, 6),
+                 (3, 12)):
+        g = gaussian(214, n, m, shape=(6, n, m))
+        yield g
+        yield np.where(gaussian(215, n, m, shape=(4, n, m)) >= 0.0, 2.0, -2.0)
+        yield np.round(2.0 * gaussian(216, n, m, shape=(4, n, m)))
+        yield np.zeros((2, n, m))
+        yield np.ones((2, n, m))
+        yield gaussian(217, n, m, 0, shape=(3, n, 1)) * gaussian(217, n, m, 1, shape=(3, 1, m))
+        yield np.ldexp(g, np.arange(6)[:, None, None] * 300 - 900)
+        ties = g.copy()
+        ties[..., -1] = g[..., 0]
+        ties[..., m // 2] = -g[..., m // 3]
+        yield ties
+        yield np.repeat(g, 2, axis=-1)[..., :m]
+        yield np.stack((g, -g), axis=-1).reshape(6, n, 2 * m)[..., :m]
+
+
+def _enumeration_results(stacks):
+    out = []
+    for stack in stacks:
+        for r, s in norms.ENUMERATION_PAIRS:
+            values = norms.operator_norm_values(stack, r, s)
+            for a, value in zip(stack, values):
+                res = norms.operator_norm(a, r, s)
+                assert res.value == value  # the attainer path keeps the value-only bits
+                out.append((res.value, res.attainer.tobytes()))
+            out.append(values.tobytes())
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, None])
+def test_enumeration_matches_elementwise_reference(chunk, monkeypatch):
+    # the GEMM-screened search must choose the sign vectors the elementwise
+    # search chooses, so every value and attainer keeps its bits
+    stacks = list(_enumeration_corpus())
+    if chunk is not None:
+        monkeypatch.setattr(norms, "_CHUNK_ELEMENTS", chunk)
+    got = _enumeration_results(stacks)
+    monkeypatch.setattr(norms, "_best_signs", enumeration_reference.best_signs)
+    assert got == _enumeration_results(stacks)
+
+
+def test_half_images_match_concatenated_doublings():
+    t = gaussian(218, shape=(5, 4, 7))
+    for init, cols in ((t[..., 0], t[..., 1:4]), (np.zeros_like(t[..., 0]), t[..., 4:])):
+        expected = enumeration_reference.half_images(cols, init[..., None])
+        got = norms._half_images(init, cols)
+        assert got.shape == (1 << cols.shape[-1],) + init.shape
+        assert got.transpose(1, 2, 0).tobytes() == expected.tobytes()
