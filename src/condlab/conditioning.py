@@ -22,8 +22,8 @@ Attainers are used only in :func:`_extremal_pair`, for the nearest
 singular perturbation and the estimator's worst directions.
 
 The closed forms and :func:`_extremal_pair` read A^-1, ||A||_rs and
-||A^-1||_sr from an :class:`_Operand`, which computes A^-1 and ||A||_rs at
-most once and enumerates ||A^-1||_sr at most once.  A caller that already
+||A^-1||_sr from an :class:`_Operand`, which computes A^-1, ||A||_rs and
+||A^-1||_sr at most once each.  A caller that already
 holds them (the estimator's instance, which owns the LU factors of A)
 passes its own operand through the private ``_op`` parameter.
 """
@@ -89,6 +89,7 @@ class _Operand:
         self.a = np.asarray(a, dtype=np.float64)
         self.max_enum_dim = max_enum_dim
         self._norms = {}
+        self._inverse_norms = {}
         self._attained = {}
 
     @cached_property
@@ -104,13 +105,18 @@ class _Operand:
         return self._norms[key]
 
     def inverse_norm(self, r, s):
-        """||A^-1||_rs as a float.  At the enumeration pairs it is the value of
-        :meth:`inverse_attained`, which has the bits of the value-only norm,
-        so the closed form and the extremal pair share one enumeration."""
+        """||A^-1||_rs as a float, computed once per pair.  At the enumeration
+        pairs it is the value of :meth:`inverse_attained`, which has the bits
+        of the value-only norm, so the closed form and the extremal pair share
+        one enumeration."""
         key = norm_index(r), norm_index(s)
-        if key in ENUMERATION_PAIRS:
-            return self.inverse_attained(*key).value
-        return _norm(self.inverse, *key, self.max_enum_dim)
+        if key not in self._inverse_norms:
+            if key in ENUMERATION_PAIRS:
+                value = self.inverse_attained(*key).value
+            else:
+                value = _norm(self.inverse, *key, self.max_enum_dim)
+            self._inverse_norms[key] = value
+        return self._inverse_norms[key]
 
     def inverse_attained(self, r, s):
         """``operator_norm(A^-1, r, s)``: the value with its attainer."""

@@ -19,6 +19,18 @@ its own sphere (common random numbers), so the first delta of any schedule
 gets the bits of a one-delta schedule.  A sample whose perturbed matrix
 is singular is redrawn from keys of its own delta and attempt.
 
+The keys depend only on the seed, the sample index and the block, not on
+the problem kind or on (r, s), so estimates with equal keys share their
+directions as well: a memo keyed on the keys and the shape drawn keeps the
+read-only draw and its normwise norms.  The rescaling is the same
+expression on the same values, so every report keeps its bits.  The memo
+is bounded: it keeps the last 4 draws and none larger than 2^20 values.
+Four is enough because a sweep over every kind and pair of one instance
+touches three draws (the matrix block of inversion, solve_fixed_b and
+solve_both; the vectors of matvec and solve_fixed_a; the right-hand-side
+block of solve_both), and few enough that the next instance's draws evict
+them, so nothing is kept for long.
+
 Random sampling alone systematically under-covers a sup over a
 high-dimensional sphere, so for every problem kind the estimator also
 evaluates one analytically worst direction built from norm attainers and
@@ -31,6 +43,7 @@ delta; no extrapolation is applied.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -304,13 +317,49 @@ class EstimateReport:
     first_order_bound_check: bool | None = None
 
 
+#: The direction memo keeps at most this many draws, oldest use evicted
+#: first, and none of more than ``_MEMO_MAX_VALUES`` values.
+_MEMO_DRAWS = 4
+_MEMO_MAX_VALUES = 1 << 20
+_draws = {}
+_draws_lock = threading.Lock()
+
+
+def _read_only(x):
+    x.flags.writeable = False
+    return x
+
+
+def _draw(keys, shape, sample):
+    """(the normal draw of ``keys`` of ``shape``, a dict of its norms).
+
+    The draw is read-only and comes from ``sample()`` unless one of the last
+    ``_MEMO_DRAWS`` draws had the same keys and shape; the dict is the
+    caller's to fill with the draw's read-only normwise norms."""
+    memo_key = (keys.tobytes(), keys.shape, shape)
+    with _draws_lock:
+        entry = _draws.pop(memo_key, None)
+        if entry is not None:
+            _draws[memo_key] = entry  # most recent last
+            return entry
+    entry = _read_only(sample()), {}
+    if entry[0].size <= _MEMO_MAX_VALUES:
+        with _draws_lock:
+            _draws[memo_key] = entry
+            while len(_draws) > _MEMO_DRAWS:
+                del _draws[next(iter(_draws))]
+    return entry
+
+
 def _sphere_vectors(base, deltas, keys, model):
     """Perturbations of a vector on the delta-sphere of ``model``, one per key,
-    for each of ``deltas`` in turn: the directions are drawn and normalized
-    here, once, and rescaled lazily for every delta."""
-    g = rng.standard_normals(keys, base.size)
+    for each of ``deltas`` in turn: the directions and their norms come from
+    the memo, and are rescaled lazily for every delta."""
+    g, gnorms = _draw(keys, (base.size,), lambda: rng.standard_normals(keys, base.size))
     if model.mode == NORMWISE:
-        ref, gnorm = vector_norm(base, model.r), vector_norm(g, model.r)
+        if model.r not in gnorms:
+            gnorms[model.r] = _read_only(vector_norm(g, model.r))
+        ref, gnorm = vector_norm(base, model.r), gnorms[model.r]
         return ((delta * ref / gnorm)[:, None] * g for delta in deltas)
     if np.any(base == 0.0):
         raise ZeroComponent("componentwise perturbation of a zero component")
@@ -324,13 +373,16 @@ def _sphere_vectors(base, deltas, keys, model):
 def _sphere_matrices(op, deltas, keys, model):
     """Perturbations of the matrix of the operand ``op`` on the delta-sphere
     of ``model``, one per key, for each of ``deltas`` in turn: the directions
-    are drawn and normalized here, once, and rescaled lazily for every delta.
-    The radius reads ||A||_rs from ``op``."""
+    and their norms come from the memo, and are rescaled lazily for every
+    delta.  The radius reads ||A||_rs from ``op``."""
     base = op.a
     n, m = base.shape
-    g = rng.normal_matrix(keys, n, m)
+    g, gnorms = _draw(keys, (n, m), lambda: rng.normal_matrix(keys, n, m))
     if model.mode == NORMWISE:
-        gnorm = operator_norm_values(g, model.r, model.s, op.max_enum_dim)
+        norm_key = model.r, model.s, op.max_enum_dim
+        if norm_key not in gnorms:
+            gnorms[norm_key] = _read_only(operator_norm_values(g, *norm_key))
+        gnorm = gnorms[norm_key]
         ref = op.norm(model.r, model.s)
         return ((delta * ref / gnorm)[:, None, None] * g for delta in deltas)
     if np.any(base == 0.0):
@@ -462,11 +514,12 @@ def _perturbations(inst, blocks, deltas, seed, path):
 def _sampled_ratios(inst, input_model, output_model, config):
     """Sup-ratio samples and the number of resampled ones, for each delta in turn.
 
-    The directions are drawn once per estimate, from the keys of delta
-    index 0: sample k draws from substream (seed, 0, k) for the vector-only
-    kinds and from (seed, 0, k, 0, block) for the kinds that perturb the
-    matrix (block 0 = matrix entries, 1 = right-hand side, 2 = the split of
-    the blockwise-sum budget).  Their norms are taken once too, and every
+    The directions are drawn once per estimate, or taken from the memo,
+    from the keys of delta index 0: sample k draws from substream
+    (seed, 0, k) for the vector-only kinds and from (seed, 0, k, 0, block)
+    for the kinds that perturb the matrix (block 0 = matrix entries, 1 =
+    right-hand side, 2 = the split of the blockwise-sum budget).  Their
+    norms are taken once too, and every
     delta rescales the same directions onto its own sphere (common random
     numbers).  A sample whose perturbed matrix is singular within tolerance
     is redrawn at its own delta index di from (seed, di, k, attempt, block)

@@ -1,10 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condlab import conditioning, empirical as emp
-from condlab import linalg, norms
+from condlab import linalg, norms, rng
 from condlab.errors import (
     DeltaTooLarge,
     DimensionTooLarge,
@@ -155,7 +158,10 @@ def test_estimator_solve_both_within_sandwich():
 def test_estimator_deterministic_for_fixed_seed():
     a = gaussian(405, 0, shape=(3, 3))
     cfg = emp.EstimatorConfig(samples_per_delta=100, seed=123)
+    # clear the direction memo so that both runs draw their directions afresh
+    emp._draws.clear()
     rep1 = emp.estimate_condition("inversion", a, r=2, s=2, config=cfg)
+    emp._draws.clear()
     rep2 = emp.estimate_condition("inversion", a, r=2, s=2, config=cfg)
     assert rep1 == rep2
 
@@ -380,6 +386,152 @@ def test_one_enumeration_of_the_inverse_per_estimate(monkeypatch, kind):
     config = emp.EstimatorConfig(deltas=(1e-6, 1e-7), samples_per_delta=20, seed=21)
     emp.estimate_condition(kind, a, b, 1, "inf", config=config)
     assert sum(searched) == 1
+
+
+@pytest.mark.parametrize("kind", conditioning.PROBLEM_KINDS)
+def test_one_value_only_svd_of_the_inverse_per_estimate(monkeypatch, kind):
+    # at (2,2) the closed form, and for inversion both reference norms of the
+    # exact inverse, read one memoized value of ||A^-1||_22
+    a = gaussian(416, 0, shape=(4, 4))
+    b = None if kind == "inversion" else gaussian(416, 1, shape=(4,))
+    inverse = linalg.invert(a)
+    value_only = []
+    jacobi = linalg._jacobi
+
+    def spy(m, want_vectors):
+        if not want_vectors:
+            value_only.append(np.array_equal(m, inverse))
+        return jacobi(m, want_vectors)
+
+    monkeypatch.setattr(linalg, "_jacobi", spy)
+    config = emp.EstimatorConfig(deltas=(1e-6, 1e-7), samples_per_delta=20, seed=22)
+    emp.estimate_condition(kind, a, b, 2, 2, config=config)
+    assert sum(value_only) == 1
+
+
+PAIRS = [(r, s) for r in (1, 2, "inf") for s in (1, 2, "inf")]
+
+
+def _sweep(cases, config, cold):
+    """One report per (kind, a, b, r, s, input model); with ``cold`` the
+    direction memo is cleared before each estimate."""
+    reports = []
+    for kind, a, b, r, s, model in cases:
+        if cold:
+            emp._draws.clear()
+        reports.append(emp.estimate_condition(kind, a, b, r, s, input_model=model, config=config))
+    return reports
+
+
+def _sweep_cases(a, b, kinds=conditioning.PROBLEM_KINDS, pairs=PAIRS, model=None):
+    return [(kind, a, None if kind == "inversion" else b, r, s, model)
+            for kind in kinds for r, s in pairs]
+
+
+def test_shared_directions_keep_every_report_bitwise():
+    # a warm memo, swept in reverse, against a cold memo before each estimate;
+    # the 3x3 instance draws from the same keys as the 4x4 one
+    a = gaussian(417, 0, shape=(4, 4))
+    b = gaussian(417, 1, shape=(4,))
+    near_singular = np.diag([1.0, 3e-13])
+    cases = (
+        _sweep_cases(a, b)
+        + _sweep_cases(a[:3, :3], b[:3], pairs=[(2, 2), ("inf", 2)])
+        + _sweep_cases(a, b, kinds=("solve_both",), model=emp.componentwise_sum)
+        + _sweep_cases(near_singular, np.array([1.0, -1.0]), pairs=[(2, 2), (1, "inf")],
+                       kinds=("inversion", "solve_fixed_b", "solve_both"))
+    )
+    config = emp.EstimatorConfig(deltas=(1e-12, 1e-14), samples_per_delta=100, seed=23)
+    cold = _sweep(cases, config, cold=True)
+    assert sum(rep.per_delta[0].resampled for rep in cold) > 0
+    warm = _sweep(cases[::-1], config, cold=False)[::-1]
+    assert warm == cold
+
+
+def test_one_sweep_draws_three_times(monkeypatch):
+    # the matrix block, the (seed, 0, k) vectors of matvec and solve_fixed_a,
+    # and the right-hand-side block of solve_both
+    a = gaussian(418, 0, shape=(4, 4))
+    b = gaussian(418, 1, shape=(4,))
+    drawn = []
+    standard_normals = rng.standard_normals
+
+    def spy(keys, count):
+        drawn.append((keys.shape, count))
+        return standard_normals(keys, count)
+
+    monkeypatch.setattr(rng, "standard_normals", spy)
+    emp._draws.clear()
+    _sweep(_sweep_cases(a, b), emp.EstimatorConfig(deltas=(1e-6, 1e-7), samples_per_delta=50,
+                                                   seed=24), cold=False)
+    assert sorted(drawn) == [((50,), 4), ((50,), 4), ((50,), 16)]
+
+
+def test_memo_arrays_are_read_only():
+    a = gaussian(419, 0, shape=(4, 4))
+    b = gaussian(419, 1, shape=(4,))
+    emp._draws.clear()
+    _sweep(_sweep_cases(a, b, pairs=[(2, 2), ("inf", 1)]),
+           emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=20, seed=25), cold=False)
+    assert len(emp._draws) == 3
+    arrays = [x for g, gnorms in emp._draws.values() for x in (g, *gnorms.values())]
+    assert len(arrays) > 3
+    for x in arrays:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[...] = 0.0
+
+
+def test_memo_keeps_at_most_four_draws():
+    config = emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=20, seed=26)
+    for n in (3, 4, 5):
+        a = gaussian(420, n, 0, shape=(n, n))
+        b = gaussian(420, n, 1, shape=(n,))
+        _sweep(_sweep_cases(a, b, pairs=[(2, 2)]), config, cold=False)
+        assert len(emp._draws) <= 4
+    assert len(emp._draws) == 4
+
+
+@pytest.mark.parametrize("size,kept", [(1 << 10, True), ((1 << 10) + 1, False)])
+def test_memo_does_not_keep_draws_past_its_size_cap(size, kept):
+    # 2^10 keys of 2^10 values is the largest draw the memo keeps
+    keys = rng.substream(27, np.arange(1 << 10))
+    emp._draws.clear()
+    next(emp._sphere_vectors(np.ones(size), (1e-3,), keys, emp.normwise(2)))
+    assert len(emp._draws) == kept
+
+
+def test_memo_under_threads():
+    # threads that share the memo draw the same directions and leave it bounded
+    base = np.ones(3)
+    all_keys = [rng.substream(28, i, np.arange(10)) for i in range(6)]
+    want = [next(emp._sphere_vectors(base, (1.0,), k, emp.normwise(2))) for k in all_keys]
+    emp._draws.clear()
+    errors = []
+
+    def work(t):
+        try:
+            for j in range(200):
+                i = (t + j) % len(all_keys)
+                got = next(emp._sphere_vectors(base, (1.0,), all_keys[i], emp.normwise(2)))
+                if not np.array_equal(got, want[i]):
+                    errors.append(i)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
+    assert len(emp._draws) <= 4
 
 
 def test_singular_matrix_outcomes_per_kind():
