@@ -11,7 +11,8 @@ Reports are a single JSON envelope on stdout (CSV tables for experiments
 with ``--format csv``); diagnostics go to stderr.  Exit codes: 0 success,
 1 malformed input, 2 singular matrix where nonsingularity was required,
 3 a verify-style command found a violated bound, 4 exact enumeration was
-requested above the dimension cap.
+requested above the dimension cap, 5 a perturbation of the requested size
+reached the singular set (``estimate`` with a delta too large for A).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import inf
 import numpy as np
 
 from . import __version__, conditioning, empirical, matio, randomlab, triangular
-from .errors import CondLabError, DimensionTooLarge, SingularMatrix
+from .errors import CondLabError, DeltaTooLarge, DimensionTooLarge, SingularMatrix
 from .linalg import singular_values
 from .norms import norm_index, operator_norm, operator_norm_values
 
@@ -36,6 +37,7 @@ EXIT_BAD_INPUT = 1
 EXIT_SINGULAR = 2
 EXIT_VIOLATED = 3
 EXIT_ENUM_DIM = 4
+EXIT_DELTA_TOO_LARGE = 5
 
 _EXPERIMENTS = {
     "frob-inv": ("unit_lower_gaussian", "frob_inv_sq"),
@@ -269,6 +271,9 @@ def main(argv=None):
     except DimensionTooLarge as exc:
         print(f"condlab: {exc}", file=sys.stderr)
         return EXIT_ENUM_DIM
+    except DeltaTooLarge as exc:
+        print(f"condlab: {exc}", file=sys.stderr)
+        return EXIT_DELTA_TOO_LARGE
     except (CondLabError, ValueError, OSError) as exc:
         print(f"condlab: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

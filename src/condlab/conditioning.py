@@ -23,9 +23,11 @@ singular perturbation and the estimator's worst directions.
 
 The closed forms and :func:`_extremal_pair` read A^-1, ||A||_rs and
 ||A^-1||_sr from an :class:`_Operand`, which computes A^-1, ||A||_rs and
-||A^-1||_sr at most once each.  A caller that already
-holds them (the estimator's instance, which owns the LU factors of A)
-passes its own operand through the private ``_op`` parameter.
+||A^-1||_sr at most once each.  A caller that already holds them passes
+its own operand through the private ``_op`` parameter: the estimator keeps
+the operand of its last matrix, which also owns the LU factors of A, so
+that A is factored once per matrix across a sweep of estimates, not once
+per estimate.
 """
 
 from __future__ import annotations

@@ -7,38 +7,50 @@ decreasing schedule it places perturbations uniformly on the delta-sphere of
 the chosen input error model, pushes them through the exact map (LU solve /
 inverse in binary64), and records the supremum ratio.
 
-Everything that does not depend on delta is built once per estimate: the LU
-factors of A and from them A^-1 and the exact output (A^-1 or A^-1 b),
-||A||_rs, the reference norms that divide the output errors, and the sample
-directions.  The closed form and the worst direction read A^-1, ||A||_rs and
-||A^-1||_sr from the same instance, and so does the reference norm of the
-exact inverse, so A is factored once and ||A^-1||_sr enumerated at most
-once per estimate.  The directions are drawn from the keys of the first
-delta and normalized once; every delta rescales the same directions onto
-its own sphere (common random numbers), so the first delta of any schedule
-gets the bits of a one-delta schedule.  A sample whose perturbed matrix
-is singular is redrawn from keys of its own delta and attempt.
+Everything that does not depend on delta is built once per estimate: the
+exact output (A x, A^-1 or A^-1 b), the reference norms that divide the
+output errors, the worst direction and the sample directions.  The
+directions are drawn from the keys of the first delta and normalized once;
+every delta rescales the same directions onto its own sphere (common random
+numbers), so the first delta of any schedule gets the bits of a one-delta
+schedule.  A sample whose perturbed matrix is singular is redrawn from keys
+of its own delta and attempt.
 
-The keys depend only on the seed, the sample index and the block, not on
-the problem kind or on (r, s), so estimates with equal keys share their
-directions as well: a memo keyed on the keys and the shape drawn keeps the
-read-only draw and its normwise norms.  The rescaling is the same
-expression on the same values, so every report keeps its bits.  The memo
-is bounded: it keeps the last 4 draws and none larger than 2^20 values.
-Four is enough because a sweep over every kind and pair of one instance
-touches three draws (the matrix block of inversion, solve_fixed_b and
-solve_both; the vectors of matvec and solve_fixed_a; the right-hand-side
-block of solve_both), and few enough that the next instance's draws evict
-them, so nothing is kept for long.
+Two bounded memos share work across estimates.  Each keeps read-only
+arrays, evicts the least recently used entry first and takes a lock around
+every lookup and insertion, so threads may share it.  A hit returns what a
+miss would compute, so neither memo changes a bit of any report.
+
+* The operand memo keeps the operand of the most recent matrix, keyed on
+  A's bytes, its shape and the enumeration cap.  The operand holds a
+  read-only copy of A, its LU factors, A^-1, and every ||A||_rs and
+  ||A^-1||_sr (with its attainer) computed so far.  So a sweep of
+  estimates over kinds and pairs on one matrix factors A once and
+  enumerates each of these norms once, not once per estimate.  The key is
+  A's bytes and the operand holds a copy, so changing the caller's A in
+  place gives a new operand.  One entry is enough for such a sweep, and
+  the next matrix evicts it.
+* The direction memo keeps the last 4 normal draws with their normwise
+  norms, keyed on the draw's keys and the shape drawn; it keeps no draw
+  larger than 2^20 values.  The keys depend only on the seed, the sample
+  index and the block, not on the problem kind or on (r, s).  Four is
+  enough because a sweep over every kind and pair of one instance touches
+  three draws (the matrix block of inversion, solve_fixed_b and
+  solve_both; the vectors of matvec and solve_fixed_a; the right-hand-side
+  block of solve_both), and few enough that the next instance's draws
+  evict them.
 
 Random sampling alone systematically under-covers a sup over a
 high-dimensional sphere, so for every problem kind the estimator also
 evaluates one analytically worst direction built from norm attainers and
 the rank-one interpolator (for inversion this is exactly the construction
 from the lower-bound half of the equality cond = kappa).  That direction is
-built once as well, and only its length follows delta.  The reported
-estimate is the max of sampled and directional ratios at the smallest
-delta; no extrapolation is applied.
+built once as well, and only its length follows delta.  For the kinds that
+perturb A, the worst direction rides the first stack of samples of each
+delta as one more row, through the same LU, solve and error calls; LU,
+solves and norms give each matrix the same bits alone as inside a stack.
+The reported estimate is the max of sampled and directional ratios at the
+smallest delta; no extrapolation is applied.
 """
 
 from __future__ import annotations
@@ -46,6 +58,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -57,7 +70,10 @@ from .conditioning import (
     problem_kind,
 )
 from .errors import DeltaTooLarge, SingularMatrix, ZeroComponent, ZeroVector
-from .linalg import (
+
+# ``invert`` and ``solve`` are not called here; they stay bound because the
+# benchmark's tracing (bench/tracing.py) wraps them by these names.
+from .linalg import (  # noqa: F401
     DEFAULT_PIVOT_TOL,
     _lu_raw,
     _lu_solve_packed,
@@ -154,14 +170,6 @@ def _singular_at(delta):
     return DeltaTooLarge(f"A - E is singular at delta={delta:g}")
 
 
-def _inverse_of_perturbed(a, e, delta):
-    """(A - E)^-1, raising DeltaTooLarge when A - E is singular."""
-    try:
-        return invert(a - e)
-    except SingularMatrix:
-        raise _singular_at(delta) from None
-
-
 def worst_inversion_perturbation(a, r, s, delta, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     """The perturbation E = delta * B driving inversion at its condition number.
 
@@ -180,27 +188,21 @@ def worst_inversion_perturbation(a, r, s, delta, max_enum_dim=DEFAULT_MAX_ENUM_D
     return e
 
 
-class _Instance(_Operand):
-    """One problem instance with the parts that every delta reuses.
+def _read_only(x):
+    x.flags.writeable = False
+    return x
 
-    It owns the LU factors of A, A^-1 and ||A||_rs: the closed form, the
-    worst direction and the sphere radius all read them from here.  A is
-    factored at most once, by the same ``_lu_raw``/``_lu_solve_packed``
-    calls that ``invert`` and ``solve`` make, so A^-1 and the exact output
-    (A x, A^-1 or A^-1 b) have their bits.  Matvec needs A^-1 only for the
-    kappa and alpha of its closed form, so it factors A only when that asks;
-    a singular A then leaves them out, and the estimate goes on.
+
+class _Factored(_Operand):
+    """An operand that owns the LU factors of A and reads A^-1 from them.
+
+    A is factored at most once, by the same ``_lu_raw``/``_lu_solve_packed``
+    calls that ``invert`` and ``solve`` make, so A^-1 and every solve have
+    their bits.  Matvec needs A^-1 only for the kappa and alpha of its
+    closed form, so A is factored only when something asks; a singular A
+    then leaves them out, and the estimate goes on.  The factors and A^-1
+    are read-only, because the operand memo shares them.
     """
-
-    def __init__(self, kind, a, vec, r, s, max_enum_dim):
-        super().__init__(a, max_enum_dim)
-        self.kind, self.vec, self.r, self.s = kind, vec, r, s
-        if kind == "matvec":
-            self.exact = self.a @ vec
-        elif kind == "inversion":
-            self.exact = self.inverse
-        else:
-            self.exact = self.solve(vec[:, None])[:, 0]
 
     @cached_property
     def factors(self):
@@ -208,74 +210,155 @@ class _Instance(_Operand):
         lu, perm, _, singular = _lu_raw(as_square(self.a), DEFAULT_PIVOT_TOL)
         if np.any(singular):
             raise SingularMatrix("matrix is singular within tolerance")
-        return lu, perm
+        return _read_only(lu), _read_only(perm)
 
     @cached_property
     def inverse(self):
-        return self.solve(np.eye(self.a.shape[-1]))
+        return _read_only(self.solve(np.eye(self.a.shape[-1])))
 
     def solve(self, rhs):
         """A^-1 rhs for a block ``(n, k)`` of right-hand sides."""
         return _lu_solve_packed(*self.factors, rhs)
 
+
+class _Memo:
+    """The values of the most recently used keys, at most ``entries`` of
+    them, the least recently used evicted first.  Each lookup and each
+    insertion holds a lock, so threads may share one memo; two threads that
+    miss on the same key both make the value, and one of the equal values
+    is kept."""
+
+    def __init__(self, entries):
+        self.entries = entries
+        self._values = {}
+        self._lock = threading.Lock()
+
+    def get(self, key, make, keep):
+        """The value kept under ``key``, else ``make()``, kept if ``keep`` of it."""
+        with self._lock:
+            value = self._values.pop(key, None)
+            if value is not None:
+                self._values[key] = value  # most recent last
+                return value
+        value = make()
+        if keep(value):
+            with self._lock:
+                self._values[key] = value
+                while len(self._values) > self.entries:
+                    del self._values[next(iter(self._values))]
+        return value
+
+    def values(self):
+        with self._lock:
+            return list(self._values.values())
+
+    def clear(self):
+        with self._lock:
+            self._values.clear()
+
+    def __len__(self):
+        return len(self._values)
+
+
+#: Neither memo keeps an array of more than ``_MEMO_MAX_VALUES`` values: not
+#: a draw, and not the operand of such a matrix.
+_MEMO_MAX_VALUES = 1 << 20
+_draws = _Memo(4)
+_operands = _Memo(1)
+
+
+def _operand(a, max_enum_dim):
+    """The factored operand of ``a``: the memo's, if the last matrix had the
+    same bytes, shape and enumeration cap, else a new one over a read-only
+    copy of ``a``."""
+    return _operands.get(
+        (a.tobytes(), a.shape, max_enum_dim),
+        lambda: _Factored(_read_only(a.copy()), max_enum_dim),
+        lambda op: op.a.size <= _MEMO_MAX_VALUES,
+    )
+
+
+class _Instance:
+    """One problem instance: its kind, the operand of A, the vector, the
+    norm pair, and the exact output (A x, A^-1 or A^-1 b), which the
+    operand's factors give their bits."""
+
+    def __init__(self, kind, op, vec, r, s):
+        self.kind, self.op, self.vec, self.r, self.s = kind, op, vec, r, s
+        if kind == "matvec":
+            self.exact = op.a @ vec
+        elif kind == "inversion":
+            self.exact = op.inverse
+        else:
+            self.exact = op.solve(vec[:, None])[:, 0]
+
     def output_error(self, model):
         """``relerror(., exact output, model)`` as a function.  The normwise
-        size of the exact inverse is the operand's ||A^-1||, so an estimate
-        enumerates ||A^-1||_sr once."""
+        size of the exact inverse is the operand's ||A^-1||, so ||A^-1||_sr
+        is enumerated once per matrix."""
         denom = None
         if self.kind == "inversion" and model.mode == NORMWISE and model.s is not None:
-            denom = self.inverse_norm(model.r, model.s)
-        return _relerror_to(self.exact, model, self.max_enum_dim, denom)
+            denom = self.op.inverse_norm(model.r, model.s)
+        return _relerror_to(self.exact, model, self.op.max_enum_dim, denom)
 
 
-def _directional_ratios(inst, input_model, deltas):
-    """Exact-map error ratio along the analytically worst direction, for each
-    delta in turn.
+def _directional_ratios(inst, deltas):
+    """Exact-map error ratio along the analytically worst direction of matvec
+    or solve_fixed_a, for each delta in turn.
 
-    ``delta`` is the input *relative* error; the direction construction per
-    kind mirrors the closed-form formula it is meant to attain.  The
-    direction (attainer or extremal pair, rank-one interpolator, ||A||_rs)
-    is built once and only its length follows delta.  For solve_both under
-    the blockwise-sum model the same direction is used but the ratio
-    divides by the sum of the block errors.
+    ``delta`` is the input *relative* error; the direction construction
+    mirrors the closed-form formula it is meant to attain.  The direction
+    (attainer or extremal pair) is built once and only its length follows
+    delta.  The kinds that perturb A take theirs from :func:`_worst_row`.
     """
-    kind, a, vec, r, s, med = inst.kind, inst.a, inst.vec, inst.r, inst.s, inst.max_enum_dim
+    op, vec, r, s = inst.op, inst.vec, inst.r, inst.s
     x = inst.exact
-    if kind == "matvec":
-        att = operator_norm(a, r, s, med).attainer
+    if inst.kind == "matvec":
+        att = operator_norm(op.a, r, s, op.max_enum_dim).attainer
         xnorm = vector_norm(vec, r)
         err = _relerror_to(x, normwise(s))
         for delta in deltas:
-            yield err(a @ (vec + delta * xnorm * att)) / delta
+            yield err(op.a @ (vec + delta * xnorm * att)) / delta
         return
-    if kind == "solve_fixed_a":
-        _, y, _ = _extremal_pair(a, r, s, med, _op=inst)
-        bnorm = vector_norm(vec, s)
-        err = _relerror_to(x, normwise(r))
-        for delta in deltas:
-            yield err(inst.solve((vec + delta * bnorm * y)[:, None])[:, 0]) / delta
-        return
-    anorm = inst.norm(r, s)
-    if kind == "inversion":
-        b_mat = _worst_inversion_direction(inst, r, s)
-        err = inst.output_error(normwise(s, r))
-        for delta in deltas:
-            size = delta * anorm
-            yield err(_inverse_of_perturbed(a, size * b_mat, size)) / delta
-        return
-    # solve_fixed_b / solve_both: perturb A towards the kappa-attaining direction
-    _, y, _ = _extremal_pair(a, r, s, med, _op=inst)
-    b_mat = rank_one_interpolator(x / vector_norm(x, r), y, r, s)
+    _, y, _ = _extremal_pair(op.a, r, s, op.max_enum_dim, _op=op)
     bnorm = vector_norm(vec, s)
     err = _relerror_to(x, normwise(r))
+    for delta in deltas:
+        yield err(op.solve((vec + delta * bnorm * y)[:, None])[:, 0]) / delta
+
+
+def _worst_row(inst, input_model):
+    """The worst direction of inversion, solve_fixed_b or solve_both as a
+    function of delta, delta -> (dA, db or None, divisor): the perturbation
+    that joins the first stack of samples at delta, and what its output
+    error is divided by.
+
+    dA is -E with E = delta ||A||_rs B; rounding is symmetric, so A + dA has
+    the bits of A - E.  For inversion B is the interpolator of the lower
+    bound of cond = kappa; for the solve kinds it sends x / ||x||_r to the
+    attainer y of ||A^-1||_sr, and solve_both also moves b by delta ||b||_s
+    y.  Under the blockwise sum the ratio divides by the sum of the block
+    errors.
+    """
+    kind, op, r, s = inst.kind, inst.op, inst.r, inst.s
+    anorm = op.norm(r, s)
+    if kind == "inversion":
+        b_mat = _worst_inversion_direction(op, r, s)
+    else:
+        _, y, _ = _extremal_pair(op.a, r, s, op.max_enum_dim, _op=op)
+        x = inst.exact
+        b_mat = rank_one_interpolator(x / vector_norm(x, r), y, r, s)
+    towards = -b_mat
+    if kind != "solve_both":
+        return lambda delta: (delta * anorm * towards, None, delta)
+    bnorm = vector_norm(inst.vec, s)
     # under the blockwise sum both blocks sit on their own delta-sphere
     blocks = 2.0 if input_model.mode == COMPONENTWISE_SUM else 1.0
-    for delta in deltas:
-        a_tilde = a - delta * anorm * b_mat
-        if kind == "solve_fixed_b":
-            yield err(solve(a_tilde, vec)) / delta
-        else:
-            yield err(solve(a_tilde, vec + delta * bnorm * y)) / (blocks * delta)
+    return lambda delta: (delta * anorm * towards, delta * bnorm * y, blocks * delta)
+
+
+def _whole_number(value, least):
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= least
 
 
 @dataclass(frozen=True)
@@ -292,8 +375,10 @@ class EstimatorConfig:
         if not d or any(x <= 0.0 for x in d) or any(a <= b for a, b in zip(d, d[1:])):
             raise ValueError("deltas must be strictly decreasing and positive")
         object.__setattr__(self, "deltas", d)
-        if self.samples_per_delta < 1:
-            raise ValueError("samples_per_delta must be positive")
+        if not _whole_number(self.samples_per_delta, 1):
+            raise ValueError("samples_per_delta must be an integer of at least 1")
+        if not _whole_number(self.max_attempts, 0):
+            raise ValueError("max_attempts must be an integer of at least 0")
 
 
 @dataclass
@@ -317,38 +402,17 @@ class EstimateReport:
     first_order_bound_check: bool | None = None
 
 
-#: The direction memo keeps at most this many draws, oldest use evicted
-#: first, and none of more than ``_MEMO_MAX_VALUES`` values.
-_MEMO_DRAWS = 4
-_MEMO_MAX_VALUES = 1 << 20
-_draws = {}
-_draws_lock = threading.Lock()
-
-
-def _read_only(x):
-    x.flags.writeable = False
-    return x
-
-
 def _draw(keys, shape, sample):
     """(the normal draw of ``keys`` of ``shape``, a dict of its norms).
 
     The draw is read-only and comes from ``sample()`` unless one of the last
-    ``_MEMO_DRAWS`` draws had the same keys and shape; the dict is the
-    caller's to fill with the draw's read-only normwise norms."""
-    memo_key = (keys.tobytes(), keys.shape, shape)
-    with _draws_lock:
-        entry = _draws.pop(memo_key, None)
-        if entry is not None:
-            _draws[memo_key] = entry  # most recent last
-            return entry
-    entry = _read_only(sample()), {}
-    if entry[0].size <= _MEMO_MAX_VALUES:
-        with _draws_lock:
-            _draws[memo_key] = entry
-            while len(_draws) > _MEMO_DRAWS:
-                del _draws[next(iter(_draws))]
-    return entry
+    draws in the memo had the same keys and shape; the dict is the caller's
+    to fill with the draw's read-only normwise norms."""
+    return _draws.get(
+        (keys.tobytes(), keys.shape, shape),
+        lambda: (_read_only(sample()), {}),
+        lambda entry: entry[0].size <= _MEMO_MAX_VALUES,
+    )
 
 
 def _sphere_vectors(base, deltas, keys, model):
@@ -438,6 +502,10 @@ def estimate_condition(
     For ``solve_both`` the input error is the blockwise componentwise-max
     max(||dA||_rs / ||A||_rs, ||db||_s / ||b||_s); pass
     ``input_model=componentwise_sum`` to combine the blocks by sum instead.
+
+    Raises DeltaTooLarge when the worst direction of a kind that perturbs A
+    reaches the singular set at some delta, once that delta's samples are
+    done.
     """
     kind = problem_kind(kind)
     r = norm_index(r)
@@ -454,14 +522,16 @@ def estimate_condition(
     input_model = input_model or default_in
     output_model = output_model or default_out
 
-    inst = _Instance(kind, a, vec, r, s, max_enum_dim)
-    closed = condition_closed_form(kind, a, vec, r, s, max_enum_dim, _op=inst).value
+    op = _operand(a, max_enum_dim)
+    inst = _Instance(kind, op, vec, r, s)
+    closed = condition_closed_form(kind, op.a, vec, r, s, max_enum_dim, _op=op).value
     report = EstimateReport(kind=kind, closed_form=closed)
 
-    sampled = _sampled_ratios(inst, input_model, output_model, config)
-    directional = _directional_ratios(inst, input_model, config.deltas)
-    for delta, (ratios, resampled), ratio in zip(config.deltas, sampled, directional):
-        report.per_delta.append(DeltaSample(delta, float(np.max(ratios)), float(ratio), resampled))
+    ratios = _ratios(inst, input_model, output_model, config)
+    for delta, (sampled, resampled, directional) in zip(config.deltas, ratios):
+        report.per_delta.append(
+            DeltaSample(delta, float(np.max(sampled)), float(directional), resampled)
+        )
 
     last = report.per_delta[-1]
     report.estimate = max(last.sampled_sup_ratio, last.directional_ratio)
@@ -498,7 +568,7 @@ def _perturbations(inst, blocks, deltas, seed, path):
         return rng.substream(seed, *path, block)
 
     radii = deltas if whole else (1.0,)
-    da = _sphere_matrices(inst, radii, keys(0), matrix_model)
+    da = _sphere_matrices(inst.op, radii, keys(0), matrix_model)
     if vector_model is None:
         return ((d, None) for d in da)
     db = _sphere_vectors(inst.vec, radii, keys(1), vector_model)
@@ -511,8 +581,28 @@ def _perturbations(inst, blocks, deltas, seed, path):
             for delta in deltas)
 
 
-def _sampled_ratios(inst, input_model, output_model, config):
-    """Sup-ratio samples and the number of resampled ones, for each delta in turn.
+def _perturbed_outputs(inst, da, db):
+    """(the exact outputs of the perturbed problems A + dA, with b + db or b,
+    whose matrix is nonsingular within tolerance, in order, or None if there
+    are none; the mask of those whose matrix is singular)."""
+    a, vec = inst.op.a, inst.vec
+    lu, perm, _, singular = _lu_raw(a + da, DEFAULT_PIVOT_TOL)
+    ok = ~singular
+    if not ok.any():
+        return None, singular
+    if not ok.all():
+        lu, perm = lu[ok], perm[ok]
+        db = None if db is None else db[ok]
+    if inst.kind == "inversion":
+        eye = np.broadcast_to(np.eye(a.shape[-1]), lu.shape)
+        return _lu_solve_packed(lu, perm, eye), singular
+    rhs = np.broadcast_to(vec, lu.shape[:-1]) if db is None else vec + db
+    return _lu_solve_packed(lu, perm, rhs[..., None])[..., 0], singular
+
+
+def _ratios(inst, input_model, output_model, config):
+    """(sup-ratio samples, the number of resampled ones, the directional
+    ratio) for each delta in turn.
 
     The directions are drawn once per estimate, or taken from the memo,
     from the keys of delta index 0: sample k draws from substream
@@ -526,26 +616,41 @@ def _sampled_ratios(inst, input_model, output_model, config):
     for attempt >= 1.  So results do not depend on evaluation order or on
     which other samples were discarded, and the first delta of a schedule
     matches a one-delta schedule bit for bit.
+
+    For the kinds that perturb A, the worst direction is the last row of
+    each delta's first attempt.  Its output error is measured in the
+    default output model of the kind, in the samples' call when that is
+    the model asked for.  A singular worst row raises DeltaTooLarge after
+    the samples of its delta are done, so samples that keep crossing the
+    singular set raise SingularMatrix first.
     """
-    kind, a, vec = inst.kind, inst.a, inst.vec
+    kind, op, vec = inst.kind, inst.op, inst.vec
     idx = np.arange(config.samples_per_delta)
     err = inst.output_error(output_model)
 
     if kind in ("matvec", "solve_fixed_a"):
         keys = rng.substream(config.seed, 0, idx)
         spheres = _sphere_vectors(vec, config.deltas, keys, input_model)
+        directional = _directional_ratios(inst, config.deltas)
         for delta, dv in zip(config.deltas, spheres):
             if kind == "matvec":
-                out = (vec + dv) @ a.T
+                out = (vec + dv) @ op.a.T
             else:
-                out = inst.solve((vec + dv).T).T  # one block of right-hand sides
-            yield err(out) / delta, 0
+                out = op.solve((vec + dv).T).T  # one block of right-hand sides
+            ratios = err(out) / delta
+            yield ratios, 0, next(directional)
         return
 
     # the other kinds perturb the matrix and may cross the singular set
     blocks = _input_blocks(kind, input_model, inst.r, inst.s)
+    worst = _worst_row(inst, input_model)
+    default_out = _default_models(kind, inst.r, inst.s)[1]
+    worst_err = err if output_model == default_out else inst.output_error(default_out)
     first = _perturbations(inst, blocks, config.deltas, config.seed, (0, idx, 0))
     for di, (delta, (da, db)) in enumerate(zip(config.deltas, first)):
+        w_da, w_db, divisor = worst(delta)
+        da = np.concatenate((da, w_da[None]))
+        db = None if db is None else np.concatenate((db, w_db[None]))
         ratios = np.empty(len(idx))
         pending, resampled = idx, 0
         for attempt in range(config.max_attempts + 1):
@@ -554,25 +659,22 @@ def _sampled_ratios(inst, input_model, output_model, config):
             if attempt:
                 path = (di, pending, attempt)
                 da, db = next(_perturbations(inst, blocks, (delta,), config.seed, path))
-            lu, perm, _, singular = _lu_raw(a + da, 1e-13)
-            ok = ~singular
-            crossed = int(np.sum(singular))
-            if crossed < len(pending):
-                if crossed:
-                    lu, perm = lu[ok], perm[ok]
-                    db = None if db is None else db[ok]
-                if kind == "inversion":
-                    eye = np.broadcast_to(np.eye(a.shape[-1]), lu.shape)
-                    out = _lu_solve_packed(lu, perm, eye)
-                else:
-                    rhs = np.broadcast_to(vec, lu.shape[:-1]) if db is None else vec + db
-                    out = _lu_solve_packed(lu, perm, rhs[..., None])[..., 0]
-                ratios[pending[ok]] = err(out) / delta
-            resampled += crossed
+            out, singular = _perturbed_outputs(inst, da, db)
+            values = None if out is None else err(out)
+            if not attempt:  # the last row is the worst direction's
+                worst_crossed, singular = singular[-1], singular[:-1]
+                if not worst_crossed:
+                    value = values[-1] if worst_err is err else worst_err(out[-1])
+                    directional, values = value / divisor, values[:-1]
+            if values is not None:
+                ratios[pending[~singular]] = values / delta
+            resampled += int(np.sum(singular))
             pending = pending[singular]
         if pending.size:
             raise SingularMatrix(
                 "perturbation kept crossing the singular set after "
                 f"{config.max_attempts} resampling rounds"
             )
-        yield ratios, resampled
+        if worst_crossed:
+            raise _singular_at(delta * op.norm(inst.r, inst.s))
+        yield ratios, resampled, directional

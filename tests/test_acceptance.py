@@ -263,9 +263,12 @@ def test_criterion_10_operator_norm_oracle():
             x = rng.normal_matrix(rng.substream(SEED, 10, t, 1), 100_000, n)
             signs = np.where(x >= 0.0, 1.0, -1.0)
             img = x @ a.T
+            # each case needs ||x||_r for three r and ||A x||_s for three s
+            x_norms = {r: norms.vector_norm(x, r) for r in (1, 2, inf)}
+            img_norms = {s: norms.vector_norm(img, s) for s in (1, 2, inf)}
             for r, s in ALL_PAIRS:
                 res = norms.operator_norm(a, r, s)
-                ratios = norms.vector_norm(img, s) / norms.vector_norm(x, r)
+                ratios = img_norms[s] / x_norms[r]
                 assert ratios.max() <= res.value * (1.0 + 1e-10)
                 dual = norms.operator_norm(
                     a.T, norms.dual_exponent(s), norms.dual_exponent(r)

@@ -10,7 +10,7 @@ import pytest
 from condlab import matio
 from condlab.cli import main
 
-from conftest import gaussian
+from conftest import conditioned, gaussian
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parents[1] / "schemas" / "report.schema.json").read_text()
@@ -215,6 +215,24 @@ def test_exit_code_singular(files, capsys):
 def test_estimate_exit_code_singular(files, capsys):
     assert main(["estimate", "inversion", "--matrix", files["sing.csv"]]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["inversion", "solve-fixed-b"])
+def test_estimate_exit_code_delta_too_large(tmp_path, capsys, kind):
+    # kappa_2(A) = 1e5: at delta = 1e-5 of the default schedule the worst
+    # direction reaches the singular set, which is neither malformed input
+    # nor a singular A; b = A v, v the last right singular vector, puts the
+    # worst direction of solve-fixed-b there too
+    a = conditioned(602, 5, 1e5)
+    matio.write_matrix_csv(tmp_path / "a.csv", a)
+    matio.write_matrix_csv(tmp_path / "b.csv", (a @ np.linalg.svd(a)[2][-1])[:, None])
+    argv = ["estimate", kind, "--matrix", str(tmp_path / "a.csv"), "--samples", "20"]
+    if kind != "inversion":
+        argv += ["--vector", str(tmp_path / "b.csv")]
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "A - E is singular at delta=1e-05" in captured.err
 
 
 def test_exit_code_bad_input(files, capsys):

@@ -16,7 +16,7 @@ from condlab.errors import (
     ZeroVector,
 )
 
-from conftest import gaussian
+from conftest import clear_memos, conditioned, gaussian
 
 
 def test_relerror_examples():
@@ -158,10 +158,10 @@ def test_estimator_solve_both_within_sandwich():
 def test_estimator_deterministic_for_fixed_seed():
     a = gaussian(405, 0, shape=(3, 3))
     cfg = emp.EstimatorConfig(samples_per_delta=100, seed=123)
-    # clear the direction memo so that both runs draw their directions afresh
-    emp._draws.clear()
+    # clear the memos so that both runs factor A and draw their directions afresh
+    clear_memos()
     rep1 = emp.estimate_condition("inversion", a, r=2, s=2, config=cfg)
-    emp._draws.clear()
+    clear_memos()
     rep2 = emp.estimate_condition("inversion", a, r=2, s=2, config=cfg)
     assert rep1 == rep2
 
@@ -173,6 +173,25 @@ def test_estimator_config_validation():
         emp.EstimatorConfig(deltas=())
     with pytest.raises(ValueError):
         emp.EstimatorConfig(samples_per_delta=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("max_attempts", -1), ("max_attempts", 2.5), ("max_attempts", "3"), ("max_attempts", None),
+    ("max_attempts", True), ("samples_per_delta", 2.5), ("samples_per_delta", -3),
+    ("samples_per_delta", "10"), ("samples_per_delta", True),
+])
+def test_estimator_config_rejects_bad_counts(field, value):
+    # a negative cap used to end in SingularMatrix "after -1 resampling
+    # rounds" on a well-conditioned matrix, and a fractional sample count in
+    # a TypeError inside rng.substream
+    with pytest.raises(ValueError, match=field):
+        emp.EstimatorConfig(**{field: value})
+
+
+def test_estimator_config_accepts_whole_counts():
+    cfg = emp.EstimatorConfig(samples_per_delta=np.int64(5), max_attempts=0)
+    rep = emp.estimate_condition("inversion", np.eye(3) + 0.1, config=cfg)
+    assert rep.estimate == pytest.approx(rep.closed_form, rel=0.05)
 
 
 def test_estimate_other_kinds_hit_closed_forms():
@@ -252,6 +271,7 @@ def test_one_spectral_attainer_per_estimate(monkeypatch):
     assert len(config.deltas) == 4
     for kind in conditioning.PROBLEM_KINDS:
         calls.clear()
+        clear_memos()  # the operand memo shares the attainer across estimates
         emp.estimate_condition(kind, a, None if kind == "inversion" else b, 2, 2, config=config)
         assert len(calls) == 1, kind
 
@@ -306,7 +326,8 @@ def test_matvec_samples_share_their_directions_across_deltas():
 def test_solve_both_samples_on_the_rs_and_s_spheres(monkeypatch, r, s):
     # under the blockwise-max model every sample has ||dA||_rs = delta ||A||_rs
     # and ||db||_s = delta ||b||_s; the perturbed inputs are read where they
-    # enter the batched LU and solve
+    # enter the batched LU and solve, without the last row of the stack,
+    # which is the worst direction's
     a = gaussian(413, 0, shape=(4, 4)) + 4.0 * np.eye(4)
     b = gaussian(413, 1, shape=(4,))
     delta = 1e-2
@@ -315,12 +336,12 @@ def test_solve_both_samples_on_the_rs_and_s_spheres(monkeypatch, r, s):
 
     def spy_lu(m, tol):
         if m.ndim == 3:
-            seen_a.append(m - a)
+            seen_a.append(m[:-1] - a)
         return lu_raw(m, tol)
 
     def spy_solve(lu, perm, rhs):
         if rhs.ndim == 3:
-            seen_b.append(rhs[..., 0] - b)
+            seen_b.append(rhs[:-1, :, 0] - b)
         return lu_solve(lu, perm, rhs)
 
     monkeypatch.setattr(emp, "_lu_raw", spy_lu)
@@ -362,6 +383,7 @@ def test_one_factorization_of_a_per_estimate(monkeypatch, kind):
     for r, s in ((2, 2), ("inf", 1)):
         factored.clear()
         inverted.clear()
+        clear_memos()  # the operand memo shares the factors across estimates
         emp.estimate_condition(kind, a, b, r, s, config=config)
         assert sum(factored) == 1, (kind, r, s)
         assert not any(inverted), (kind, r, s)
@@ -414,11 +436,11 @@ PAIRS = [(r, s) for r in (1, 2, "inf") for s in (1, 2, "inf")]
 
 def _sweep(cases, config, cold):
     """One report per (kind, a, b, r, s, input model); with ``cold`` the
-    direction memo is cleared before each estimate."""
+    memos are cleared before each estimate."""
     reports = []
     for kind, a, b, r, s, model in cases:
         if cold:
-            emp._draws.clear()
+            clear_memos()
         reports.append(emp.estimate_condition(kind, a, b, r, s, input_model=model, config=config))
     return reports
 
@@ -544,3 +566,174 @@ def test_singular_matrix_outcomes_per_kind():
     rep = emp.estimate_condition("matvec", a, b, config=config)
     assert rep.closed_form == conditioning.condition_closed_form("matvec", a, b).value
     assert np.isfinite(rep.estimate)
+
+
+def test_sweep_factors_a_once_and_enumerates_each_inverse_norm_once(monkeypatch):
+    # the operand memo keeps A's factors, A^-1 and their norms for all 45
+    # estimates of one matrix: ||A^-1||_sr is enumerated at the three pairs
+    # (s, r) = (inf,1), (inf,2) and (2,1), and at each only once
+    a = gaussian(421, 0, shape=(5, 5))
+    b = gaussian(421, 1, shape=(5,))
+    scaled = np.ldexp(linalg.invert(a), -np.frexp(np.max(np.abs(linalg.invert(a))))[1])
+    factored, searched = [], []
+    lu_raw, best_signs = linalg._lu_raw, norms._best_signs
+
+    def spy_lu(m, tol):
+        factored.append(np.array_equal(m, a))
+        return lu_raw(m, tol)
+
+    def spy_search(t, s):
+        for m in t:
+            if np.array_equal(m, scaled):
+                searched.append(("inverse", s))
+            elif np.array_equal(m, scaled.T):
+                searched.append(("transpose", s))
+        return best_signs(t, s)
+
+    for owner in (linalg, emp):
+        monkeypatch.setattr(owner, "_lu_raw", spy_lu)
+    monkeypatch.setattr(norms, "_best_signs", spy_search)
+    _sweep(_sweep_cases(a, b),
+           emp.EstimatorConfig(deltas=(1e-6, 1e-7), samples_per_delta=20, seed=29), cold=False)
+    assert sum(factored) == 1
+    assert sorted(searched) == [("inverse", 1.0), ("inverse", 2.0), ("transpose", 2.0)]
+
+
+def test_operand_memo_copies_a_and_keys_on_its_bytes():
+    # changing the caller's A in place between two estimates gives the
+    # report of a cleared memo, and the memo's arrays are read-only
+    a = gaussian(422, 0, shape=(4, 4))
+    b = gaussian(422, 1, shape=(4,))
+    config = emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=20, seed=30)
+    emp.estimate_condition("solve_both", a, b, "inf", 1, config=config)
+    (op,) = emp._operands.values()
+    assert not np.shares_memory(op.a, a)
+    for x in (op.a, op.inverse, *op.factors):
+        assert not x.flags.writeable
+    a[1, 2] += 0.5
+    warm = emp.estimate_condition("solve_both", a, b, "inf", 1, config=config)
+    clear_memos()
+    assert warm == emp.estimate_condition("solve_both", a, b, "inf", 1, config=config)
+
+
+def test_operand_memo_is_bounded():
+    config = emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=10, seed=31)
+    for n in (3, 4, 5):
+        emp.estimate_condition("inversion", gaussian(423, n, shape=(n, n)), config=config)
+        assert len(emp._operands) == 1
+    # no operand of a matrix of more than 2^20 values is kept
+    largest, larger = np.zeros((1024, 1024)), np.zeros((1025, 1024))
+    assert emp._operand(largest, 12) is emp._operand(largest, 12)
+    assert emp._operand(larger, 12) is not emp._operand(larger, 12)
+
+
+def test_operand_memo_under_threads():
+    # threads that share the memo get the reports of a cleared memo, and
+    # leave it bounded
+    config = emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=10, seed=32)
+    cases = [(kind, gaussian(424, i, 0, shape=(3, 3)), gaussian(424, i, 1, shape=(3,)), r, s)
+             for i, (kind, r, s) in enumerate([("inversion", 2, 2), ("solve_both", "inf", 1),
+                                                ("matvec", 1, 2), ("solve_fixed_b", 2, "inf")])]
+
+    def estimate(kind, a, b, r, s):
+        return emp.estimate_condition(kind, a, None if kind == "inversion" else b, r, s,
+                                      config=config)
+
+    want = []
+    for case in cases:
+        clear_memos()
+        want.append(estimate(*case))
+    clear_memos()
+    errors = []
+
+    def work(t):
+        try:
+            for j in range(24):
+                i = (t + j // 3) % len(cases)
+                if estimate(*cases[i]) != want[i]:
+                    errors.append(i)
+                for k in range(200):  # lookups alone, to press on the lock
+                    a = cases[(i + k) % len(cases)][1]
+                    if not np.array_equal(emp._operand(a, 12).a, a):
+                        errors.append(k)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
+    assert len(emp._operands) <= 1
+
+
+def _unfolded_directional(kind, a, b, r, s, delta, input_model):
+    """The worst direction's ratio at ``delta`` from one invert or solve of
+    A - E, outside any stack: err(invert(A - E)) / delta for inversion, and
+    err(solve(A - E, b or b + db)) / delta for the solve kinds."""
+    r, s = norms.norm_index(r), norms.norm_index(s)
+    size = delta * float(norms.operator_norm_values(a, r, s))
+    if kind == "inversion":
+        e = emp.worst_inversion_perturbation(a, r, s, size)
+        return emp.relerror(linalg.invert(a - e), linalg.invert(a), emp.normwise(s, r)) / delta
+    x = linalg.solve(a, b)
+    _, y, _ = conditioning._extremal_pair(a, r, s, norms.DEFAULT_MAX_ENUM_DIM)
+    a_tilde = a - size * norms.rank_one_interpolator(x / norms.vector_norm(x, r), y, r, s)
+    if kind == "solve_fixed_b":
+        return emp.relerror(linalg.solve(a_tilde, b), x, emp.normwise(r)) / delta
+    blocks = 2.0 if input_model == emp.componentwise_sum else 1.0
+    b_tilde = b + delta * norms.vector_norm(b, s) * y
+    return emp.relerror(linalg.solve(a_tilde, b_tilde), x, emp.normwise(r)) / (blocks * delta)
+
+
+@pytest.mark.parametrize("output_model", [None, emp.componentwise_max])
+def test_folded_worst_direction_keeps_its_bits(output_model):
+    # the worst direction rides the samples' stack; its ratio is the one of
+    # the unfolded oracle, bit for bit, for every pair, for the blockwise
+    # sum, and under an output model that is not the directional one
+    a = gaussian(425, 0, shape=(4, 4))
+    b = gaussian(425, 1, shape=(4,))
+    config = emp.EstimatorConfig(deltas=(1e-5, 1e-7), samples_per_delta=20, seed=33)
+    cases = (_sweep_cases(a, b, kinds=("inversion", "solve_fixed_b", "solve_both"))
+             + _sweep_cases(a, b, kinds=("solve_both",), model=emp.componentwise_sum))
+    for kind, a_, b_, r, s, model in cases:
+        rep = emp.estimate_condition(kind, a_, b_, r, s, input_model=model,
+                                     output_model=output_model, config=config)
+        for d in rep.per_delta:
+            want = _unfolded_directional(kind, a, b, r, s, d.delta, model)
+            assert d.directional_ratio == want, (kind, r, s, model, d.delta)
+
+
+@pytest.mark.parametrize("kind", ("inversion", "solve_fixed_b", "solve_both"))
+def test_singular_worst_direction_raises_delta_too_large(kind):
+    # at delta = 1/kappa the worst direction reaches the singular set; the
+    # random samples of that delta do not
+    # for the solve kinds b = A v, v the last right singular vector of A, so
+    # that A^-1 b is parallel to A^-1 y
+    a = conditioned(426, 5, 1e5)
+    b = None if kind == "inversion" else a @ np.linalg.svd(a)[2][-1]
+    config = emp.EstimatorConfig(samples_per_delta=50, seed=34)
+    with pytest.raises(DeltaTooLarge, match=r"^A - E is singular at delta=1e-05$"):
+        emp.estimate_condition(kind, a, b, config=config)
+
+
+@pytest.mark.parametrize("kind", ("inversion", "solve_fixed_b", "solve_both"))
+def test_samples_that_keep_crossing_raise_before_the_worst_direction(kind):
+    # at delta = 3e-13 both the worst direction of diag(1, 3e-13) and some
+    # samples cross the singular set: without resampling the samples raise
+    # first, and with it the worst direction raises once they are done
+    a = np.diag([1.0, 3e-13])
+    b = None if kind == "inversion" else np.array([0.0, 1.0])
+    for attempts, error, message in ((0, SingularMatrix, "after 0 resampling rounds"),
+                                     (10, DeltaTooLarge, "singular at delta=3e-13")):
+        config = emp.EstimatorConfig(deltas=(3e-13,), samples_per_delta=200, seed=3,
+                                     max_attempts=attempts)
+        with pytest.raises(error, match=message):
+            emp.estimate_condition(kind, a, b, config=config)
