@@ -14,18 +14,19 @@ output side uses the transposed pair (s, r).  kappa of a singular matrix is
 inf by convention, while distance_to_singularity raises because its formula
 divides by ||A^-1||.
 
-Every norm here is a value from the value-only core
-(:func:`~condlab.norms.operator_norm_values`, LAPACK at (2,2)), except that
-||A^-1||_sr at the enumeration pairs comes from
-:func:`~condlab.norms.operator_norm`, whose value has the same bits.
-Attainers are used only in :func:`_extremal_pair`, for the nearest
-singular perturbation and the estimator's worst directions.
+Every function here reads A, A^-1 and their norms from one
+:class:`_Operand`.  It factors A at most once, by the calls that
+:func:`~condlab.linalg.invert` makes, so A^-1 has the bits of
+``invert(A)``, and it computes each norm of A and of A^-1 at most once.
+Norms are values from the value-only core
+(:func:`~condlab.norms.operator_norm_values`, LAPACK at (2,2)), except at
+the enumeration pairs, where the value is that of
+:func:`~condlab.norms.operator_norm`, with the same bits, so that a value
+and its attainer share one search.  Attainers are read only for the
+nearest singular perturbation and the estimator's worst directions.
 
-The closed forms and :func:`_extremal_pair` read A^-1, ||A||_rs and
-||A^-1||_sr from an :class:`_Operand`, which computes A^-1, ||A||_rs and
-||A^-1||_sr at most once each.  A caller that already holds them passes
-its own operand through the private ``_op`` parameter: the estimator keeps
-the operand of its last matrix, which also owns the LU factors of A, so
+A caller that already holds an operand passes it through the private
+``_op`` parameter: the estimator keeps the operand of its last matrix, so
 that A is factored once per matrix across a sweep of estimates, not once
 per estimate.
 """
@@ -38,8 +39,12 @@ from math import inf
 
 import numpy as np
 
+from . import linalg
 from .errors import SingularMatrix, ZeroVector
-from .linalg import as_square, invert
+
+# ``invert`` is not called here; it stays bound because the benchmark's
+# tracing (bench/tracing.py) wraps it by this name.
+from .linalg import as_square, invert  # noqa: F401
 from .norms import (
     DEFAULT_MAX_ENUM_DIM,
     ENUMERATION_PAIRS,
@@ -60,6 +65,19 @@ def problem_kind(kind):
     return kind
 
 
+def _problem_vector(kind, vec):
+    """The vector of ``kind`` as float64; raises ValueError when a kind other
+    than inversion has none, and ZeroVector when it is zero."""
+    if kind == "inversion":
+        return vec
+    if vec is None:
+        raise ValueError(f"{kind} needs a vector argument")
+    vec = np.asarray(vec, dtype=np.float64)
+    if not np.any(vec != 0.0):
+        raise ZeroVector(f"{kind} requires a nonzero vector")
+    return vec
+
+
 @dataclass
 class ConditionReport:
     """A condition-number value with its formula components.
@@ -76,63 +94,72 @@ class ConditionReport:
     mixed_term: float | None = None
 
 
-def _norm(a, r, s, max_enum_dim):
-    """||A||_rs of one matrix as a float, without an attainer."""
-    if np.ndim(a) != 2:
-        raise ValueError("expected a single matrix")
-    return float(operator_norm_values(a, r, s, max_enum_dim))
+def _read_only(x):
+    x.flags.writeable = False
+    return x
 
 
 class _Operand:
-    """A matrix A with A^-1 and the operator norms of both, each computed at
-    most once."""
+    """A matrix A with its LU factors, A^-1, and the operator norms of A and
+    A^-1, each computed at most once.
+
+    A is factored only when something asks, by the same ``_lu_raw`` and
+    ``_lu_solve_packed`` calls that ``invert`` and ``solve`` make, so A^-1
+    and every solve have their bits.  Matvec needs A^-1 only for the kappa
+    and alpha of its closed form, so a singular A leaves those out.  The
+    factors and A^-1 are read-only, because the estimator's operand memo
+    shares them.
+    """
 
     def __init__(self, a, max_enum_dim):
         self.a = np.asarray(a, dtype=np.float64)
         self.max_enum_dim = max_enum_dim
         self._norms = {}
-        self._inverse_norms = {}
-        self._attained = {}
+
+    @cached_property
+    def factors(self):
+        """Packed LU and row permutation of A; raises SingularMatrix."""
+        lu, perm, _, singular = linalg._lu_raw(as_square(self.a))
+        if np.any(singular):
+            raise SingularMatrix("cannot invert: matrix is singular within tolerance")
+        return _read_only(lu), _read_only(perm)
 
     @cached_property
     def inverse(self):
-        """A^-1; raises SingularMatrix for singular A."""
-        return invert(as_square(self.a))
+        """A^-1 with the bits of ``invert(A)``; raises SingularMatrix."""
+        lu, perm = self.factors
+        eye = np.broadcast_to(np.eye(lu.shape[-1]), lu.shape)
+        return _read_only(linalg._lu_solve_packed(lu, perm, eye))
 
-    def norm(self, r, s):
-        """||A||_rs as a float."""
-        key = norm_index(r), norm_index(s)
+    def solve(self, rhs):
+        """A^-1 rhs for a block ``(n, k)`` of right-hand sides."""
+        return linalg._lu_solve_packed(*self.factors, rhs)
+
+    def norm(self, r, s, inverse=False, attainer=False):
+        """||A||_rs, or ||A^-1||_rs with ``inverse``, as a float; with
+        ``attainer``, the :class:`~condlab.norms.OperatorNormResult` of
+        ``operator_norm``.  At the enumeration pairs the float is the value
+        of that result, so a value and an attainer share one search."""
+        r, s = norm_index(r), norm_index(s)
+        attained = attainer or (r, s) in ENUMERATION_PAIRS
+        key = inverse, r, s, attained
         if key not in self._norms:
-            self._norms[key] = _norm(self.a, *key, self.max_enum_dim)
-        return self._norms[key]
-
-    def inverse_norm(self, r, s):
-        """||A^-1||_rs as a float, computed once per pair.  At the enumeration
-        pairs it is the value of :meth:`inverse_attained`, which has the bits
-        of the value-only norm, so the closed form and the extremal pair share
-        one enumeration."""
-        key = norm_index(r), norm_index(s)
-        if key not in self._inverse_norms:
-            if key in ENUMERATION_PAIRS:
-                value = self.inverse_attained(*key).value
+            m = self.inverse if inverse else self.a
+            if attained:
+                self._norms[key] = operator_norm(m, r, s, self.max_enum_dim)
+            elif m.ndim != 2:
+                raise ValueError("expected a single matrix")
             else:
-                value = _norm(self.inverse, *key, self.max_enum_dim)
-            self._inverse_norms[key] = value
-        return self._inverse_norms[key]
-
-    def inverse_attained(self, r, s):
-        """``operator_norm(A^-1, r, s)``: the value with its attainer."""
-        key = norm_index(r), norm_index(s)
-        if key not in self._attained:
-            self._attained[key] = operator_norm(self.inverse, *key, self.max_enum_dim)
-        return self._attained[key]
+                self._norms[key] = float(operator_norm_values(m, r, s, self.max_enum_dim))
+        res = self._norms[key]
+        return res.value if attained and not attainer else res
 
 
 def kappa(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM, *, _op=None):
     """kappa_rs(A) = ||A||_rs * ||A^-1||_sr, with inf for singular input."""
     op = _op or _Operand(a, max_enum_dim)
     try:
-        inv_norm = inverse_norm(a, r, s, max_enum_dim, _op=op)
+        inv_norm = op.norm(s, r, inverse=True)
     except SingularMatrix:
         return inf
     return op.norm(r, s) * inv_norm
@@ -144,7 +171,7 @@ def _solution_term(op, vec, r, s):
     denom = vector_norm(sol, r)
     if denom == 0.0:
         return inf
-    return op.inverse_norm(s, r) * vector_norm(vec, s) / denom
+    return op.norm(s, r, inverse=True) * vector_norm(vec, s) / denom
 
 
 def condition_closed_form(
@@ -155,16 +182,10 @@ def condition_closed_form(
     r = norm_index(r)
     s = norm_index(s)
     a = np.asarray(a, dtype=np.float64)
-    if kind != "inversion":
-        if vec is None:
-            raise ValueError(f"{kind} needs a vector argument")
-        vec = np.asarray(vec, dtype=np.float64)
-        if not np.any(vec != 0.0):
-            raise ZeroVector(f"{kind} requires a nonzero vector")
-
+    vec = _problem_vector(kind, vec)
     op = _op or _Operand(a, max_enum_dim)
 
-    if kind == "inversion":
+    if kind in ("inversion", "solve_fixed_b"):
         return ConditionReport(kind, value=kappa(a, r, s, max_enum_dim, _op=op))
 
     if kind == "matvec":
@@ -179,16 +200,13 @@ def condition_closed_form(
             except SingularMatrix:
                 inv = None
             if inv is not None and denom > 0.0:
-                inv_norm = op.inverse_norm(s, r)
+                inv_norm = op.norm(s, r, inverse=True)
                 kap = anorm * inv_norm
                 alpha = vector_norm(vec, r) / (inv_norm * denom)
         return ConditionReport(kind, value=value, kappa=kap, alpha=alpha)
 
     if kind == "solve_fixed_a":
         return ConditionReport(kind, value=_solution_term(op, vec, r, s))
-
-    if kind == "solve_fixed_b":
-        return ConditionReport(kind, value=kappa(a, r, s, max_enum_dim, _op=op))
 
     return mixed_condition(a, vec, r, s, max_enum_dim, _op=op)
 
@@ -205,22 +223,18 @@ def mixed_condition(a, b, r=2, s=2, max_enum_dim=DEFAULT_MAX_ENUM_DIM, *, _op=No
     if not np.any(b != 0.0):
         raise ZeroVector("mixed condition number requires b != 0")
     op = _op or _Operand(a, max_enum_dim)
-    inv = op.inverse
-    anorm = op.norm(r, s)
-    inv_norm = op.inverse_norm(s, r)
-    kap = anorm * inv_norm
-    sol = inv @ b
-    denom = vector_norm(sol, r)
-    term = inf if denom == 0.0 else inv_norm * vector_norm(b, s) / denom
+    inv_norm = op.norm(s, r, inverse=True)
+    kap = op.norm(r, s) * inv_norm
+    term = _solution_term(op, b, r, s)
     return ConditionReport("solve_both", value=kap + term, kappa=kap, mixed_term=term)
 
 
-def inverse_norm(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM, *, _op=None):
+def inverse_norm(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     """||A^-1||_sr from one explicit inverse.
 
     Raises SingularMatrix for singular input.
     """
-    return (_op or _Operand(a, max_enum_dim)).inverse_norm(s, r)
+    return _Operand(a, max_enum_dim).norm(s, r, inverse=True)
 
 
 def distance_to_singularity(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
@@ -231,10 +245,10 @@ def distance_to_singularity(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     return 1.0 / inverse_norm(a, r, s, max_enum_dim)
 
 
-def _extremal_pair(a, r, s, max_enum_dim, _op=None):
-    """(||A^-1||_sr, y, A^-1 y) with ||y||_s = 1 and ||A^-1 y||_r = ||A^-1||_sr."""
-    op = _op or _Operand(a, max_enum_dim)
-    res = op.inverse_attained(s, r)
+def _extremal_pair(op, r, s):
+    """(||A^-1||_sr, y, A^-1 y) with ||y||_s = 1 and ||A^-1 y||_r = ||A^-1||_sr,
+    for the matrix A of the operand ``op``."""
+    res = op.norm(s, r, inverse=True, attainer=True)
     y = res.attainer / vector_norm(res.attainer, s)
     return res.value, y, op.inverse @ y
 
@@ -246,7 +260,7 @@ def nearest_singular(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     """
     r = norm_index(r)
     s = norm_index(s)
-    inv_norm, y, w = _extremal_pair(a, r, s, max_enum_dim)
+    inv_norm, y, w = _extremal_pair(_Operand(a, max_enum_dim), r, s)
     wnorm = vector_norm(w, r)
     x = w / wnorm
     b = rank_one_interpolator(x, -y, r, s)

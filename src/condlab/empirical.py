@@ -21,10 +21,11 @@ arrays, evicts the least recently used entry first and takes a lock around
 every lookup and insertion, so threads may share it.  A hit returns what a
 miss would compute, so neither memo changes a bit of any report.
 
-* The operand memo keeps the operand of the most recent matrix, keyed on
-  A's bytes, its shape and the enumeration cap.  The operand holds a
-  read-only copy of A, its LU factors, A^-1, and every ||A||_rs and
-  ||A^-1||_sr (with its attainer) computed so far.  So a sweep of
+* The operand memo keeps the :class:`~condlab.conditioning._Operand` of
+  the most recent matrix, keyed on A's bytes, its shape and the
+  enumeration cap.  The operand holds a read-only copy of A, its LU
+  factors, A^-1, and every norm of A and A^-1, with the attainers,
+  computed so far; the closed form reads the same operand.  So a sweep of
   estimates over kinds and pairs on one matrix factors A once and
   enumerates each of these norms once, not once per estimate.  The key is
   A's bytes and the operand holds a copy, so changing the caller's A in
@@ -57,7 +58,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -66,22 +66,18 @@ from . import rng
 from .conditioning import (
     _extremal_pair,
     _Operand,
+    _problem_vector,
+    _read_only,
     condition_closed_form,
     problem_kind,
 )
 from .errors import DeltaTooLarge, SingularMatrix, ZeroComponent, ZeroVector
 
-# ``invert`` and ``solve`` are not called here; they stay bound because the
-# benchmark's tracing (bench/tracing.py) wraps them by these names.
-from .linalg import (  # noqa: F401
-    DEFAULT_PIVOT_TOL,
-    _lu_raw,
-    _lu_solve_packed,
-    as_square,
-    invert,
-    solve,
-)
-from .norms import (
+# ``invert``, ``solve`` and ``operator_norm`` are not called here; they stay
+# bound because the benchmark's tracing (bench/tracing.py) wraps them by
+# these names.
+from .linalg import _lu_raw, _lu_solve_packed, as_square, invert, solve  # noqa: F401
+from .norms import (  # noqa: F401
     DEFAULT_MAX_ENUM_DIM,
     norm_index,
     operator_norm,
@@ -162,7 +158,7 @@ def relerror(x_tilde, x, model, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
 def _worst_inversion_direction(op, r, s):
     """B with ||B||_rs = 1 sending x = A^-1 y / ||A^-1 y||_r to the attainer y
     of ||A^-1||_sr, for the matrix A of the operand ``op``."""
-    _, y, w = _extremal_pair(op.a, r, s, op.max_enum_dim, _op=op)
+    _, y, w = _extremal_pair(op, r, s)
     return rank_one_interpolator(w / vector_norm(w, r), y, r, s)
 
 
@@ -183,42 +179,9 @@ def worst_inversion_perturbation(a, r, s, delta, max_enum_dim=DEFAULT_MAX_ENUM_D
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     e = delta * _worst_inversion_direction(_Operand(a, max_enum_dim), r, s)
-    if np.any(_lu_raw(a - e, DEFAULT_PIVOT_TOL)[3]):
+    if np.any(_lu_raw(a - e)[3]):
         raise _singular_at(delta)
     return e
-
-
-def _read_only(x):
-    x.flags.writeable = False
-    return x
-
-
-class _Factored(_Operand):
-    """An operand that owns the LU factors of A and reads A^-1 from them.
-
-    A is factored at most once, by the same ``_lu_raw``/``_lu_solve_packed``
-    calls that ``invert`` and ``solve`` make, so A^-1 and every solve have
-    their bits.  Matvec needs A^-1 only for the kappa and alpha of its
-    closed form, so A is factored only when something asks; a singular A
-    then leaves them out, and the estimate goes on.  The factors and A^-1
-    are read-only, because the operand memo shares them.
-    """
-
-    @cached_property
-    def factors(self):
-        """Packed LU and row permutation of A; raises SingularMatrix."""
-        lu, perm, _, singular = _lu_raw(as_square(self.a), DEFAULT_PIVOT_TOL)
-        if np.any(singular):
-            raise SingularMatrix("matrix is singular within tolerance")
-        return _read_only(lu), _read_only(perm)
-
-    @cached_property
-    def inverse(self):
-        return _read_only(self.solve(np.eye(self.a.shape[-1])))
-
-    def solve(self, rhs):
-        """A^-1 rhs for a block ``(n, k)`` of right-hand sides."""
-        return _lu_solve_packed(*self.factors, rhs)
 
 
 class _Memo:
@@ -268,12 +231,12 @@ _operands = _Memo(1)
 
 
 def _operand(a, max_enum_dim):
-    """The factored operand of ``a``: the memo's, if the last matrix had the
+    """The operand of ``a``: the memo's, if the last matrix had the
     same bytes, shape and enumeration cap, else a new one over a read-only
     copy of ``a``."""
     return _operands.get(
         (a.tobytes(), a.shape, max_enum_dim),
-        lambda: _Factored(_read_only(a.copy()), max_enum_dim),
+        lambda: _Operand(_read_only(a.copy()), max_enum_dim),
         lambda op: op.a.size <= _MEMO_MAX_VALUES,
     )
 
@@ -298,7 +261,7 @@ class _Instance:
         is enumerated once per matrix."""
         denom = None
         if self.kind == "inversion" and model.mode == NORMWISE and model.s is not None:
-            denom = self.op.inverse_norm(model.r, model.s)
+            denom = self.op.norm(model.r, model.s, inverse=True)
         return _relerror_to(self.exact, model, self.op.max_enum_dim, denom)
 
 
@@ -314,13 +277,13 @@ def _directional_ratios(inst, deltas):
     op, vec, r, s = inst.op, inst.vec, inst.r, inst.s
     x = inst.exact
     if inst.kind == "matvec":
-        att = operator_norm(op.a, r, s, op.max_enum_dim).attainer
+        att = op.norm(r, s, attainer=True).attainer
         xnorm = vector_norm(vec, r)
         err = _relerror_to(x, normwise(s))
         for delta in deltas:
             yield err(op.a @ (vec + delta * xnorm * att)) / delta
         return
-    _, y, _ = _extremal_pair(op.a, r, s, op.max_enum_dim, _op=op)
+    _, y, _ = _extremal_pair(op, r, s)
     bnorm = vector_norm(vec, s)
     err = _relerror_to(x, normwise(r))
     for delta in deltas:
@@ -345,7 +308,7 @@ def _worst_row(inst, input_model):
     if kind == "inversion":
         b_mat = _worst_inversion_direction(op, r, s)
     else:
-        _, y, _ = _extremal_pair(op.a, r, s, op.max_enum_dim, _op=op)
+        _, y, _ = _extremal_pair(op, r, s)
         x = inst.exact
         b_mat = rank_one_interpolator(x / vector_norm(x, r), y, r, s)
     towards = -b_mat
@@ -512,12 +475,7 @@ def estimate_condition(
     s = norm_index(s)
     config = config or EstimatorConfig()
     a = np.asarray(a, dtype=np.float64)
-    if kind != "inversion":
-        if vec is None:
-            raise ValueError(f"{kind} needs a vector argument")
-        vec = np.asarray(vec, dtype=np.float64)
-        if not np.any(vec != 0.0):
-            raise ZeroVector(f"{kind} requires a nonzero vector")
+    vec = _problem_vector(kind, vec)
     default_in, default_out = _default_models(kind, r, s)
     input_model = input_model or default_in
     output_model = output_model or default_out
@@ -586,7 +544,7 @@ def _perturbed_outputs(inst, da, db):
     whose matrix is nonsingular within tolerance, in order, or None if there
     are none; the mask of those whose matrix is singular)."""
     a, vec = inst.op.a, inst.vec
-    lu, perm, _, singular = _lu_raw(a + da, DEFAULT_PIVOT_TOL)
+    lu, perm, _, singular = _lu_raw(a + da)
     ok = ~singular
     if not ok.any():
         return None, singular
@@ -676,5 +634,5 @@ def _ratios(inst, input_model, output_model, config):
                 f"{config.max_attempts} resampling rounds"
             )
         if worst_crossed:
-            raise _singular_at(delta * op.norm(inst.r, inst.s))
+            raise _singular_at(delta)
         yield ratios, resampled, directional

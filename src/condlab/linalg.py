@@ -78,7 +78,7 @@ class LUFactors:
     parity: np.ndarray
 
 
-def _lu_raw(a, pivot_tol):
+def _lu_raw(a):
     """Batched LU, no raising: returns (packed LU, perm, parity, singular mask).
 
     The stack is factored in a batch-last working array ``w`` of shape
@@ -87,10 +87,10 @@ def _lu_raw(a, pivot_tol):
     rank-1 update each run over rows as long as the batch.  Every matrix
     goes through the same scalar operations as in a matrix-by-matrix
     elimination: the first largest |pivot| wins, a matrix is singular once
-    a pivot falls to ``pivot_tol * max|a_ij|`` or below, and from then on
-    its multipliers are divided by 1.  So each matrix gets the same bits
-    alone as inside a stack.  The results come back C-contiguous in the
-    ``(..., n, n)`` layout.
+    a pivot falls to ``DEFAULT_PIVOT_TOL * max|a_ij|`` or below, and from
+    then on its multipliers are divided by 1.  So each matrix gets the same
+    bits alone as inside a stack.  The results come back C-contiguous in
+    the ``(..., n, n)`` layout.
 
     Elements flagged singular carry garbage factors; callers must mask.
     """
@@ -122,7 +122,7 @@ def _lu_raw(a, pivot_tol):
             w[k] = row
             parity = np.where(moved, -parity, parity)
         piv = w[k, k]
-        singular |= np.abs(piv) <= pivot_tol * amax
+        singular |= np.abs(piv) <= DEFAULT_PIVOT_TOL * amax
         safe = np.where(singular, 1.0, piv)
         if k + 1 < n:
             f = w[k + 1 :, k] / safe
@@ -136,14 +136,14 @@ def _lu_raw(a, pivot_tol):
     )
 
 
-def lu_decompose(a, pivot_tol=DEFAULT_PIVOT_TOL):
+def lu_decompose(a):
     """LU with partial row pivoting.
 
     Raises SingularMatrix when any pivot magnitude falls to
-    ``pivot_tol * max|a_ij|`` or below, i.e. the input sits within tolerance
-    of the singular set.
+    ``DEFAULT_PIVOT_TOL * max|a_ij|`` or below, i.e. the input sits within
+    tolerance of the singular set.
     """
-    lu, perm, parity, singular = _lu_raw(a, pivot_tol)
+    lu, perm, parity, singular = _lu_raw(a)
     if np.any(singular):
         raise SingularMatrix("pivot below tolerance; matrix is singular within tolerance")
     n = lu.shape[-1]
@@ -168,14 +168,14 @@ def _lu_solve_packed(lu, perm, b):
     return x
 
 
-def solve(a, b, pivot_tol=DEFAULT_PIVOT_TOL):
+def solve(a, b):
     """Solve A x = b by LU forward/back substitution, without forming A^-1.
 
     ``b`` may be a vector ``(..., n)`` or a block of right-hand sides
     ``(..., n, k)``.
     """
     a = as_square(a)
-    lu, perm, _, singular = _lu_raw(a, pivot_tol)
+    lu, perm, _, singular = _lu_raw(a)
     if np.any(singular):
         raise SingularMatrix("cannot solve: matrix is singular within tolerance")
     b = np.asarray(b, dtype=np.float64)
@@ -186,7 +186,7 @@ def solve(a, b, pivot_tol=DEFAULT_PIVOT_TOL):
     return x[..., 0] if vector_rhs else x
 
 
-def invert(a, pivot_tol=DEFAULT_PIVOT_TOL):
+def invert(a):
     """Explicit inverse via LU against identity columns.
 
     The residuals ``A @ invert(A) - I`` and ``invert(A) @ A - I`` are small
@@ -194,7 +194,7 @@ def invert(a, pivot_tol=DEFAULT_PIVOT_TOL):
     proportionally and are not asserted here.
     """
     a = as_square(a)
-    lu, perm, _, singular = _lu_raw(a, pivot_tol)
+    lu, perm, _, singular = _lu_raw(a)
     if np.any(singular):
         raise SingularMatrix("cannot invert: matrix is singular within tolerance")
     n = a.shape[-1]

@@ -52,6 +52,9 @@ _COMPATIBLE = {
 
 _POINTWISE_SLACK = 1.0 - 1e-12  # float slack on the per-sample kappa bound
 
+#: Trials drawn and reduced per batch; summaries do not depend on it.
+_CHUNK_TRIALS = 4096
+
 
 def ensemble_kind(name):
     name = str(name).strip().lower().replace("-", "_")
@@ -66,7 +69,6 @@ class ExperimentConfig:
     sizes: tuple
     trials: int
     seed: int = 0
-    chunk_size: int = 4096
 
     def __post_init__(self):
         object.__setattr__(self, "ensemble", ensemble_kind(self.ensemble))
@@ -183,8 +185,8 @@ def run_experiment(config, statistic):
         values = []
         columns = []
         pointwise_bad = 0
-        for start in range(0, config.trials, config.chunk_size):
-            idx = np.arange(start, min(start + config.chunk_size, config.trials))
+        for start in range(0, config.trials, _CHUNK_TRIALS):
+            idx = np.arange(start, min(start + _CHUNK_TRIALS, config.trials))
             keys = rng.substream(config.seed, si, idx)
             if config.ensemble == "ql_pushforward":
                 # log_kappa only: kappa_2(L) = kappa_2(A), so the QL step is skipped

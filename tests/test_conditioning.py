@@ -198,3 +198,56 @@ def test_kappa_is_a_product_of_value_only_norms(monkeypatch):
     assert linalg.singular_values(a + e)[-1] <= 1e-12 * linalg.singular_values(a)[0]
     assert d == pytest.approx(1.0 / norms.operator_norm_values(linalg.invert(a), 2, 2),
                               rel=1e-12)
+
+
+def test_operand_inverse_is_invert_and_read_only():
+    a = gaussian(310, 0, shape=(6, 6))
+    b = gaussian(310, 1, shape=(6, 2))
+    op = cond._Operand(a, norms.DEFAULT_MAX_ENUM_DIM)
+    want = linalg.invert(a)
+    assert op.inverse.shape == want.shape and op.inverse.tobytes() == want.tobytes()
+    assert op.solve(b).tobytes() == linalg.solve(a, b).tobytes()
+    for x in (op.inverse, *op.factors):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0
+
+
+def test_singular_operand_raises_and_kappa_is_inf():
+    a = np.array([[1.0, 2.0], [2.0, 4.0]])
+    op = cond._Operand(a, norms.DEFAULT_MAX_ENUM_DIM)
+    reads = (lambda: op.factors, lambda: op.inverse, lambda: op.solve(np.ones((2, 1))),
+             lambda: op.norm(2, 2, inverse=True))
+    for read in reads:
+        with pytest.raises(SingularMatrix, match="^cannot invert: matrix is singular"):
+            read()
+    assert isinf(cond.kappa(a, 2, 2, _op=op))
+    assert op.norm(2, 2) == pytest.approx(5.0, rel=1e-14)  # A's own norms still work
+    for r, s in ALL_PAIRS:
+        assert isinf(cond.kappa(a, r, s))
+
+
+@pytest.mark.parametrize("r,s", ALL_PAIRS)
+def test_operand_takes_each_norm_once(monkeypatch, r, s):
+    # one memo: a value and an attainer, of A and of A^-1, each computed
+    # once; at the enumeration pairs the value is the attainer's value
+    a = gaussian(311, 0, shape=(5, 5))
+    op = cond._Operand(a, norms.DEFAULT_MAX_ENUM_DIM)
+    calls = []
+
+    def spy(name):
+        fn = getattr(cond, name)
+        return lambda *args: calls.append(name) or fn(*args)
+
+    for name in ("operator_norm", "operator_norm_values"):
+        monkeypatch.setattr(cond, name, spy(name))
+    for m, inverse in ((a, False), (linalg.invert(a), True)):
+        for _ in range(2):
+            value = op.norm(r, s, inverse=inverse)
+            res = op.norm(r, s, inverse=inverse, attainer=True)
+        assert type(value) is float and value == float(norms.operator_norm_values(m, r, s))
+        want = norms.operator_norm(m, r, s)
+        assert res.value == want.value and np.array_equal(res.attainer, want.attainer)
+    enumerated = (norms.norm_index(r), norms.norm_index(s)) in norms.ENUMERATION_PAIRS
+    once = ["operator_norm"] if enumerated else ["operator_norm_values", "operator_norm"]
+    assert calls == once * 2

@@ -334,10 +334,10 @@ def test_solve_both_samples_on_the_rs_and_s_spheres(monkeypatch, r, s):
     seen_a, seen_b = [], []
     lu_raw, lu_solve = emp._lu_raw, emp._lu_solve_packed
 
-    def spy_lu(m, tol):
+    def spy_lu(m):
         if m.ndim == 3:
             seen_a.append(m[:-1] - a)
-        return lu_raw(m, tol)
+        return lu_raw(m)
 
     def spy_solve(lu, perm, rhs):
         if rhs.ndim == 3:
@@ -367,9 +367,9 @@ def test_one_factorization_of_a_per_estimate(monkeypatch, kind):
     factored, inverted = [], []
     lu_raw, invert = linalg._lu_raw, linalg.invert
 
-    def spy_lu(m, tol):
+    def spy_lu(m):
         factored.append(np.array_equal(m, a))
-        return lu_raw(m, tol)
+        return lu_raw(m)
 
     def spy_invert(m, *args, **kwargs):
         inverted.append(np.array_equal(m, a))
@@ -429,6 +429,27 @@ def test_one_value_only_svd_of_the_inverse_per_estimate(monkeypatch, kind):
     config = emp.EstimatorConfig(deltas=(1e-6, 1e-7), samples_per_delta=20, seed=22)
     emp.estimate_condition(kind, a, b, 2, 2, config=config)
     assert sum(value_only) == 1
+
+
+@pytest.mark.parametrize("r,s", norms.ENUMERATION_PAIRS)
+def test_one_enumeration_of_a_per_matvec_estimate(monkeypatch, r, s):
+    # the closed form's ||A||_rs and the attainer of matvec's worst direction
+    # share one search of A's sign vectors
+    a = gaussian(427, 0, shape=(6, 6))
+    x = gaussian(427, 1, shape=(6,))
+    t = a if r == np.inf else a.T
+    scaled = np.ldexp(t, -np.frexp(np.max(np.abs(t)))[1])
+    searched = []
+    best_signs = norms._best_signs
+
+    def spy(stack, p):
+        searched.extend(np.array_equal(m, scaled) for m in stack)
+        return best_signs(stack, p)
+
+    monkeypatch.setattr(norms, "_best_signs", spy)
+    config = emp.EstimatorConfig(deltas=(1e-6, 1e-7), samples_per_delta=20, seed=35)
+    emp.estimate_condition("matvec", a, x, r, s, config=config)
+    assert sum(searched) == 1
 
 
 PAIRS = [(r, s) for r in (1, 2, "inf") for s in (1, 2, "inf")]
@@ -578,9 +599,9 @@ def test_sweep_factors_a_once_and_enumerates_each_inverse_norm_once(monkeypatch)
     factored, searched = [], []
     lu_raw, best_signs = linalg._lu_raw, norms._best_signs
 
-    def spy_lu(m, tol):
+    def spy_lu(m):
         factored.append(np.array_equal(m, a))
-        return lu_raw(m, tol)
+        return lu_raw(m)
 
     def spy_search(t, s):
         for m in t:
@@ -684,7 +705,8 @@ def _unfolded_directional(kind, a, b, r, s, delta, input_model):
         e = emp.worst_inversion_perturbation(a, r, s, size)
         return emp.relerror(linalg.invert(a - e), linalg.invert(a), emp.normwise(s, r)) / delta
     x = linalg.solve(a, b)
-    _, y, _ = conditioning._extremal_pair(a, r, s, norms.DEFAULT_MAX_ENUM_DIM)
+    _, y, _ = conditioning._extremal_pair(
+        conditioning._Operand(a, norms.DEFAULT_MAX_ENUM_DIM), r, s)
     a_tilde = a - size * norms.rank_one_interpolator(x / norms.vector_norm(x, r), y, r, s)
     if kind == "solve_fixed_b":
         return emp.relerror(linalg.solve(a_tilde, b), x, emp.normwise(r)) / delta
@@ -716,12 +738,14 @@ def test_singular_worst_direction_raises_delta_too_large(kind):
     # at delta = 1/kappa the worst direction reaches the singular set; the
     # random samples of that delta do not
     # for the solve kinds b = A v, v the last right singular vector of A, so
-    # that A^-1 b is parallel to A^-1 y
-    a = conditioned(426, 5, 1e5)
-    b = None if kind == "inversion" else a @ np.linalg.svd(a)[2][-1]
+    # that A^-1 b is parallel to A^-1 y; the message names the delta of the
+    # schedule, not delta ||A||_rs, also for ||A||_rs = 4
     config = emp.EstimatorConfig(samples_per_delta=50, seed=34)
-    with pytest.raises(DeltaTooLarge, match=r"^A - E is singular at delta=1e-05$"):
-        emp.estimate_condition(kind, a, b, config=config)
+    for scale in (1.0, 4.0):
+        a = scale * conditioned(426, 5, 1e5)
+        b = None if kind == "inversion" else a @ np.linalg.svd(a)[2][-1]
+        with pytest.raises(DeltaTooLarge, match=r"^A - E is singular at delta=1e-05$"):
+            emp.estimate_condition(kind, a, b, config=config)
 
 
 @pytest.mark.parametrize("kind", ("inversion", "solve_fixed_b", "solve_both"))

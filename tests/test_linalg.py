@@ -89,12 +89,12 @@ def _lu_oracle_cases(n):
 def test_lu_raw_matches_scalar_reference_bitwise(n):
     cases = _lu_oracle_cases(n)
     stack = np.stack(cases).reshape(2, 3, n, n)
-    lu, perm, parity, singular = linalg._lu_raw(stack, linalg.DEFAULT_PIVOT_TOL)
+    lu, perm, parity, singular = linalg._lu_raw(stack)
     assert lu.shape == (2, 3, n, n) and perm.shape == parity.shape + (n,) == (2, 3, n)
     assert lu.flags.c_contiguous and perm.flags.c_contiguous
     for i, a in enumerate(cases):
         want = _lu_reference(a, linalg.DEFAULT_PIVOT_TOL)
-        alone = linalg._lu_raw(a, linalg.DEFAULT_PIVOT_TOL)
+        alone = linalg._lu_raw(a)
         inside = tuple(x[divmod(i, 3)] for x in (lu, perm, parity, singular))
         for g in (alone, inside):
             assert np.array_equal(g[0], want[0]), i

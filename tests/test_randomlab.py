@@ -121,19 +121,28 @@ def test_incompatible_statistic():
         rl.run_experiment(config, "log_kappa")
 
 
-def test_experiment_determinism_across_chunking():
-    base = dict(ensemble="unit_lower_gaussian", sizes=(2, 3), trials=500, seed=12)
-    one = rl.run_experiment(rl.ExperimentConfig(**base, chunk_size=64), "frob_inv_sq")
-    two = rl.run_experiment(rl.ExperimentConfig(**base, chunk_size=4096), "frob_inv_sq")
-    assert dataclasses.asdict(one) == dataclasses.asdict(two)
+def _chunked(monkeypatch, chunk, config, statistic):
+    """The summary of ``config`` run in batches of ``chunk`` trials."""
+    batches = []
+    substream = rng.substream
+    monkeypatch.setattr(rng, "substream", lambda *key: batches.append(key) or substream(*key))
+    monkeypatch.setattr(rl, "_CHUNK_TRIALS", chunk)
+    summary = dataclasses.asdict(rl.run_experiment(config, statistic))
+    assert len(batches) == len(config.sizes) * -(-config.trials // chunk)
+    return summary
 
 
-def test_log_kappa_determinism_across_chunking():
+def test_experiment_determinism_across_chunking(monkeypatch):
+    config = rl.ExperimentConfig("unit_lower_gaussian", sizes=(2, 3), trials=500, seed=12)
+    one = _chunked(monkeypatch, 64, config, "frob_inv_sq")
+    assert one == _chunked(monkeypatch, 4096, config, "frob_inv_sq")
+
+
+def test_log_kappa_determinism_across_chunking(monkeypatch):
     for ensemble, sizes in (("lower_gaussian", (5, 10)), ("ql_pushforward", (8, 16))):
-        base = dict(ensemble=ensemble, sizes=sizes, trials=300, seed=14)
-        one = rl.run_experiment(rl.ExperimentConfig(**base, chunk_size=37), "log_kappa")
-        two = rl.run_experiment(rl.ExperimentConfig(**base, chunk_size=4096), "log_kappa")
-        assert dataclasses.asdict(one) == dataclasses.asdict(two)
+        config = rl.ExperimentConfig(ensemble, sizes=sizes, trials=300, seed=14)
+        one = _chunked(monkeypatch, 37, config, "log_kappa")
+        assert one == _chunked(monkeypatch, 4096, config, "log_kappa")
 
 
 def test_sampler_determinism():
