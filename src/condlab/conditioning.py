@@ -17,7 +17,10 @@ divides by ||A^-1||.
 Every function here reads A, A^-1 and their norms from one
 :class:`_Operand`.  It factors A at most once, by the calls that
 :func:`~condlab.linalg.invert` makes, so A^-1 has the bits of
-``invert(A)``, and it computes each norm of A and of A^-1 at most once.
+``invert(A)``: LU factors kept in linalg's batch-last layout, and a
+substitution in linalg's one fixed order, which gives a matrix the same
+bits alone as inside the estimator's stacks.  It computes each norm of A
+and of A^-1 at most once.
 Norms are values from the value-only core
 (:func:`~condlab.norms.operator_norm_values`, LAPACK at (2,2)), except at
 the enumeration pairs, where the value is that of
@@ -44,7 +47,7 @@ from .errors import SingularMatrix, ZeroVector
 
 # ``invert`` is not called here; it stays bound because the benchmark's
 # tracing (bench/tracing.py) wraps it by this name.
-from .linalg import as_square, invert  # noqa: F401
+from .linalg import as_matrix, as_square, invert  # noqa: F401
 from .norms import (
     DEFAULT_MAX_ENUM_DIM,
     ENUMERATION_PAIRS,
@@ -65,14 +68,22 @@ def problem_kind(kind):
     return kind
 
 
-def _problem_vector(kind, vec):
-    """The vector of ``kind`` as float64; raises ValueError when a kind other
-    than inversion has none, and ZeroVector when it is zero."""
+def _problem_vector(kind, vec, n):
+    """The vector of ``kind`` as float64 for a matrix with ``n`` columns;
+    raises ValueError when a kind other than inversion has none, or one that
+    is not 1-d or not of length n, and ZeroVector when it is zero."""
     if kind == "inversion":
         return vec
     if vec is None:
         raise ValueError(f"{kind} needs a vector argument")
     vec = np.asarray(vec, dtype=np.float64)
+    if vec.ndim != 1:
+        raise ValueError(f"{kind} needs a 1-d vector, got an array of shape {vec.shape}")
+    if len(vec) != n:
+        raise ValueError(
+            f"{kind} needs a vector of length {n} for a matrix with {n} columns, "
+            f"got length {len(vec)}"
+        )
     if not np.any(vec != 0.0):
         raise ZeroVector(f"{kind} requires a nonzero vector")
     return vec
@@ -105,10 +116,12 @@ class _Operand:
 
     A is factored only when something asks, by the same ``_lu_raw`` and
     ``_lu_solve_packed`` calls that ``invert`` and ``solve`` make, so A^-1
-    and every solve have their bits.  Matvec needs A^-1 only for the kappa
-    and alpha of its closed form, so a singular A leaves those out.  The
-    factors and A^-1 are read-only, because the estimator's operand memo
-    shares them.
+    and every solve have their bits.  The factors are ``_lu_raw``'s views
+    of its batch-last working arrays, and every solve substitutes in the
+    fixed order that ``_lu_solve_packed`` documents.  Matvec needs A^-1 only
+    for the kappa and alpha of its closed form, so a singular A leaves those
+    out.  The factors and A^-1 are read-only, because the estimator's
+    operand memo shares them.
     """
 
     def __init__(self, a, max_enum_dim):
@@ -181,8 +194,8 @@ def condition_closed_form(
     kind = problem_kind(kind)
     r = norm_index(r)
     s = norm_index(s)
-    a = np.asarray(a, dtype=np.float64)
-    vec = _problem_vector(kind, vec)
+    a = as_matrix(a)
+    vec = _problem_vector(kind, vec, a.shape[-1])
     op = _op or _Operand(a, max_enum_dim)
 
     if kind in ("inversion", "solve_fixed_b"):
@@ -219,9 +232,7 @@ def mixed_condition(a, b, r=2, s=2, max_enum_dim=DEFAULT_MAX_ENUM_DIM, *, _op=No
     r = norm_index(r)
     s = norm_index(s)
     a = as_square(a)
-    b = np.asarray(b, dtype=np.float64)
-    if not np.any(b != 0.0):
-        raise ZeroVector("mixed condition number requires b != 0")
+    b = _problem_vector("solve_both", b, a.shape[-1])
     op = _op or _Operand(a, max_enum_dim)
     inv_norm = op.norm(s, r, inverse=True)
     kap = op.norm(r, s) * inv_norm

@@ -50,6 +50,11 @@ built once as well, and only its length follows delta.  For the kinds that
 perturb A, the worst direction rides the first stack of samples of each
 delta as one more row, through the same LU, solve and error calls; LU,
 solves and norms give each matrix the same bits alone as inside a stack.
+The perturbed matrices A + dA, the samples' and the worst row's, are
+written into one batch-last buffer ``(n, n, samples + 1)`` from a
+batch-last copy of the memoized draw, and the LU factors and solves work
+on it in that layout (see :mod:`condlab.linalg`), so no stack is
+concatenated or transposed on its way to the solutions.
 The reported estimate is the max of sampled and directional ratios at the
 smallest delta; no extrapolation is applied.
 """
@@ -76,7 +81,7 @@ from .errors import DeltaTooLarge, SingularMatrix, ZeroComponent, ZeroVector
 # ``invert``, ``solve`` and ``operator_norm`` are not called here; they stay
 # bound because the benchmark's tracing (bench/tracing.py) wraps them by
 # these names.
-from .linalg import _lu_raw, _lu_solve_packed, as_square, invert, solve  # noqa: F401
+from .linalg import _lu_raw, _lu_solve_packed, as_matrix, as_square, invert, solve  # noqa: F401
 from .norms import (  # noqa: F401
     DEFAULT_MAX_ENUM_DIM,
     norm_index,
@@ -366,11 +371,12 @@ class EstimateReport:
 
 
 def _draw(keys, shape, sample):
-    """(the normal draw of ``keys`` of ``shape``, a dict of its norms).
+    """(the normal draw of ``keys`` of ``shape``, a dict of what derives from it).
 
     The draw is read-only and comes from ``sample()`` unless one of the last
     draws in the memo had the same keys and shape; the dict is the caller's
-    to fill with the draw's read-only normwise norms."""
+    to fill with read-only arrays derived from the draw: its normwise norms,
+    and for a stack of matrices its batch-last copy."""
     return _draws.get(
         (keys.tobytes(), keys.shape, shape),
         lambda: (_read_only(sample()), {}),
@@ -401,24 +407,31 @@ def _sphere_matrices(op, deltas, keys, model):
     """Perturbations of the matrix of the operand ``op`` on the delta-sphere
     of ``model``, one per key, for each of ``deltas`` in turn: the directions
     and their norms come from the memo, and are rescaled lazily for every
-    delta.  The radius reads ||A||_rs from ``op``."""
+    delta.  The radius reads ||A||_rs from ``op``.
+
+    Each stack has the shape ``(keys, n, m)`` and batch-last memory: it is
+    scaled from the memo's batch-last copy of the draw, while the norms are
+    taken on the draw itself."""
     base = op.a
     n, m = base.shape
-    g, gnorms = _draw(keys, (n, m), lambda: rng.normal_matrix(keys, n, m))
+    g, derived = _draw(keys, (n, m), lambda: rng.normal_matrix(keys, n, m))
+    if "batch_last" not in derived:
+        derived["batch_last"] = _read_only(np.moveaxis(np.moveaxis(g, 0, -1).copy(), -1, 0))
+    directions = derived["batch_last"]
     if model.mode == NORMWISE:
         norm_key = model.r, model.s, op.max_enum_dim
-        if norm_key not in gnorms:
-            gnorms[norm_key] = _read_only(operator_norm_values(g, *norm_key))
-        gnorm = gnorms[norm_key]
+        if norm_key not in derived:
+            derived[norm_key] = _read_only(operator_norm_values(g, *norm_key))
+        gnorm = derived[norm_key]
         ref = op.norm(model.r, model.s)
-        return ((delta * ref / gnorm)[:, None, None] * g for delta in deltas)
+        return ((delta * ref / gnorm)[:, None, None] * directions for delta in deltas)
     if np.any(base == 0.0):
         raise ZeroComponent("componentwise perturbation of a zero entry")
     flat = np.abs(g.reshape(g.shape[0], -1))
     if model.mode == COMPONENTWISE_MAX:
-        unit = g / np.max(flat, axis=1)[:, None, None]
+        unit = directions / np.max(flat, axis=1)[:, None, None]
     else:
-        unit = g / np.sum(flat, axis=1)[:, None, None]
+        unit = directions / np.sum(flat, axis=1)[:, None, None]
     return (delta * np.abs(base) * unit for delta in deltas)
 
 
@@ -474,8 +487,8 @@ def estimate_condition(
     r = norm_index(r)
     s = norm_index(s)
     config = config or EstimatorConfig()
-    a = np.asarray(a, dtype=np.float64)
-    vec = _problem_vector(kind, vec)
+    a = as_matrix(a)
+    vec = _problem_vector(kind, vec, a.shape[-1])
     default_in, default_out = _default_models(kind, r, s)
     input_model = input_model or default_in
     output_model = output_model or default_out
@@ -539,22 +552,34 @@ def _perturbations(inst, blocks, deltas, seed, path):
             for delta in deltas)
 
 
-def _perturbed_outputs(inst, da, db):
-    """(the exact outputs of the perturbed problems A + dA, with b + db or b,
-    whose matrix is nonsingular within tolerance, in order, or None if there
-    are none; the mask of those whose matrix is singular)."""
-    a, vec = inst.op.a, inst.vec
-    lu, perm, _, singular = _lu_raw(a + da)
+def _plus(base, d, last=None):
+    """``base + d`` for a stack ``d`` of perturbations of ``base``, with
+    ``base + last`` as one more member at the end when given, in one
+    batch-last buffer; returned as its ``(members,) + base.shape`` view."""
+    members = len(d) + (last is not None)
+    out = np.moveaxis(np.empty(base.shape + (members,)), -1, 0)
+    np.add(base, d, out=out[: len(d)])
+    if last is not None:
+        np.add(base, last, out=out[-1])
+    return out
+
+
+def _perturbed_outputs(inst, a_tilde, b_tilde):
+    """(the exact outputs of the perturbed problems with matrices ``a_tilde``
+    and right-hand sides ``b_tilde``, or b when that is None, whose matrix is
+    nonsingular within tolerance, in order, or None if there are none; the
+    mask of those whose matrix is singular)."""
+    lu, perm, _, singular = _lu_raw(a_tilde)
     ok = ~singular
     if not ok.any():
         return None, singular
     if not ok.all():
         lu, perm = lu[ok], perm[ok]
-        db = None if db is None else db[ok]
+        b_tilde = None if b_tilde is None else b_tilde[ok]
     if inst.kind == "inversion":
-        eye = np.broadcast_to(np.eye(a.shape[-1]), lu.shape)
+        eye = np.broadcast_to(np.eye(lu.shape[-1]), lu.shape)
         return _lu_solve_packed(lu, perm, eye), singular
-    rhs = np.broadcast_to(vec, lu.shape[:-1]) if db is None else vec + db
+    rhs = np.broadcast_to(inst.vec, lu.shape[:-1]) if b_tilde is None else b_tilde
     return _lu_solve_packed(lu, perm, rhs[..., None])[..., 0], singular
 
 
@@ -607,8 +632,8 @@ def _ratios(inst, input_model, output_model, config):
     first = _perturbations(inst, blocks, config.deltas, config.seed, (0, idx, 0))
     for di, (delta, (da, db)) in enumerate(zip(config.deltas, first)):
         w_da, w_db, divisor = worst(delta)
-        da = np.concatenate((da, w_da[None]))
-        db = None if db is None else np.concatenate((db, w_db[None]))
+        a_tilde = _plus(op.a, da, w_da)
+        b_tilde = None if db is None else _plus(vec, db, w_db)
         ratios = np.empty(len(idx))
         pending, resampled = idx, 0
         for attempt in range(config.max_attempts + 1):
@@ -617,7 +642,9 @@ def _ratios(inst, input_model, output_model, config):
             if attempt:
                 path = (di, pending, attempt)
                 da, db = next(_perturbations(inst, blocks, (delta,), config.seed, path))
-            out, singular = _perturbed_outputs(inst, da, db)
+                a_tilde = _plus(op.a, da)
+                b_tilde = None if db is None else _plus(vec, db)
+            out, singular = _perturbed_outputs(inst, a_tilde, b_tilde)
             values = None if out is None else err(out)
             if not attempt:  # the last row is the worst direction's
                 worst_crossed, singular = singular[-1], singular[:-1]

@@ -6,13 +6,21 @@ Everything works in binary64 and accepts stacked inputs: a shape
 carries the leading batch dimensions.  The Monte Carlo modules lean on this
 to evaluate thousands of small factorizations per numpy call.
 
-LU factors a stack in a batch-last working array ``(n, n, batch)``, so each
-step of the elimination is a few operations on contiguous rows as long as
-the batch.  Every matrix still goes through the same scalar operations in
-the same order as it would alone, so its packed factors, permutation,
-parity and singular flag are bitwise the same whether it is factored alone
-or inside any stack, and they come back C-contiguous in the ``(..., n, n)``
-layout that the triangular solves read.
+LU and the solves keep a stack batch-last in memory: the arrays have the
+logical shapes ``(..., n, n)``, ``(..., n)`` and ``(..., n, k)``, but the
+working arrays are ``(n, n, batch)``, ``(n, batch)`` and ``(n, k, batch)``,
+so each step of the elimination or the substitution is a few operations on
+contiguous rows as long as the batch.  ``_lu_raw`` returns its factors as
+views of those working arrays and ``_lu_solve_packed`` reads them without a
+copy; only the solution comes back C-contiguous.  When every matrix of a
+stack picks the same pivot row, which is the case for small perturbations
+of one matrix, the rows are swapped by slices.  Every matrix still goes
+through the same scalar operations in the same order as it would alone, so
+its packed factors, permutation, parity and singular flag, and every
+solution and inverse, are bitwise the same whether it is handled alone or
+inside any stack.  The substitutions run in one fixed, documented order
+(see ``_lu_solve_packed``) with no dot products, so their bits depend on
+neither the batch nor the BLAS.
 
 Singular values have one entry point, ``_jacobi``, and one engine, LAPACK
 (``np.linalg.svd``): value-only stacks skip the singular vectors, and the
@@ -28,6 +36,7 @@ All functions are pure; inputs are never modified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,33 +93,92 @@ def _lu_raw(a):
     The stack is factored in a batch-last working array ``w`` of shape
     ``(n, n, batch)``: row i of every matrix is the contiguous block
     ``w[i]``, so the pivot search, the row swaps, the pivot test and the
-    rank-1 update each run over rows as long as the batch.  Every matrix
-    goes through the same scalar operations as in a matrix-by-matrix
-    elimination: the first largest |pivot| wins, a matrix is singular once
-    a pivot falls to ``DEFAULT_PIVOT_TOL * max|a_ij|`` or below, and from
-    then on its multipliers are divided by 1.  So each matrix gets the same
-    bits alone as inside a stack.  The results come back C-contiguous in
-    the ``(..., n, n)`` layout.
+    rank-1 update each run over rows as long as the batch.  A transposed
+    view of such a buffer (what ``np.moveaxis(buf, -1, 0)`` gives) is
+    copied into ``w`` without transposing.  Every matrix goes through the
+    same scalar operations as in a matrix-by-matrix elimination: the first
+    largest |pivot| wins, a matrix is singular once a pivot falls to
+    ``DEFAULT_PIVOT_TOL * max|a_ij|`` or below, and from then on its
+    multipliers are divided by 1.  So each matrix gets the same bits alone
+    as inside a stack.
 
-    Elements flagged singular carry garbage factors; callers must mask.
+    At each step the first matrix's pivot row is checked against every
+    matrix with elementwise compares; when all agree, which they do for
+    small perturbations of one matrix, that row pair of ``w`` and of the
+    permutations is swapped by slices and every parity flips at once.
+    Otherwise each matrix's pivot is found by ``argmax`` and exchanged
+    through flat indices.  A single matrix is eliminated on its own
+    ``(n, n)`` rows.
+
+    The packed factors and the permutation come back in the ``(..., n, n)``
+    and ``(..., n)`` shapes as transposed views of the working arrays, so
+    their memory is batch-last, which is what :func:`_lu_solve_packed`
+    reads.  Elements flagged singular carry garbage factors; callers must
+    mask.
     """
     a = as_square(a)
     lead = a.shape[:-2]
     n = a.shape[-1]
     w = a.reshape(-1, n, n).transpose(1, 2, 0).copy()
-    nb = w.shape[-1]
+    limit = DEFAULT_PIVOT_TOL * np.max(np.abs(w), axis=(0, 1))
+    if w.shape[-1] == 1:
+        perm, parity, singular = _eliminate_one(w[..., 0], limit[0])
+    else:
+        perm, parity, singular = _eliminate_stack(w, limit)
+    return (
+        w.transpose(2, 0, 1).reshape(lead + (n, n)),
+        perm.T.reshape(lead + (n,)),
+        parity.reshape(lead),
+        singular.reshape(lead),
+    )
+
+
+def _eliminate_one(w, limit):
+    """Eliminate one matrix in place on its rows ``w``; (perm as ``(n, 1)``,
+    parity, singular flag) as arrays of one matrix."""
+    n = len(w)
+    perm = np.arange(n)
+    parity, singular = 1.0, False
+    for k in range(n - 1):
+        p = k + int(np.argmax(np.abs(w[k:, k])))
+        if p != k:
+            w[[k, p]] = w[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+            parity = -parity
+        singular = singular or bool(abs(w[k, k]) <= limit)
+        f = w[k + 1 :, k]
+        if not singular:
+            f /= w[k, k]
+        w[k + 1 :, k + 1 :] -= f[:, None] * w[k, k + 1 :]
+    singular = singular or bool(abs(w[-1, -1]) <= limit)
+    return perm[:, None], np.array([parity]), np.array([singular])
+
+
+def _eliminate_stack(w, limit):
+    """Eliminate the batch-last stack ``w`` in place; (perm as ``(n, batch)``,
+    parity, singular mask)."""
+    n, _, nb = w.shape
     perm = np.arange(n).repeat(nb).reshape(n, nb)
     parity = np.ones(nb)
     singular = np.zeros(nb, dtype=bool)
-    amax = np.max(np.abs(w), axis=(0, 1))
-    # a row swap moves w[k] and w[k + j] through flat indices into w and perm
+    any_singular = False
+    # a split pivot moves w[k] and w[k + j] through flat indices into w and perm
     batch = np.arange(nb)
     w_flat, perm_flat = w.reshape(-1), perm.reshape(-1)
     row_offsets = np.arange(n)[:, None] * nb + batch
-    for k in range(n):
-        j = np.argmax(np.abs(w[k:, k]), axis=0)
-        moved = j != 0
-        if moved.any():
+    for k in range(n - 1):
+        col = np.abs(w[k:, k])
+        p = int(np.argmax(col[:, 0])) if nb else 0
+        # every matrix picks row k + p first iff no row above beats or ties
+        # it and no row below beats it (a NaN fails both compares)
+        if (col[:p] < col[p]).all() and (col[p + 1 :] <= col[p]).all():
+            if p:
+                w[[k, k + p]] = w[[k + p, k]]
+                perm[[k, k + p]] = perm[[k + p, k]]
+                np.negative(parity, out=parity)
+        else:
+            j = np.argmax(col, axis=0)
+            moved = j != 0
             piv_row = k + j
             at = piv_row * nb + batch
             row = perm_flat[at]
@@ -122,18 +190,16 @@ def _lu_raw(a):
             w[k] = row
             parity = np.where(moved, -parity, parity)
         piv = w[k, k]
-        singular |= np.abs(piv) <= DEFAULT_PIVOT_TOL * amax
-        safe = np.where(singular, 1.0, piv)
-        if k + 1 < n:
-            f = w[k + 1 :, k] / safe
-            w[k + 1 :, k] = f
-            w[k + 1 :, k + 1 :] -= f[:, None] * w[k, None, k + 1 :]
-    return (
-        np.ascontiguousarray(w.transpose(2, 0, 1)).reshape(lead + (n, n)),
-        np.ascontiguousarray(perm.T).reshape(lead + (n,)),
-        parity.reshape(lead),
-        singular.reshape(lead),
-    )
+        newly = np.abs(piv) <= limit
+        if any_singular or newly.any():
+            any_singular = True
+            singular |= newly
+            piv = np.where(singular, 1.0, piv)
+        f = w[k + 1 :, k]
+        f /= piv
+        w[k + 1 :, k + 1 :] -= f[:, None] * w[k, None, k + 1 :]
+    singular |= np.abs(w[-1, -1]) <= limit
+    return perm, parity, singular
 
 
 def lu_decompose(a):
@@ -154,18 +220,39 @@ def lu_decompose(a):
 
 
 def _lu_solve_packed(lu, perm, b):
-    """Solve with packed factors; ``b`` has shape ``lead + (n, k)``."""
-    n = lu.shape[-1]
-    x = np.take_along_axis(b, perm[..., :, None], axis=-2)
-    for i in range(1, n):
-        x[..., i, :] -= np.einsum("...j,...jk->...k", lu[..., i, :i], x[..., :i, :])
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            x[..., i, :] -= np.einsum(
-                "...j,...jk->...k", lu[..., i, i + 1 :], x[..., i + 1 :, :]
-            )
-        x[..., i, :] /= lu[..., i, i, None]
-    return x
+    """Solve with packed factors; ``b`` broadcasts to ``lead + (n, k)``.
+
+    The solve works on a batch-last array ``x`` of shape ``(n, k, batch)``,
+    so row i of every right-hand side of every matrix is the contiguous
+    block ``x[i]``; factors in the layout :func:`_lu_raw` returns are read
+    without a copy.  Both substitutions are right-looking column sweeps in
+    one fixed order.  Forward: for j = 0, ..., n-2, once row j of L y = P b
+    is final, ``x[i] -= l_ij * x[j]`` for every i > j.  Back: for j = n-1,
+    ..., 0, ``x[j] /= u_jj``, then ``x[i] -= u_ij * x[j]`` for every i < j.
+    So entry i of a solution is (((pb_i - l_i0 y_0) - l_i1 y_1) - ...) and
+    then ((((y_i - u_i,n-1 x_n-1) - ...) - u_i,i+1 x_i+1) / u_ii, each
+    product and difference rounded once, whatever the batch or the number
+    of right-hand sides.  The solution comes back C-contiguous.
+    """
+    lead, n, k = lu.shape[:-2], lu.shape[-1], b.shape[-1]
+    nb = math.prod(lead)
+    u = np.ascontiguousarray(lu.reshape(nb, n, n).transpose(1, 2, 0))
+    p = perm.reshape(nb, n).T
+    b = np.broadcast_to(b, lead + (n, k)).reshape(nb, n, k).transpose(1, 2, 0)
+    if nb and (p == p[:, :1]).all():
+        xw = np.ascontiguousarray(b[p[:, 0]])
+    else:
+        xw = np.ascontiguousarray(np.take_along_axis(b, p[:, None, :], axis=0))
+    x = xw
+    if nb == 1:  # one matrix: sweep its (n, n) and (n, k) rows
+        u, x = u[..., 0], x[..., 0]
+    for j in range(n - 1):
+        x[j + 1 :] -= u[j + 1 :, j, None] * x[j]
+    for j in range(n - 1, -1, -1):
+        x[j] /= u[j, j]
+        if j:
+            x[:j] -= u[:j, j, None] * x[j]
+    return np.ascontiguousarray(xw.transpose(2, 0, 1)).reshape(lead + (n, k))
 
 
 def solve(a, b):

@@ -243,6 +243,22 @@ def test_exit_code_bad_input(files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "matvec", "--samples", "5"],
+    ["cond", "solve-fixed-a"],
+    ["mixed"],
+])
+def test_exit_code_vector_of_the_wrong_length(tmp_path, capsys, argv):
+    matio.write_matrix_csv(tmp_path / "a.csv", np.eye(4) + 0.25)
+    matio.write_matrix_csv(tmp_path / "x.csv", np.ones((2, 1)))
+    argv = argv + ["--matrix", str(tmp_path / "a.csv"), "--vector", str(tmp_path / "x.csv")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs a vector of length 4 for a matrix with 4 columns, got length 2" in captured.err
+    assert "matmul" not in captured.err
+
+
 def test_exit_code_enum_dim(files, capsys, tmp_path):
     big = np.eye(25)
     path = tmp_path / "big.csv"

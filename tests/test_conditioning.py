@@ -43,6 +43,26 @@ def test_condition_closed_form_errors():
         cond.condition_closed_form("solve_fixed_a", np.ones((2, 2)), np.ones(2), 2, 2)
 
 
+@pytest.mark.parametrize("kind", ["matvec", "solve_fixed_a", "solve_fixed_b", "solve_both"])
+def test_vector_must_be_1d_and_match_the_matrix(kind):
+    # a typed ValueError naming both sizes, not numpy's matmul message
+    a = np.eye(4) + 0.25
+    with pytest.raises(ValueError, match="length 4 for a matrix with 4 columns, got length 2"):
+        cond.condition_closed_form(kind, a, np.ones(2))
+    with pytest.raises(ValueError, match=r"1-d vector, got an array of shape \(4, 1\)"):
+        cond.condition_closed_form(kind, a, np.ones((4, 1)))
+    if kind == "solve_both":
+        with pytest.raises(ValueError, match="length 4 .* got length 5"):
+            cond.mixed_condition(a, np.ones(5))
+
+
+def test_rectangular_matvec_takes_a_vector_of_its_column_count():
+    a = gaussian(206, 0, shape=(3, 2))
+    assert np.isfinite(cond.condition_closed_form("matvec", a, np.ones(2)).value)
+    with pytest.raises(ValueError, match="length 2 for a matrix with 2 columns, got length 3"):
+        cond.condition_closed_form("matvec", a, np.ones(3))
+
+
 def test_mixed_condition_example():
     r = cond.mixed_condition(np.diag([1.0, 2.0]), np.array([1.0, 1.0]), 2, 2)
     expected = 2.0 + sqrt(2.0) / sqrt(1.25)

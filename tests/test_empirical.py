@@ -32,6 +32,16 @@ def test_relerror_errors():
         emp.relerror([1.0], [0.0], emp.normwise(2))
 
 
+@pytest.mark.parametrize("kind", ["matvec", "solve_fixed_a", "solve_fixed_b", "solve_both"])
+def test_estimate_rejects_a_vector_that_does_not_match_the_matrix(kind):
+    a = np.eye(4) + 0.25
+    config = emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=5, seed=1)
+    with pytest.raises(ValueError, match="length 4 for a matrix with 4 columns, got length 2"):
+        emp.estimate_condition(kind, a, np.ones(2), config=config)
+    with pytest.raises(ValueError, match="1-d vector"):
+        emp.estimate_condition(kind, a, np.ones((1, 4)), config=config)
+
+
 def test_relerror_matrix_normwise_uses_operator_norm():
     a = np.eye(2)
     at = a + np.array([[0.0, 0.1], [0.0, 0.0]])

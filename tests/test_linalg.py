@@ -45,16 +45,18 @@ def _lu_reference(a, tol):
     The first largest |pivot| wins; the matrix is singular once a pivot is
     at most tol * max|a_ij|, and from then on its multipliers are divided
     by 1, which is what ``_lu_raw`` promises for every matrix of a stack.
+    The fifth result lists the pivot row chosen at each step.
     """
     rows = [[float(x) for x in row] for row in a]
     n = len(rows)
-    perm, parity, singular = list(range(n)), 1.0, False
+    perm, parity, singular, pivots = list(range(n)), 1.0, False, []
     amax = max(abs(x) for row in rows for x in row)
     for k in range(n):
         p = k
         for i in range(k + 1, n):
             if abs(rows[i][k]) > abs(rows[p][k]):
                 p = i
+        pivots.append(p)
         if p != k:
             rows[k], rows[p] = rows[p], rows[k]
             perm[k], perm[p] = perm[p], perm[k]
@@ -66,7 +68,7 @@ def _lu_reference(a, tol):
             rows[i][k] = f
             for j in range(k + 1, n):
                 rows[i][j] -= f * rows[k][j]
-    return np.array(rows), np.array(perm), parity, singular
+    return np.array(rows), np.array(perm), parity, singular, pivots
 
 
 def _lu_oracle_cases(n):
@@ -91,7 +93,9 @@ def test_lu_raw_matches_scalar_reference_bitwise(n):
     stack = np.stack(cases).reshape(2, 3, n, n)
     lu, perm, parity, singular = linalg._lu_raw(stack)
     assert lu.shape == (2, 3, n, n) and perm.shape == parity.shape + (n,) == (2, 3, n)
-    assert lu.flags.c_contiguous and perm.flags.c_contiguous
+    # batch-last: the factors are views of (n, n, batch) and (n, batch) arrays
+    assert lu.reshape(6, n, n).transpose(1, 2, 0).flags.c_contiguous
+    assert perm.reshape(6, n).T.flags.c_contiguous
     for i, a in enumerate(cases):
         want = _lu_reference(a, linalg.DEFAULT_PIVOT_TOL)
         alone = linalg._lu_raw(a)
@@ -109,6 +113,147 @@ def test_lu_raw_matches_scalar_reference_bitwise(n):
         assert _lu_reference(cases[0], linalg.DEFAULT_PIVOT_TOL)[1][0] == 1  # first of the tied rows
     subnormal_lu = _lu_reference(cases[5], linalg.DEFAULT_PIVOT_TOL)[0]
     assert np.any((subnormal_lu != 0.0) & (np.abs(subnormal_lu) < np.finfo(float).tiny))
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _agree_then_split(n, members):
+    """``members`` n x n matrices, equal but in column 1, whose pivots agree
+    at step 0, split at step 1 (rows 1 and 2 win in turn), agree again at
+    every later step, and swap rows 3 and 4 at step 3.  Each column c >= 2
+    has a dominant entry in the row that step c picks; column 2 has it in
+    both rows 1 and 2, so the row that loses step 1 carries it."""
+    a = gaussian(112, n, shape=(n, n))
+    a[0, 0] = 8.0
+    dominant = list(range(n))
+    if n >= 5:
+        dominant[3], dominant[4] = 4, 3  # step 3 swaps rows 3 and 4
+    for c in range(2, n):
+        a[dominant[c], c] = 1e3 * (1.0 + c)
+    if n >= 3:
+        a[1, 2] = a[2, 2]
+    stack = np.repeat(a[None], members, axis=0)
+    if n >= 2:
+        stack[:, :, 1] += 0.01 * gaussian(112, n, 1, shape=(members, n))
+    if n >= 3:
+        stack[0::2, 1, 1] += 50.0
+        stack[1::2, 2, 1] += 50.0
+    return stack
+
+
+def _pivot_stacks(n):
+    """(name, stack) of stacks that exercise the agreeing and the split pivots."""
+    ties = np.round(2.0 * gaussian(113, n, shape=(n, n)))
+    ties[:, 0] = [1.0, -3.0, 3.0, 3.0, -3.0, 2.0, 3.0, 0.0, -3.0, 1.0, 3.0, -1.0][:n]
+    # every member ties on column 0 and the tied rows trade places across
+    # members; in ``early`` row 0 ties the row that the first member picks
+    early = ties.copy()
+    early[0, 0] = -3.0
+    tied = np.stack([ties, ties[::-1].copy(), early, np.roll(ties, 1, axis=0)])
+    zero = _agree_then_split(n, 4)
+    zero[:, :, n // 2] = 0.0
+    mixed = _agree_then_split(n, 4)
+    mixed[2, :, n - 1] = 0.0  # one singular member among regular ones
+    return [("agree_then_split", _agree_then_split(n, 6)), ("ties", tied),
+            ("tie_above", np.stack([ties, early, ties])),
+            ("zero_column", zero), ("one_singular", mixed),
+            ("one_matrix", _agree_then_split(n, 1))]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lu_raw_agreeing_and_split_pivots_match_reference_bitwise(n):
+    tol = linalg.DEFAULT_PIVOT_TOL
+    for name, stack in _pivot_stacks(n):
+        want = [_lu_reference(a, tol) for a in stack]
+        got = linalg._lu_raw(stack)
+        for i, w in enumerate(want):
+            assert _same_bits(got[0][i], w[0]), (name, i)
+            assert np.array_equal(got[1][i], w[1]), (name, i)
+            assert got[2][i] == w[2] and bool(got[3][i]) == w[3], (name, i)
+        pivots = np.array([w[4] for w in want])  # (members, steps)
+        agree = np.all(pivots == pivots[0], axis=0)
+        # the stacks do what they are named for
+        if name == "agree_then_split" and n >= 5:
+            assert agree[0] and not agree[1] and agree[2:].all()
+            assert pivots[0, 3] == 4
+        if name == "ties" and n >= 2:
+            assert not agree[0] and pivots[0, 0] == 1 and pivots[2, 0] == 0
+        if name == "tie_above" and n >= 2:
+            assert list(pivots[:, 0]) == [1, 0, 1]
+        if name == "zero_column":
+            assert all(w[3] for w in want)
+        if name == "one_singular" and n >= 2:
+            assert [w[3] for w in want] == [False, False, True, False]
+
+
+def _solve_reference(lu, perm, b):
+    """x with P A x = b from packed factors, row by row, one Python float
+    operation at a time, in the order ``_lu_solve_packed`` documents: row i
+    of L y = P b subtracts l_i0 y_0, l_i1 y_1, ... in that order; row i of
+    U x = y subtracts u_i,n-1 x_n-1, ..., u_i,i+1 x_i+1 in that order and
+    then divides by u_ii."""
+    n, k = len(lu), b.shape[1]
+    lu = [[float(v) for v in row] for row in lu]
+    x = [[float(b[perm[i], c]) for c in range(k)] for i in range(n)]
+    for c in range(k):
+        for i in range(n):
+            for j in range(i):
+                x[i][c] -= lu[i][j] * x[j][c]
+        for i in range(n - 1, -1, -1):
+            for j in range(n - 1, i, -1):
+                x[i][c] -= lu[i][j] * x[j][c]
+            x[i][c] /= lu[i][i]
+    return np.array(x).reshape(n, k)
+
+
+def _solve_stacks(n):
+    """(name, (2, 3, n, n) stack) of regular matrices: small perturbations of
+    one matrix, whose permutations agree, and independent ones at scales
+    from 2^-500 to 2^500, whose permutations differ."""
+    a = gaussian(114, n, shape=(n, n))
+    near = a + 1e-9 * gaussian(114, n, 1, shape=(6, n, n))
+    scales = np.ldexp(1.0, np.array([0, 500, -500, 3, -40, 0]))
+    apart = scales[:, None, None] * gaussian(114, n, 2, shape=(6, n, n))
+    return [("agree", near.reshape(2, 3, n, n)), ("differ", apart.reshape(2, 3, n, n))]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lu_solve_packed_matches_scalar_reference_bitwise(n):
+    tol = linalg.DEFAULT_PIVOT_TOL
+    for name, stack in _solve_stacks(n):
+        lu, perm, _, singular = linalg._lu_raw(stack)
+        assert not singular.any()
+        perms = perm.reshape(6, n)
+        assert np.all(perms == perms[0]) == (name == "agree" or n == 1), name
+        vec = gaussian(115, n, shape=(2, 3, n))
+        block = gaussian(115, n, 1, shape=(2, 3, n, 3))
+        x_vec = linalg.solve(stack, vec)
+        x_block = linalg._lu_solve_packed(lu, perm, block)
+        x_inv = linalg.invert(stack)
+        assert x_block.flags.c_contiguous and x_inv.flags.c_contiguous
+        for idx in np.ndindex(2, 3):
+            a = stack[idx]
+            ref_lu, ref_perm, *_ = _lu_reference(a, tol)
+            rhs = {"vector": vec[idx][:, None], "block": block[idx], "identity": np.eye(n)}
+            want = {key: _solve_reference(ref_lu, ref_perm, b) for key, b in rhs.items()}
+            alone_lu, alone_perm, *_ = linalg._lu_raw(a)
+            got = {
+                "vector": [x_vec[idx][:, None], linalg.solve(a, vec[idx])[:, None]],
+                "block": [x_block[idx], linalg._lu_solve_packed(alone_lu, alone_perm, block[idx])],
+                "identity": [x_inv[idx], linalg.invert(a)],
+            }
+            for key, pair in got.items():
+                for g in pair:
+                    assert _same_bits(g, want[key]), (name, idx, key)
+
+
+def test_empty_stacks():
+    assert linalg._lu_raw(np.empty((2, 0, 3, 3)))[1].shape == (2, 0, 3)
+    assert linalg.invert(np.empty((0, 3, 3))).shape == (0, 3, 3)
+    assert linalg.solve(np.empty((0, 3, 3)), np.empty((0, 3))).shape == (0, 3)
 
 
 def test_invert_diagonal():
