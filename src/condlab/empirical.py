@@ -31,15 +31,16 @@ miss would compute, so neither memo changes a bit of any report.
   A's bytes and the operand holds a copy, so changing the caller's A in
   place gives a new operand.  One entry is enough for such a sweep, and
   the next matrix evicts it.
-* The direction memo keeps the last 4 normal draws with their normwise
-  norms, keyed on the draw's keys and the shape drawn; it keeps no draw
-  larger than 2^20 values.  The keys depend only on the seed, the sample
-  index and the block, not on the problem kind or on (r, s).  Four is
-  enough because a sweep over every kind and pair of one instance touches
-  three draws (the matrix block of inversion, solve_fixed_b and
-  solve_both; the vectors of matvec and solve_fixed_a; the right-hand-side
-  block of solve_both), and few enough that the next instance's draws
-  evict them.
+* The direction memo keeps the last 4 normal draws, one copy of each and
+  a stack of matrices batch-last, with their normwise norms and
+  componentwise divisors, keyed on the draw's keys and the shape drawn; it
+  keeps no draw larger than 2^20 values.  The keys depend only on the
+  seed, the sample index and the block, not on the problem kind or on
+  (r, s).  Four is enough because a sweep over every kind and pair of one
+  instance touches three draws (the matrix block of inversion,
+  solve_fixed_b and solve_both; the vectors of matvec and solve_fixed_a;
+  the right-hand-side block of solve_both), and few enough that the next
+  instance's draws evict them.
 
 Random sampling alone systematically under-covers a sup over a
 high-dimensional sphere, so for every problem kind the estimator also
@@ -51,9 +52,9 @@ perturb A, the worst direction rides the first stack of samples of each
 delta as one more row, through the same LU, solve and error calls; LU,
 solves and norms give each matrix the same bits alone as inside a stack.
 The perturbed matrices A + dA, the samples' and the worst row's, are
-written into one batch-last buffer ``(n, n, samples + 1)`` from a
-batch-last copy of the memoized draw, and the LU factors and solves work
-on it in that layout (see :mod:`condlab.linalg`), so no stack is
+written into one batch-last buffer ``(n, n, samples + 1)`` from the
+memoized draw, which is kept batch-last, and the LU factors and solves
+work on it in that layout (see :mod:`condlab.linalg`), so no stack is
 concatenated or transposed on its way to the solutions.
 The reported estimate is the max of sampled and directional ratios at the
 smallest delta; no extrapolation is applied.
@@ -375,8 +376,8 @@ def _draw(keys, shape, sample):
 
     The draw is read-only and comes from ``sample()`` unless one of the last
     draws in the memo had the same keys and shape; the dict is the caller's
-    to fill with read-only arrays derived from the draw: its normwise norms,
-    and for a stack of matrices its batch-last copy."""
+    to fill with read-only arrays derived from the draw, one value per
+    matrix or vector of it (its norms, its componentwise divisors)."""
     return _draws.get(
         (keys.tobytes(), keys.shape, shape),
         lambda: (_read_only(sample()), {}),
@@ -403,35 +404,41 @@ def _sphere_vectors(base, deltas, keys, model):
     return (delta * np.abs(base) * unit for delta in deltas)
 
 
+def _batch_last(stack):
+    """A copy of ``stack`` with the same shape and batch-last memory."""
+    return np.moveaxis(np.moveaxis(stack, 0, -1).copy(), -1, 0)
+
+
 def _sphere_matrices(op, deltas, keys, model):
     """Perturbations of the matrix of the operand ``op`` on the delta-sphere
     of ``model``, one per key, for each of ``deltas`` in turn: the directions
     and their norms come from the memo, and are rescaled lazily for every
     delta.  The radius reads ||A||_rs from ``op``.
 
-    Each stack has the shape ``(keys, n, m)`` and batch-last memory: it is
-    scaled from the memo's batch-last copy of the draw, while the norms are
-    taken on the draw itself."""
+    The memo keeps the draw batch-last, so each stack has the shape
+    ``(keys, n, m)`` and batch-last memory.  What derives from the draw, its
+    normwise norms and its componentwise divisors, is taken once on a
+    C-contiguous copy, which has the bits and layout of the draw as sampled,
+    and is kept next to it."""
     base = op.a
     n, m = base.shape
-    g, derived = _draw(keys, (n, m), lambda: rng.normal_matrix(keys, n, m))
-    if "batch_last" not in derived:
-        derived["batch_last"] = _read_only(np.moveaxis(np.moveaxis(g, 0, -1).copy(), -1, 0))
-    directions = derived["batch_last"]
+    g, derived = _draw(keys, (n, m), lambda: _batch_last(rng.normal_matrix(keys, n, m)))
+
+    def per_matrix(key, of):
+        if key not in derived:
+            derived[key] = _read_only(of(np.ascontiguousarray(g)))
+        return derived[key]
+
     if model.mode == NORMWISE:
         norm_key = model.r, model.s, op.max_enum_dim
-        if norm_key not in derived:
-            derived[norm_key] = _read_only(operator_norm_values(g, *norm_key))
-        gnorm = derived[norm_key]
+        gnorm = per_matrix(norm_key, lambda c: operator_norm_values(c, *norm_key))
         ref = op.norm(model.r, model.s)
-        return ((delta * ref / gnorm)[:, None, None] * directions for delta in deltas)
+        return ((delta * ref / gnorm)[:, None, None] * g for delta in deltas)
     if np.any(base == 0.0):
         raise ZeroComponent("componentwise perturbation of a zero entry")
-    flat = np.abs(g.reshape(g.shape[0], -1))
-    if model.mode == COMPONENTWISE_MAX:
-        unit = directions / np.max(flat, axis=1)[:, None, None]
-    else:
-        unit = directions / np.sum(flat, axis=1)[:, None, None]
+    reduce = np.max if model.mode == COMPONENTWISE_MAX else np.sum
+    divisor = per_matrix(model.mode, lambda c: reduce(np.abs(c.reshape(len(c), -1)), axis=1))
+    unit = g / divisor[:, None, None]
     return (delta * np.abs(base) * unit for delta in deltas)
 
 

@@ -161,7 +161,6 @@ def _eliminate_stack(w, limit):
     perm = np.arange(n).repeat(nb).reshape(n, nb)
     parity = np.ones(nb)
     singular = np.zeros(nb, dtype=bool)
-    any_singular = False
     # a split pivot moves w[k] and w[k + j] through flat indices into w and perm
     batch = np.arange(nb)
     w_flat, perm_flat = w.reshape(-1), perm.reshape(-1)
@@ -189,14 +188,9 @@ def _eliminate_stack(w, limit):
             w_flat[at] = w[k]
             w[k] = row
             parity = np.where(moved, -parity, parity)
-        piv = w[k, k]
-        newly = np.abs(piv) <= limit
-        if any_singular or newly.any():
-            any_singular = True
-            singular |= newly
-            piv = np.where(singular, 1.0, piv)
+        singular |= np.abs(w[k, k]) <= limit
         f = w[k + 1 :, k]
-        f /= piv
+        f /= np.where(singular, 1.0, w[k, k])
         w[k + 1 :, k + 1 :] -= f[:, None] * w[k, None, k + 1 :]
     singular |= np.abs(w[-1, -1]) <= limit
     return perm, parity, singular
@@ -220,46 +214,53 @@ def lu_decompose(a):
 
 
 def _lu_solve_packed(lu, perm, b):
-    """Solve with packed factors; ``b`` broadcasts to ``lead + (n, k)``.
+    """Solve with packed factors for ``b`` of shape ``(..., n, k)``; the
+    leading dimensions of ``b`` and of the factors broadcast.
 
     The solve works on a batch-last array ``x`` of shape ``(n, k, batch)``,
     so row i of every right-hand side of every matrix is the contiguous
     block ``x[i]``; factors in the layout :func:`_lu_raw` returns are read
-    without a copy.  Both substitutions are right-looking column sweeps in
-    one fixed order.  Forward: for j = 0, ..., n-2, once row j of L y = P b
-    is final, ``x[i] -= l_ij * x[j]`` for every i > j.  Back: for j = n-1,
-    ..., 0, ``x[j] /= u_jj``, then ``x[i] -= u_ij * x[j]`` for every i < j.
+    without a copy.  P b is gathered by whole rows when every matrix has the
+    same permutation, as the estimator's perturbed stacks do, and per matrix
+    otherwise; either way it is the same copy.  Both substitutions are
+    right-looking column sweeps in one fixed order.  Forward: for j = 0,
+    ..., n-2, once row j of L y = P b is final, ``x[i] -= l_ij * x[j]`` for
+    every i > j.  Back: for j = n-1, ..., 0, ``x[j] /= u_jj``, then
+    ``x[i] -= u_ij * x[j]`` for every i < j.
     So entry i of a solution is (((pb_i - l_i0 y_0) - l_i1 y_1) - ...) and
     then ((((y_i - u_i,n-1 x_n-1) - ...) - u_i,i+1 x_i+1) / u_ii, each
     product and difference rounded once, whatever the batch or the number
     of right-hand sides.  The solution comes back C-contiguous.
     """
-    lead, n, k = lu.shape[:-2], lu.shape[-1], b.shape[-1]
+    n = lu.shape[-1]
+    if b.ndim < 2 or b.shape[-2] != n:
+        raise ValueError(f"right-hand side of shape {b.shape} does not fit {n}x{n} factors")
+    k = b.shape[-1]
+    lead = np.broadcast_shapes(lu.shape[:-2], b.shape[:-2])
     nb = math.prod(lead)
-    u = np.ascontiguousarray(lu.reshape(nb, n, n).transpose(1, 2, 0))
-    p = perm.reshape(nb, n).T
+    lu = np.broadcast_to(lu, lead + (n, n)).reshape(nb, n, n)
+    u = np.ascontiguousarray(lu.transpose(1, 2, 0))
+    p = np.broadcast_to(perm, lead + (n,)).reshape(nb, n).T
     b = np.broadcast_to(b, lead + (n, k)).reshape(nb, n, k).transpose(1, 2, 0)
     if nb and (p == p[:, :1]).all():
-        xw = np.ascontiguousarray(b[p[:, 0]])
+        x = np.ascontiguousarray(b[p[:, 0]])
     else:
-        xw = np.ascontiguousarray(np.take_along_axis(b, p[:, None, :], axis=0))
-    x = xw
-    if nb == 1:  # one matrix: sweep its (n, n) and (n, k) rows
-        u, x = u[..., 0], x[..., 0]
+        x = np.ascontiguousarray(np.take_along_axis(b, p[:, None, :], axis=0))
     for j in range(n - 1):
         x[j + 1 :] -= u[j + 1 :, j, None] * x[j]
     for j in range(n - 1, -1, -1):
         x[j] /= u[j, j]
         if j:
             x[:j] -= u[:j, j, None] * x[j]
-    return np.ascontiguousarray(xw.transpose(2, 0, 1)).reshape(lead + (n, k))
+    return np.ascontiguousarray(x.transpose(2, 0, 1)).reshape(lead + (n, k))
 
 
 def solve(a, b):
     """Solve A x = b by LU forward/back substitution, without forming A^-1.
 
     ``b`` may be a vector ``(..., n)`` or a block of right-hand sides
-    ``(..., n, k)``.
+    ``(..., n, k)``; the leading dimensions of A and a block broadcast, and
+    a ``b`` whose rows do not number n raises ValueError.
     """
     a = as_square(a)
     lu, perm, _, singular = _lu_raw(a)

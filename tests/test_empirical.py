@@ -535,6 +535,25 @@ def test_memo_arrays_are_read_only():
             x[...] = 0.0
 
 
+def test_memo_keeps_one_copy_of_each_draw():
+    # a matrix draw is kept batch-last, and what derives from a draw holds
+    # one value per matrix or vector, so the memo holds no second copy
+    a = gaussian(421, 0, shape=(4, 4))
+    b = gaussian(421, 1, shape=(4,))
+    emp._draws.clear()
+    cases = _sweep_cases(a, b, pairs=[(2, 2), ("inf", 1)]) + _sweep_cases(
+        a, b, kinds=("inversion",), pairs=[(2, 2)], model=emp.componentwise_max)
+    _sweep(cases, emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=20, seed=27), cold=False)
+    matrices = [(g, derived) for g, derived in emp._draws.values() if g.ndim == 3]
+    assert len(matrices) == 1
+    assert any(emp.COMPONENTWISE_MAX in derived for _, derived in matrices)
+    for g, derived in emp._draws.values():
+        if g.ndim == 3:
+            assert np.moveaxis(g, 0, -1).flags.c_contiguous
+        assert derived
+        assert all(x.shape == g.shape[:1] for x in derived.values())
+
+
 def test_memo_keeps_at_most_four_draws():
     config = emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=20, seed=26)
     for n in (3, 4, 5):

@@ -256,6 +256,27 @@ def test_empty_stacks():
     assert linalg.solve(np.empty((0, 3, 3)), np.empty((0, 3))).shape == (0, 3)
 
 
+def test_solve_broadcasts_stacks_and_rejects_a_misfit_right_hand_side():
+    n = 4
+    one = gaussian(116, shape=(1, n, n))
+    stack = gaussian(116, 1, shape=(3, n, n))
+    block = gaussian(116, 2, shape=(3, n, 2))
+    x = linalg.solve(one, block)  # one matrix's factors, three right-hand sides
+    y = linalg.solve(stack, block[:1])  # three matrices, one right-hand side
+    z = linalg.solve(one[0], block)
+    assert x.shape == y.shape == z.shape == (3, n, 2)
+    for i in range(3):
+        assert _same_bits(x[i], linalg.solve(one[0], block[i]))
+        assert _same_bits(z[i], x[i])
+        assert _same_bits(y[i], linalg.solve(stack[i], block[0]))
+    # a length-n vector against a stack is neither a vector per matrix nor
+    # an n-row block
+    with pytest.raises(ValueError, match="does not fit"):
+        linalg.solve(stack, block[0, :, 0])
+    with pytest.raises(ValueError, match="does not fit"):
+        linalg.solve(one[0], np.ones(n + 1))
+
+
 def test_invert_diagonal():
     assert np.allclose(linalg.invert(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]), atol=0)
 
