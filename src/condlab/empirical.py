@@ -47,14 +47,18 @@ high-dimensional sphere, so for every problem kind the estimator also
 evaluates one analytically worst direction built from norm attainers and
 the rank-one interpolator (for inversion this is exactly the construction
 from the lower-bound half of the equality cond = kappa).  That direction is
-built once as well, and only its length follows delta.  For the kinds that
-perturb A, the worst direction rides the first stack of samples of each
-delta as one more row, through the same LU, solve and error calls; LU,
-solves and norms give each matrix the same bits alone as inside a stack.
-The perturbed matrices A + dA, the samples' and the worst row's, are
-written into one batch-last buffer ``(n, n, samples + 1)`` from the
-memoized draw, which is kept batch-last, and the LU factors and solves
-work on it in that layout (see :mod:`condlab.linalg`), so no stack is
+built once as well, and only its length follows delta.  For every kind the
+worst direction rides the first stack of samples of each delta as one more
+row, through the same evaluation and error calls: one GEMM for matvec, one
+block solve with A's factors for solve_fixed_a, and the batched LU and
+solves for the kinds that perturb A.  LU, solves and norms give each matrix
+the same bits alone as inside a stack.  A GEMM row need not have the bits of
+a matrix-vector product, so matvec's worst ratio can differ in its last bits
+from ``A @ (x + dx)`` taken alone (relative 1e-9 at delta = 1e-7, where the
+output error cancels).  The perturbed matrices A + dA, the samples' and the
+worst row's, are written into one batch-last buffer ``(n, n, samples + 1)``
+from the memoized draw, which is kept batch-last, and the LU factors and
+solves work on it in that layout (see :mod:`condlab.linalg`), so no stack is
 concatenated or transposed on its way to the solutions.
 The reported estimate is the max of sampled and directional ratios at the
 smallest delta; no extrapolation is applied.
@@ -271,56 +275,40 @@ class _Instance:
         return _relerror_to(self.exact, model, self.op.max_enum_dim, denom)
 
 
-def _directional_ratios(inst, deltas):
-    """Exact-map error ratio along the analytically worst direction of matvec
-    or solve_fixed_a, for each delta in turn.
-
-    ``delta`` is the input *relative* error; the direction construction
-    mirrors the closed-form formula it is meant to attain.  The direction
-    (attainer or extremal pair) is built once and only its length follows
-    delta.  The kinds that perturb A take theirs from :func:`_worst_row`.
-    """
-    op, vec, r, s = inst.op, inst.vec, inst.r, inst.s
-    x = inst.exact
-    if inst.kind == "matvec":
-        att = op.norm(r, s, attainer=True).attainer
-        xnorm = vector_norm(vec, r)
-        err = _relerror_to(x, normwise(s))
-        for delta in deltas:
-            yield err(op.a @ (vec + delta * xnorm * att)) / delta
-        return
-    _, y, _ = _extremal_pair(op, r, s)
-    bnorm = vector_norm(vec, s)
-    err = _relerror_to(x, normwise(r))
-    for delta in deltas:
-        yield err(op.solve((vec + delta * bnorm * y)[:, None])[:, 0]) / delta
-
-
 def _worst_row(inst, input_model):
-    """The worst direction of inversion, solve_fixed_b or solve_both as a
-    function of delta, delta -> (dA, db or None, divisor): the perturbation
+    """The worst direction of ``inst`` as a function of delta, delta -> (dA
+    or None, dv or None, divisor): the perturbation of A and of the vector
     that joins the first stack of samples at delta, and what its output
     error is divided by.
 
-    dA is -E with E = delta ||A||_rs B; rounding is symmetric, so A + dA has
-    the bits of A - E.  For inversion B is the interpolator of the lower
-    bound of cond = kappa; for the solve kinds it sends x / ||x||_r to the
-    attainer y of ||A^-1||_sr, and solve_both also moves b by delta ||b||_s
-    y.  Under the blockwise sum the ratio divides by the sum of the block
-    errors.
+    matvec moves x by delta ||x||_r times the attainer of ||A||_rs, and
+    solve_fixed_a moves b by delta ||b||_s y, y the attainer of
+    ||A^-1||_sr.  The other kinds move A: dA is -E with E = delta ||A||_rs
+    B; rounding is symmetric, so A + dA has the bits of A - E.  For
+    inversion B is the interpolator of the lower bound of cond = kappa; for
+    the solve kinds it sends x / ||x||_r to y, and solve_both also moves b
+    by delta ||b||_s y.  Under the blockwise sum the ratio divides by the
+    sum of the block errors.
     """
-    kind, op, r, s = inst.kind, inst.op, inst.r, inst.s
-    anorm = op.norm(r, s)
+    kind, op, vec, r, s = inst.kind, inst.op, inst.vec, inst.r, inst.s
+    if kind == "matvec":
+        att = op.norm(r, s, attainer=True).attainer
+        xnorm = vector_norm(vec, r)
+        return lambda delta: (None, delta * xnorm * att, delta)
     if kind == "inversion":
         b_mat = _worst_inversion_direction(op, r, s)
     else:
         _, y, _ = _extremal_pair(op, r, s)
+        if kind == "solve_fixed_a":
+            bnorm = vector_norm(vec, s)
+            return lambda delta: (None, delta * bnorm * y, delta)
         x = inst.exact
         b_mat = rank_one_interpolator(x / vector_norm(x, r), y, r, s)
     towards = -b_mat
+    anorm = op.norm(r, s)
     if kind != "solve_both":
         return lambda delta: (delta * anorm * towards, None, delta)
-    bnorm = vector_norm(inst.vec, s)
+    bnorm = vector_norm(vec, s)
     # under the blockwise sum both blocks sit on their own delta-sphere
     blocks = 2.0 if input_model.mode == COMPONENTWISE_SUM else 1.0
     return lambda delta: (delta * anorm * towards, delta * bnorm * y, blocks * delta)
@@ -341,6 +329,9 @@ class EstimatorConfig:
 
     def __post_init__(self):
         d = tuple(float(x) for x in self.deltas)
+        for x in d:
+            if not np.isfinite(x):
+                raise ValueError(f"every delta must be finite, got {x!r}")
         if not d or any(x <= 0.0 for x in d) or any(a <= b for a, b in zip(d, d[1:])):
             raise ValueError("deltas must be strictly decreasing and positive")
         object.__setattr__(self, "deltas", d)
@@ -356,7 +347,7 @@ class DeltaSample:
 
     delta: float
     sampled_sup_ratio: float
-    directional_ratio: float | None
+    directional_ratio: float
     resampled: int = 0
 
 
@@ -522,11 +513,16 @@ def estimate_condition(
 
 
 def _input_blocks(kind, input_model, r, s):
-    """(matrix model, vector model or None, whether each block takes all of delta).
+    """(matrix model or None, vector model or None, whether each block takes
+    all of delta).
 
-    solve_both perturbs A on its (r, s)-sphere and b on its s-sphere under
-    the blockwise models, or under the pair a normwise model names.
+    matvec and solve_fixed_a perturb only the vector, and inversion and
+    solve_fixed_b only A.  solve_both perturbs A on its (r, s)-sphere and b
+    on its s-sphere under the blockwise models, or under the pair a normwise
+    model names.
     """
+    if kind in ("matvec", "solve_fixed_a"):
+        return None, input_model, True
     if kind != "solve_both":
         return input_model, None, True
     if input_model.mode == NORMWISE:
@@ -537,10 +533,14 @@ def _input_blocks(kind, input_model, r, s):
 
 
 def _perturbations(inst, blocks, deltas, seed, path):
-    """(dA, db or None) for each of ``deltas`` in turn, from one draw per
-    sample: sample k of ``path = (di, k, attempt)`` draws block j from
-    substream (seed, di, k, attempt, j)."""
+    """(dA or None, dv or None) for each of ``deltas`` in turn, from one draw
+    per sample: sample k of ``path = (di, k, attempt)`` draws block j from
+    substream (seed, di, k, attempt, j), or its vector from (seed, di, k)
+    when the kind perturbs only the vector and so never resamples."""
     matrix_model, vector_model, whole = blocks
+    if matrix_model is None:
+        keys = rng.substream(seed, *path[:2])
+        return ((None, dv) for dv in _sphere_vectors(inst.vec, deltas, keys, vector_model))
 
     def keys(block):
         return rng.substream(seed, *path, block)
@@ -562,7 +562,10 @@ def _perturbations(inst, blocks, deltas, seed, path):
 def _plus(base, d, last=None):
     """``base + d`` for a stack ``d`` of perturbations of ``base``, with
     ``base + last`` as one more member at the end when given, in one
-    batch-last buffer; returned as its ``(members,) + base.shape`` view."""
+    batch-last buffer; returned as its ``(members,) + base.shape`` view, or
+    None when ``d`` is None."""
+    if d is None:
+        return None
     members = len(d) + (last is not None)
     out = np.moveaxis(np.empty(base.shape + (members,)), -1, 0)
     np.add(base, d, out=out[: len(d)])
@@ -572,10 +575,15 @@ def _plus(base, d, last=None):
 
 
 def _perturbed_outputs(inst, a_tilde, b_tilde):
-    """(the exact outputs of the perturbed problems with matrices ``a_tilde``
-    and right-hand sides ``b_tilde``, or b when that is None, whose matrix is
-    nonsingular within tolerance, in order, or None if there are none; the
-    mask of those whose matrix is singular)."""
+    """(the exact outputs of the perturbed problems with matrices ``a_tilde``,
+    or A when that is None, and vectors ``b_tilde``, or the instance's when
+    that is None, whose matrix is nonsingular within tolerance, in order, or
+    None if there are none; the mask of those whose matrix is singular).
+    A fixed A multiplies the vectors in one GEMM or solves them as one block
+    of right-hand sides."""
+    if a_tilde is None:
+        out = b_tilde @ inst.op.a.T if inst.kind == "matvec" else inst.op.solve(b_tilde.T).T
+        return out, np.zeros(len(b_tilde), dtype=bool)
     lu, perm, _, singular = _lu_raw(a_tilde)
     ok = ~singular
     if not ok.any():
@@ -596,10 +604,10 @@ def _ratios(inst, input_model, output_model, config):
 
     The directions are drawn once per estimate, or taken from the memo,
     from the keys of delta index 0: sample k draws from substream
-    (seed, 0, k) for the vector-only kinds and from (seed, 0, k, 0, block)
-    for the kinds that perturb the matrix (block 0 = matrix entries, 1 =
-    right-hand side, 2 = the split of the blockwise-sum budget).  Their
-    norms are taken once too, and every
+    (seed, 0, k) for matvec and solve_fixed_a, which perturb only the
+    vector, and from (seed, 0, k, 0, block) for the kinds that perturb the
+    matrix (block 0 = matrix entries, 1 = right-hand side, 2 = the split of
+    the blockwise-sum budget).  Their norms are taken once too, and every
     delta rescales the same directions onto its own sphere (common random
     numbers).  A sample whose perturbed matrix is singular within tolerance
     is redrawn at its own delta index di from (seed, di, k, attempt, block)
@@ -607,31 +615,16 @@ def _ratios(inst, input_model, output_model, config):
     which other samples were discarded, and the first delta of a schedule
     matches a one-delta schedule bit for bit.
 
-    For the kinds that perturb A, the worst direction is the last row of
-    each delta's first attempt.  Its output error is measured in the
-    default output model of the kind, in the samples' call when that is
-    the model asked for.  A singular worst row raises DeltaTooLarge after
-    the samples of its delta are done, so samples that keep crossing the
-    singular set raise SingularMatrix first.
+    For every kind the worst direction is the last row of each delta's
+    first attempt, evaluated with the samples.  Its output error is
+    measured in the default output model of the kind, in the samples' call
+    when that is the model asked for.  A singular worst row raises
+    DeltaTooLarge after the samples of its delta are done, so samples that
+    keep crossing the singular set raise SingularMatrix first.
     """
     kind, op, vec = inst.kind, inst.op, inst.vec
     idx = np.arange(config.samples_per_delta)
     err = inst.output_error(output_model)
-
-    if kind in ("matvec", "solve_fixed_a"):
-        keys = rng.substream(config.seed, 0, idx)
-        spheres = _sphere_vectors(vec, config.deltas, keys, input_model)
-        directional = _directional_ratios(inst, config.deltas)
-        for delta, dv in zip(config.deltas, spheres):
-            if kind == "matvec":
-                out = (vec + dv) @ op.a.T
-            else:
-                out = op.solve((vec + dv).T).T  # one block of right-hand sides
-            ratios = err(out) / delta
-            yield ratios, 0, next(directional)
-        return
-
-    # the other kinds perturb the matrix and may cross the singular set
     blocks = _input_blocks(kind, input_model, inst.r, inst.s)
     worst = _worst_row(inst, input_model)
     default_out = _default_models(kind, inst.r, inst.s)[1]
@@ -639,8 +632,7 @@ def _ratios(inst, input_model, output_model, config):
     first = _perturbations(inst, blocks, config.deltas, config.seed, (0, idx, 0))
     for di, (delta, (da, db)) in enumerate(zip(config.deltas, first)):
         w_da, w_db, divisor = worst(delta)
-        a_tilde = _plus(op.a, da, w_da)
-        b_tilde = None if db is None else _plus(vec, db, w_db)
+        a_tilde, b_tilde = _plus(op.a, da, w_da), _plus(vec, db, w_db)
         ratios = np.empty(len(idx))
         pending, resampled = idx, 0
         for attempt in range(config.max_attempts + 1):
@@ -649,8 +641,7 @@ def _ratios(inst, input_model, output_model, config):
             if attempt:
                 path = (di, pending, attempt)
                 da, db = next(_perturbations(inst, blocks, (delta,), config.seed, path))
-                a_tilde = _plus(op.a, da)
-                b_tilde = None if db is None else _plus(vec, db)
+                a_tilde, b_tilde = _plus(op.a, da), _plus(vec, db)
             out, singular = _perturbed_outputs(inst, a_tilde, b_tilde)
             values = None if out is None else err(out)
             if not attempt:  # the last row is the worst direction's

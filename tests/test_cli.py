@@ -235,6 +235,21 @@ def test_estimate_exit_code_delta_too_large(tmp_path, capsys, kind):
     assert "A - E is singular at delta=1e-05" in captured.err
 
 
+@pytest.mark.parametrize("kind", ["matvec", "solve-fixed-a", "inversion"])
+@pytest.mark.parametrize("delta", ["nan", "inf", "1e-4,nan"])
+def test_estimate_exit_code_non_finite_delta(files, capsys, kind, delta):
+    # matvec and solve-fixed-a used to exit 0 with a NaN estimate, and
+    # inversion to blame the matrix entries
+    argv = ["estimate", kind, "--matrix", files["diag12.csv"], "--delta", delta,
+            "--samples", "5"]
+    if kind != "inversion":
+        argv += ["--vector", files["b.csv"]]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"condlab: every delta must be finite, got {delta.split(',')[-1]}\n"
+
+
 def test_exit_code_bad_input(files, capsys):
     assert main(["kappa"]) == 1  # missing --matrix
     assert main(["kappa", "--matrix", "/nonexistent/file.csv"]) == 1

@@ -185,6 +185,15 @@ def test_estimator_config_validation():
         emp.EstimatorConfig(samples_per_delta=0)
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_estimator_config_rejects_non_finite_deltas(delta):
+    # NaN fails both "<= 0" and "a <= b", so it used to pass the schedule
+    # check and end in a NaN estimate for matvec and solve_fixed_a
+    for deltas in ((float(delta),), (1e-4, float(delta)), (float(delta), 1e-4)):
+        with pytest.raises(ValueError, match=f"^every delta must be finite, got {delta}$"):
+            emp.EstimatorConfig(deltas=deltas)
+
+
 @pytest.mark.parametrize("field,value", [
     ("max_attempts", -1), ("max_attempts", 2.5), ("max_attempts", "3"), ("max_attempts", None),
     ("max_attempts", True), ("samples_per_delta", 2.5), ("samples_per_delta", -3),
@@ -725,10 +734,16 @@ def test_operand_memo_under_threads():
 
 
 def _unfolded_directional(kind, a, b, r, s, delta, input_model):
-    """The worst direction's ratio at ``delta`` from one invert or solve of
-    A - E, outside any stack: err(invert(A - E)) / delta for inversion, and
-    err(solve(A - E, b or b + db)) / delta for the solve kinds."""
+    """The worst direction's ratio at ``delta`` from one product, invert or
+    solve, outside any stack: err(A (x + dx)) / delta for matvec,
+    err(solve(A, b + db)) / delta for solve_fixed_a, err(invert(A - E)) /
+    delta for inversion, and err(solve(A - E, b or b + db)) / delta for the
+    other solve kinds."""
     r, s = norms.norm_index(r), norms.norm_index(s)
+    if kind == "matvec":
+        att = norms.operator_norm(a, r, s).attainer
+        x_tilde = b + delta * norms.vector_norm(b, r) * att
+        return emp.relerror(a @ x_tilde, a @ b, emp.normwise(s)) / delta
     size = delta * float(norms.operator_norm_values(a, r, s))
     if kind == "inversion":
         e = emp.worst_inversion_perturbation(a, r, s, size)
@@ -736,6 +751,9 @@ def _unfolded_directional(kind, a, b, r, s, delta, input_model):
     x = linalg.solve(a, b)
     _, y, _ = conditioning._extremal_pair(
         conditioning._Operand(a, norms.DEFAULT_MAX_ENUM_DIM), r, s)
+    if kind == "solve_fixed_a":
+        b_tilde = b + delta * norms.vector_norm(b, s) * y
+        return emp.relerror(linalg.solve(a, b_tilde), x, emp.normwise(r)) / delta
     a_tilde = a - size * norms.rank_one_interpolator(x / norms.vector_norm(x, r), y, r, s)
     if kind == "solve_fixed_b":
         return emp.relerror(linalg.solve(a_tilde, b), x, emp.normwise(r)) / delta
@@ -748,18 +766,47 @@ def _unfolded_directional(kind, a, b, r, s, delta, input_model):
 def test_folded_worst_direction_keeps_its_bits(output_model):
     # the worst direction rides the samples' stack; its ratio is the one of
     # the unfolded oracle, bit for bit, for every pair, for the blockwise
-    # sum, and under an output model that is not the directional one
-    a = gaussian(425, 0, shape=(4, 4))
-    b = gaussian(425, 1, shape=(4,))
+    # sum, and under an output model that is not the directional one.
+    # matvec's worst row is a row of one GEMM, whose last bits may differ
+    # from the matrix-vector product A (x + dx) alone: each computes every
+    # entry within n eps |A| |x + dx|, so the ratios differ by a few
+    # n eps / delta relative, the output error being delta ||A|| ||x||
+    n = 4
+    a = gaussian(425, 0, shape=(n, n))
+    b = gaussian(425, 1, shape=(n,))
     config = emp.EstimatorConfig(deltas=(1e-5, 1e-7), samples_per_delta=20, seed=33)
-    cases = (_sweep_cases(a, b, kinds=("inversion", "solve_fixed_b", "solve_both"))
+    eps = np.finfo(np.float64).eps
+    cases = (_sweep_cases(a, b)
              + _sweep_cases(a, b, kinds=("solve_both",), model=emp.componentwise_sum))
     for kind, a_, b_, r, s, model in cases:
         rep = emp.estimate_condition(kind, a_, b_, r, s, input_model=model,
                                      output_model=output_model, config=config)
         for d in rep.per_delta:
             want = _unfolded_directional(kind, a, b, r, s, d.delta, model)
+            if kind == "matvec":
+                want = pytest.approx(want, rel=4 * n * eps / d.delta)
             assert d.directional_ratio == want, (kind, r, s, model, d.delta)
+
+
+def test_one_perturbed_stack_per_delta(monkeypatch):
+    # every kind evaluates its samples and its worst direction as one stack,
+    # samples + 1 members, once per delta when nothing is resampled
+    stacks = []
+    perturbed_outputs = emp._perturbed_outputs
+
+    def spy(inst, a_tilde, b_tilde):
+        stacks.append(len(b_tilde if a_tilde is None else a_tilde))
+        return perturbed_outputs(inst, a_tilde, b_tilde)
+
+    monkeypatch.setattr(emp, "_perturbed_outputs", spy)
+    a = gaussian(427, 0, shape=(4, 4))
+    b = gaussian(427, 1, shape=(4,))
+    config = emp.EstimatorConfig(deltas=(1e-5, 1e-6, 1e-7), samples_per_delta=30, seed=35)
+    for kind in conditioning.PROBLEM_KINDS:
+        stacks.clear()
+        rep = emp.estimate_condition(kind, a, None if kind == "inversion" else b, config=config)
+        assert not any(d.resampled for d in rep.per_delta)
+        assert stacks == [31, 31, 31], kind
 
 
 @pytest.mark.parametrize("kind", ("inversion", "solve_fixed_b", "solve_both"))
