@@ -13,7 +13,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from condlab.cli import _experiment_csv, _jsonable  # noqa: E402
+from condlab.cli import experiment_csv, jsonable  # noqa: E402
 from condlab.randomlab import ExperimentConfig, run_experiment  # noqa: E402
 
 RUNS = [
@@ -41,9 +41,9 @@ def main():
         )
         summary = run_experiment(config, statistic)
         elapsed = time.perf_counter() - t0
-        payload = _jsonable(summary)
+        payload = jsonable(summary)
         combined[label] = payload
-        (out / f"{label}.csv").write_text(_experiment_csv(payload))
+        (out / f"{label}.csv").write_text(experiment_csv(payload))
         print(f"{label:16s} verdict={summary.verdict:12s} ({elapsed:.1f}s)")
         for stats in summary.per_size:
             print(

@@ -71,7 +71,8 @@ def problem_kind(kind):
 def _problem_vector(kind, vec, n):
     """The vector of ``kind`` as float64 for a matrix with ``n`` columns;
     raises ValueError when a kind other than inversion has none, or one that
-    is not 1-d or not of length n, and ZeroVector when it is zero."""
+    is not 1-d, not of length n or not finite, and ZeroVector when it is
+    zero."""
     if kind == "inversion":
         return vec
     if vec is None:
@@ -84,6 +85,8 @@ def _problem_vector(kind, vec, n):
             f"{kind} needs a vector of length {n} for a matrix with {n} columns, "
             f"got length {len(vec)}"
         )
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("vector entries must be finite")
     if not np.any(vec != 0.0):
         raise ZeroVector(f"{kind} requires a nonzero vector")
     return vec

@@ -68,9 +68,20 @@ def _check_lower(lower):
     lower = np.asarray(lower, dtype=np.float64)
     if lower.ndim != 2 or lower.shape[0] != lower.shape[1]:
         raise ValueError("expected a square matrix")
+    if not np.all(np.isfinite(lower)):
+        raise ValueError("matrix entries must be finite")
     if np.any(np.triu(lower, 1) != 0.0):
         raise NotLowerTriangular("strict upper triangle must be exactly zero")
     return lower
+
+
+def _check_rhs(b, n):
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (n,):
+        raise ValueError("right-hand side shape mismatch")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side entries must be finite")
+    return b
 
 
 def forward_substitution(lower, b, precision=WORKING):
@@ -81,9 +92,7 @@ def forward_substitution(lower, b, precision=WORKING):
     addition, subtraction and division is rounded before the next operation.
     """
     lower = _check_lower(lower)
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (lower.shape[0],):
-        raise ValueError("right-hand side shape mismatch")
+    b = _check_rhs(b, lower.shape[0])
     if np.any(np.diag(lower) == 0.0):
         raise ZeroDiagonal("forward substitution needs nonzero diagonal entries")
     return _forward_substitution_batched(lower[None], b[None], precision)[0]
@@ -98,15 +107,18 @@ def _forward_substitution_batched(lower, b, precision):
     operations of the row-oriented loop in the same order j = 0, ..., i-1,
     rounded the same way, and x is the same bit for bit.  Elementwise array
     operations keep the per-operation rounding model intact across the stack.
+    An entry that overflows comes out as inf (and may make later ones nan),
+    the rounding model's result, without a warning.
     """
     rnd = _rounder(precision)
     nb, n = b.shape
     x = np.empty((nb, n))
     w = np.zeros((nb, n))
-    x[:, 0] = rnd(b[:, 0] / lower[:, 0, 0])
-    for j in range(1, n):
-        w[:, j:] = rnd(w[:, j:] + rnd(lower[:, j:, j - 1] * x[:, j - 1, None]))
-        x[:, j] = rnd(rnd(b[:, j] - w[:, j]) / lower[:, j, j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        x[:, 0] = rnd(b[:, 0] / lower[:, 0, 0])
+        for j in range(1, n):
+            w[:, j:] = rnd(w[:, j:] + rnd(lower[:, j:, j - 1] * x[:, j - 1, None]))
+            x[:, j] = rnd(rnd(b[:, j] - w[:, j]) / lower[:, j, j])
     return x
 
 
@@ -125,16 +137,19 @@ def componentwise_backward_error(lower, b, x_hat, precision=WORKING):
     |e_ij| <= eps |l_ij|.
 
     Rowwise: eps_i = |b_i - (L x_hat)_i| / (|L| |x_hat|)_i, eps = max_i,
-    with 0/0 = 0 and r/0 = inf; evaluated in working precision.  The
-    reported bound is (n+2) * eps_mach of ``precision`` (the arithmetic the
-    candidate solution is assumed to come from).
+    with 0/0 = 0, r/0 = inf, and inf for a row whose residual is not finite
+    (x_hat overflowed); evaluated in working precision.  The reported bound
+    is (n+2) * eps_mach of ``precision`` (the arithmetic the candidate
+    solution is assumed to come from).
     """
     lower = _check_lower(lower)
-    b = np.asarray(b, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
     n = lower.shape[0]
-    residual = b - lower @ x_hat
-    eps = _rowwise_eps(np.abs(residual), np.abs(lower) @ np.abs(x_hat))
+    b = _check_rhs(b, n)
+    x_hat = np.asarray(x_hat, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = b - lower @ x_hat
+        denom = np.abs(lower) @ np.abs(x_hat)
+    eps = _rowwise_eps(np.abs(residual), denom)
     bound = (n + 2) * precision.eps_mach
     return BackwardErrorReport(
         epsilon_cw=float(eps), bound=bound, satisfied=bool(eps <= bound), residual=residual
@@ -148,7 +163,7 @@ def _rowwise_eps(abs_residual, denom):
             abs_residual / np.where(denom > 0.0, denom, 1.0),
             np.where(abs_residual > 0.0, inf, 0.0),
         )
-    return np.max(eps, axis=-1)
+    return np.max(np.where(np.isfinite(abs_residual), eps, inf), axis=-1)
 
 
 def hypothesis_gate(n, precision):
@@ -176,6 +191,7 @@ def _verify_batched(lower, b, precision):
     n = b.shape[-1]
     hypothesis_gate(n, precision)
     x_hat = _forward_substitution_batched(lower, b, precision)
-    residual = b - np.einsum("bij,bj->bi", lower, x_hat)
-    denom = np.einsum("bij,bj->bi", np.abs(lower), np.abs(x_hat))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = b - np.einsum("bij,bj->bi", lower, x_hat)
+        denom = np.einsum("bij,bj->bi", np.abs(lower), np.abs(x_hat))
     return _rowwise_eps(np.abs(residual), denom), (n + 2) * precision.eps_mach

@@ -258,6 +258,72 @@ def test_exit_code_bad_input(files, capsys):
     capsys.readouterr()
 
 
+_KINDS = ["inversion", "matvec", "solve-fixed-a", "solve-fixed-b", "solve-both"]
+# every command that reads files, and whether it needs a vector as well
+_FILE_COMMANDS = [
+    pytest.param(argv, needs_vector, id=" ".join(argv))
+    for argv, needs_vector in
+    [(["norm"], False), (["kappa"], False), (["mixed"], True), (["dist"], False),
+     (["nearest-singular"], False), (["solve-tri"], True), (["verify-tri"], True)]
+    + [([name, kind], kind != "inversion") for name in ("cond", "estimate") for kind in _KINDS]
+]
+
+
+@pytest.mark.parametrize("argv,needs_vector", _FILE_COMMANDS)
+def test_every_file_command_requires_a_matrix(files, capsys, argv, needs_vector):
+    assert main(argv + ["--vector", files["b.csv"]]) == 1
+    assert capsys.readouterr() == ("", "condlab: --matrix is required\n")
+
+
+@pytest.mark.parametrize("argv,needs_vector", _FILE_COMMANDS)
+def test_vector_is_required_where_the_problem_has_one(files, capsys, argv, needs_vector):
+    argv = argv + ["--matrix", files["lower.csv"]]
+    if argv[0] == "estimate":
+        argv += ["--samples", "5", "--delta", "1e-6"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if needs_vector:
+        assert code == 1
+        assert captured == ("", "condlab: --vector is required\n")
+    else:
+        assert code == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["inputs"]["dims"] == [2, 2]
+
+
+def test_experiment_reads_no_file(capsys):
+    argv = ["experiment", "frob-inv", "--n", "2", "--trials", "3000", "--seed", "42",
+            "--matrix", "/nonexistent/m.csv", "--vector", "/nonexistent/v.csv"]
+    code, env = run_json(capsys, argv)
+    assert code == 0
+    assert "dims" not in env["inputs"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cond", "matvec"], ["cond", "solve-fixed-a"], ["estimate", "matvec", "--samples", "5"],
+    ["mixed"],
+])
+def test_exit_code_non_finite_vector(files, tmp_path, capsys, argv):
+    # these exited 0 with a NaN value (mixed: 3, a violated sandwich)
+    (tmp_path / "nan.csv").write_text("1\nnan\n")
+    argv = argv + ["--matrix", files["diag12.csv"], "--vector", str(tmp_path / "nan.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "condlab: vector entries must be finite\n")
+
+
+@pytest.mark.parametrize("command", ["solve-tri", "verify-tri"])
+def test_triangular_commands_reject_nan(files, tmp_path, capsys, command):
+    # these exited 0 reporting epsilon_cw = 0 and a satisfied bound
+    (tmp_path / "nan.csv").write_text("1\nnan\n")
+    (tmp_path / "lnan.csv").write_text("1,0\nnan,1\n")
+    argv = [command, "--matrix", files["lower.csv"], "--vector", str(tmp_path / "nan.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "condlab: right-hand side entries must be finite\n")
+    argv = [command, "--matrix", str(tmp_path / "lnan.csv"), "--vector", files["b.csv"]]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "condlab: matrix entries must be finite\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "matvec", "--samples", "5"],
     ["cond", "solve-fixed-a"],

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from condlab import conditioning as cond
-from condlab import linalg, norms
+from condlab import empirical, linalg, norms
 from condlab.errors import SingularMatrix, ZeroVector
 
 from conftest import gaussian
@@ -54,6 +54,20 @@ def test_vector_must_be_1d_and_match_the_matrix(kind):
     if kind == "solve_both":
         with pytest.raises(ValueError, match="length 4 .* got length 5"):
             cond.mixed_condition(a, np.ones(5))
+
+
+@pytest.mark.parametrize("kind", ["matvec", "solve_fixed_a", "solve_fixed_b", "solve_both"])
+@pytest.mark.parametrize("bad", [np.nan, inf, -inf])
+def test_vector_must_be_finite(kind, bad):
+    # a NaN entry passed the zero-vector check and came out as a NaN value
+    a, vec = np.eye(2) + 0.25, np.array([1.0, bad])
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        cond.condition_closed_form(kind, a, vec)
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        empirical.estimate_condition(kind, a, vec)
+    if kind == "solve_both":
+        with pytest.raises(ValueError, match="vector entries must be finite"):
+            cond.mixed_condition(a, vec)
 
 
 def test_rectangular_matvec_takes_a_vector_of_its_column_count():

@@ -1,3 +1,6 @@
+import warnings
+from math import inf
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,45 @@ def test_forward_substitution_validation():
         tri.forward_substitution(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 1.0]))
     with pytest.raises(ZeroDiagonal):
         tri.forward_substitution(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, inf])
+def test_non_finite_input_rejected(bad):
+    # a NaN in L or b used to pass as a backward-stable solve with eps = 0
+    lower, b = np.array([[1.0, 0.0], [bad, 1.0]]), np.array([1.0, 1.0])
+    bad_b = np.array([1.0, bad])
+    for call in (tri.forward_substitution, tri.verify_backward_stability):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            call(lower, b)
+        with pytest.raises(ValueError, match="right-hand side entries must be finite"):
+            call(np.eye(2), bad_b)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        tri.componentwise_backward_error(lower, b, b)
+    with pytest.raises(ValueError, match="right-hand side entries must be finite"):
+        tri.componentwise_backward_error(np.eye(2), bad_b, b)
+
+
+def test_backward_error_of_a_non_finite_solution_is_inf():
+    rep = tri.componentwise_backward_error(np.eye(2), np.array([1.0, 1.0]),
+                                           np.array([1.0, np.nan]))
+    assert rep.epsilon_cw == inf
+    assert not rep.satisfied
+
+
+@pytest.mark.parametrize("precision", [tri.WORKING, tri.REDUCED])
+def test_overflowing_solve_reports_inf_without_warnings(precision):
+    # x_1 = 2^1060 overflows to inf, the rounding model's result, and the
+    # residual of both rows is not finite
+    lower, b = np.array([[2.0**-60, 0.0], [1.0, 1.0]]), np.array([2.0**1000, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = tri.forward_substitution(lower, b, precision)
+        rep = tri.componentwise_backward_error(lower, b, x, precision)
+        eps, _ = tri._verify_batched(lower[None], b[None], precision)
+    assert x.tolist() == [inf, -inf]
+    assert rep.epsilon_cw == inf
+    assert not rep.satisfied
+    assert eps.tolist() == [inf]
 
 
 def test_backward_error_near_exact_solution():
