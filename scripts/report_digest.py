@@ -13,8 +13,11 @@ and stdout).  A third digest, ``cli-all``, runs a fixed list of about 120
 command lines on files drawn from the seed: all ten commands, both output
 formats, and the error exits 1, 2, 4 and 5.  It hashes each exit code with
 its stdout and its stderr, with the temporary directory's name replaced.
-condlab is imported from the ``src/`` next to this script.  Two checkouts
-that print the same digests gave byte-identical results.
+Under the ``estimator`` total, one digest per problem kind hashes that
+kind's reports alone, in the same order, so a change that can touch only
+one kind can show that the others kept their bits.  condlab is imported
+from the ``src/`` next to this script.  Two checkouts that print the same
+digests gave byte-identical results.
 """
 
 from __future__ import annotations
@@ -155,19 +158,27 @@ def _workloads():
 
 
 def digests(seeds):
-    """{workload: (number of outputs, SHA-256 hex digest)}."""
+    """{name: (number of outputs, SHA-256 hex digest)} of each workload, and
+    of each problem kind's estimator reports as ``estimator/<kind>``, listed
+    after the total of ``estimator``."""
     workloads = _workloads()
-    hashes = {name: (0, hashlib.sha256()) for name, *_ in workloads}
+    hashes = {}
     for seed in seeds:
         for name, make_inputs, operations in workloads:
             with tempfile.TemporaryDirectory(prefix=f"digest-{name}-") as workdir:
                 inputs = make_inputs(seed, workdir)
-                count, h = hashes[name]
-                for _, op in operations(inputs):
-                    h.update(repr(op()).encode("utf-8"))
-                    count += 1
-                hashes[name] = count, h
-    return {name: (count, h.hexdigest()) for name, (count, h) in hashes.items()}
+                for label, op in operations(inputs):
+                    output = repr(op()).encode("utf-8")
+                    names = [name]
+                    if name == "estimator":  # labels read "<kind>/n=<size>/(<r>,<s>)"
+                        names.append(f"{name}/{label.split('/')[0]}")
+                    for key in names:
+                        count, h = hashes.setdefault(key, (0, hashlib.sha256()))
+                        h.update(output)
+                        hashes[key] = count + 1, h
+    order = [name for name, *_ in workloads]
+    keys = sorted(hashes, key=lambda key: order.index(key.split("/")[0]))
+    return {key: (hashes[key][0], hashes[key][1].hexdigest()) for key in keys}
 
 
 def main(argv=None):
@@ -181,7 +192,10 @@ def main(argv=None):
     if not os.path.abspath(condlab.__file__).startswith(os.path.join(ROOT, "src") + os.sep):
         sys.exit(f"report_digest: condlab was imported from {condlab.__file__}")
     for name, (count, digest) in digests(seeds).items():
-        print(f"{name:<10} {count:4d} outputs  sha256 {digest}")
+        if "/" in name:
+            print(f"  {name.split('/')[1]:<14} {count:4d} outputs  sha256 {digest}")
+        else:
+            print(f"{name:<10} {count:4d} outputs  sha256 {digest}")
     return 0
 
 

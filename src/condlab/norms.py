@@ -12,7 +12,11 @@ batched GEMM screens every sign vector, and only those within a derived
 rounding bound of the maximum are confirmed by the elementwise score; the
 sign vector chosen, and so every value and attainer, is the same as if all
 were scored elementwise.  Single matrices and stacks share one core, and
-the (2,2) norm comes from LAPACK.
+the (2,2) norm comes from LAPACK.  At those four pairs without a closed
+form, :func:`operator_norm_bounds` gives cheap bounds that are exact on
+rank-one matrices up to a derived margin and never below the computed
+value, so a caller that wants only the largest norm of a stack can skip
+members whose bound falls below a value already found.
 
 Also provides the rank-one norm interpolator: given unit vectors x, y it
 builds B = y u^T with ||B||_rs = 1 and B x = y, the workhorse behind the
@@ -43,6 +47,9 @@ _CHUNK_ELEMENTS = 1 << 16
 
 #: Pairs computed by sign-vector enumeration rather than a closed form.
 ENUMERATION_PAIRS = ((inf, 1.0), (inf, 2.0), (2.0, 1.0))
+
+#: Pairs with no closed form, which :func:`operator_norm_bounds` bounds.
+BOUNDED_PAIRS = ENUMERATION_PAIRS + ((2.0, 2.0),)
 
 
 def norm_index(value):
@@ -322,6 +329,64 @@ def operator_norm_values(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     but (2,2), whose values skip LAPACK's singular vectors.
     """
     return _operator_norms(a, r, s, max_enum_dim, want_attainers=False)[0]
+
+
+def operator_norm_bounds(a, r, s):
+    """Upper bounds on :func:`operator_norm_values` over a stack, one per
+    member, at a pair of ``BOUNDED_PAIRS``; each within a factor 1 + gamma
+    of the (r, s) norm of a rank-one member (Higham, ASNA, section 6.3).
+
+    The bound B is sum_ij |a_ij| at (inf,1), the sum of the column 2-norms
+    at (inf,2), the sum of the row 2-norms at (2,1) and ||A||_F at (2,2):
+    the triangle inequality over the columns (rows at (2,1)) of A, or
+    sigma_max <= ||A||_F, with equality at A = y u^T.  What is returned for
+    a p x q member is fl(B-hat (1 + gamma)) + (p + q) 2^-1074, B-hat the
+    computed B.
+
+    gamma bounds the rounding of both B-hat and the value, in eps = 2^-52,
+    u = eps / 2 and gamma_k = k u / (1 - k u).  B-hat >= B (1 - gamma_{pq+4}):
+    it sums at most pq magnitudes, or 2-norms of the member scaled by the
+    power of two that brings its largest magnitude into [1/2, 1).  On that
+    scale B >= 1/2, and an entry or a square that underflows changes a
+    2-norm by at most 2^-537 sqrt(pq), far inside the margin.  At an
+    enumeration pair the value is the norm of fl(T z), z the signs chosen
+    and T the exactly rescaled A (A^T at (2,1)); each entry of fl(T z) is
+    within gamma_{p+q} sum_j |t_ij| of (T z)_i, and the norm adds
+    gamma_{p+q}, so the value is at most (1 + gamma_{2(p+q)}) B.
+    At (2,2) the value is LAPACK's sigma_max.  Householder
+    bidiagonalization is backward stable with ||dA||_F <= 2q gamma~_p
+    ||A||_F (ASNA, section 19.3, taking c = 8 in gamma~_k = c k u /
+    (1 - c k u)), and the values of the bidiagonal come out to relative
+    accuracy 70 q^2 u (Demmel & Kahan 1990, which dqds keeps), so by Weyl
+    sigma-hat <= sigma_max + (16 pq + 70 q^2) u ||A||_F to first order.
+    Either way the value is below (1 + 38 (p + q)^2 eps) B-hat, and
+    gamma = 64 (p + q)^2 eps leaves room for the second-order terms and for
+    rounding the product.  A value or a bound among the subnormals is off
+    by up to half of 2^-1074 per rounded term instead, which the absolute
+    term covers.  So the bound is never below the value, and a non-finite
+    member gets a non-finite bound.
+    """
+    r, s = norm_index(r), norm_index(s)
+    a = np.asarray(a, dtype=np.float64)
+    p, q = a.shape[-2:]
+    if (r, s) not in BOUNDED_PAIRS:
+        raise ValueError(f"no rank-one bound at ({r:g},{s:g}); see BOUNDED_PAIRS")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if (r, s) == (inf, 1.0):
+            bound = np.sum(np.abs(a), axis=(-2, -1))
+        else:  # 2-norms of the member scaled exactly into [1/2, 1)
+            _, exponent = np.frexp(np.max(np.abs(a), axis=(-2, -1)))
+            y = np.ldexp(a, -exponent[..., None, None])
+            y *= y
+            if (r, s) == (inf, 2.0):
+                bound = np.sum(np.sqrt(np.sum(y, axis=-2)), axis=-1)
+            elif (r, s) == (2.0, 1.0):
+                bound = np.sum(np.sqrt(np.sum(y, axis=-1)), axis=-1)
+            else:
+                bound = np.sqrt(np.sum(y, axis=(-2, -1)))
+            bound = np.ldexp(bound, exponent)
+        gamma = 64.0 * (p + q) ** 2 * np.finfo(np.float64).eps
+        return bound * (1.0 + gamma) + (p + q) * np.finfo(np.float64).smallest_subnormal
 
 
 def rank_one_interpolator(x, y, r, s):

@@ -72,12 +72,19 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ensemble", ensemble_kind(self.ensemble))
-        sizes = tuple(int(n) for n in self.sizes)
-        if not sizes or any(n < 1 for n in sizes):
+        try:
+            sizes = tuple(self.sizes)
+        except TypeError:  # a lone number
+            sizes = ()
+        if not sizes or not all(rng.is_whole(n, 1) for n in sizes):
             raise ValueError("sizes must be a nonempty list of positive integers")
-        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "sizes", tuple(int(n) for n in sizes))
+        if not rng.is_whole(self.trials):
+            raise ValueError("trials must be an integer")
         if self.trials < 2:
             raise ValueError("trials must be >= 2: one trial has no standard error")
+        if not rng.is_whole(self.seed):
+            raise ValueError("seed must be an integer")
 
 
 def _sample_batch(ensemble, n, keys):

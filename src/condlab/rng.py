@@ -13,6 +13,8 @@ scalars) are used throughout because numpy warns on scalar overflow.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -33,6 +35,14 @@ def _finalize(z):
             if mix is not None:
                 z *= mix
     return z
+
+
+def is_whole(value, least=None):
+    """Whether ``value`` is an integer, not a bool, and at least ``least``
+    when that is given: what a seed, a count or a size must be.  A float or
+    a string is not, even when it holds a whole number."""
+    return (isinstance(value, Integral) and not isinstance(value, bool)
+            and (least is None or value >= least))
 
 
 def substream(seed, *path):

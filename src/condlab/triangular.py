@@ -146,6 +146,8 @@ def componentwise_backward_error(lower, b, x_hat, precision=WORKING):
     n = lower.shape[0]
     b = _check_rhs(b, n)
     x_hat = np.asarray(x_hat, dtype=np.float64)
+    if x_hat.shape != (n,):
+        raise ValueError(f"solution shape mismatch: expected ({n},), got {x_hat.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         residual = b - lower @ x_hat
         denom = np.abs(lower) @ np.abs(x_hat)

@@ -198,16 +198,19 @@ def test_estimator_config_rejects_non_finite_deltas(delta):
     ("max_attempts", -1), ("max_attempts", 2.5), ("max_attempts", "3"), ("max_attempts", None),
     ("max_attempts", True), ("samples_per_delta", 2.5), ("samples_per_delta", -3),
     ("samples_per_delta", "10"), ("samples_per_delta", True),
+    ("seed", 1.5), ("seed", True), ("seed", "1"), ("seed", None), ("seed", 2.0),
 ])
 def test_estimator_config_rejects_bad_counts(field, value):
     # a negative cap used to end in SingularMatrix "after -1 resampling
-    # rounds" on a well-conditioned matrix, and a fractional sample count in
-    # a TypeError inside rng.substream
+    # rounds" on a well-conditioned matrix, a fractional sample count in
+    # a TypeError inside rng.substream, and a seed of 1.5 drew seed 1
     with pytest.raises(ValueError, match=field):
         emp.EstimatorConfig(**{field: value})
 
 
 def test_estimator_config_accepts_whole_counts():
+    for seed in (-1, 2**64 + 5, np.int64(7), np.uint64(2**63)):  # wrapped mod 2^64
+        assert emp.EstimatorConfig(seed=seed).seed == seed
     cfg = emp.EstimatorConfig(samples_per_delta=np.int64(5), max_attempts=0)
     rep = emp.estimate_condition("inversion", np.eye(3) + 0.1, config=cfg)
     assert rep.estimate == pytest.approx(rep.closed_form, rel=0.05)
@@ -837,3 +840,113 @@ def test_samples_that_keep_crossing_raise_before_the_worst_direction(kind):
                                      max_attempts=attempts)
         with pytest.raises(error, match=message):
             emp.estimate_condition(kind, a, b, config=config)
+
+
+# members of a stack for the screen: a Gaussian draw, a rank-one matrix (its
+# bound is attained), a zero matrix, and an earlier member repeated, negated,
+# with its rows reversed, or scaled by 1 + k eps (exact ties and near ties)
+_MEMBERS = st.sampled_from(
+    ("gaussian", "rank_one", "zero", "repeat", "negate", "flip", "nudge"))
+
+
+@given(st.sampled_from(norms.BOUNDED_PAIRS), st.integers(1, 5), st.integers(1, 5),
+       st.lists(_MEMBERS, min_size=1, max_size=12), st.booleans(),
+       st.sampled_from((None, np.nan, np.inf, -np.inf)), st.integers(0, 2**16))
+@settings(max_examples=300, deadline=None)
+def test_screened_largest_is_the_largest_value_bit_for_bit(pair, p, q, kinds, last, bad, seed):
+    r, s = pair
+    stack = []
+    for k, kind in enumerate(kinds):
+        if kind == "gaussian" or (kind in ("repeat", "negate", "flip", "nudge") and not stack):
+            member = gaussian(seed, k, shape=(p, q))
+        elif kind == "rank_one":
+            member = np.outer(gaussian(seed, k, 0, shape=(p,)), gaussian(seed, k, 1, shape=(q,)))
+        elif kind == "zero":
+            member = np.zeros((p, q))
+        else:
+            member = stack[seed % len(stack)]
+            member = {"repeat": member, "negate": -member, "flip": member[::-1],
+                      "nudge": member * (1 + (k % 5 - 2) * np.finfo(float).eps)}[kind]
+        stack.append(member)
+    stack = np.array(stack)
+    if bad is not None:
+        stack[seed % len(stack), seed % p, seed % q] = bad
+    for denom in (1.0, 3.0):
+        if bad is not None:  # both raise on the non-finite member
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                norms.operator_norm_values(stack, r, s)
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                emp._screened_largest(stack, r, s, 20, denom, last)
+            continue
+        values = norms.operator_norm_values(stack, r, s) / denom
+        largest, last_value = emp._screened_largest(stack, r, s, 20, denom, last)
+        rest = values[:-1] if last else values
+        assert largest == (rest.max() if len(rest) else -np.inf)
+        assert last_value == (values[-1] if last else None)
+
+
+@pytest.mark.parametrize("r,s", norms.BOUNDED_PAIRS)
+def test_screened_largest_of_near_ties(r, s):
+    # copies of one rank-one matrix scaled by 1 + k eps, |k| <= 3: every
+    # bound is within a few ulps of every value, so a screen without its
+    # margin gamma drops the largest member of some of these stacks: 7 of
+    # the 1500 at (2,2) (the enumeration pairs are easier to break through
+    # the bounds alone, see test_norms.py)
+    eps = np.finfo(np.float64).eps
+    for t in range(1500 if (r, s) == (2.0, 2.0) else 200):
+        p, q = 1 + t % 5, 1 + t // 5 % 5
+        y = np.outer(gaussian(433, t, 0, shape=(p,)), gaussian(433, t, 1, shape=(q,)))
+        k = np.floor(7 * rng.uniforms(rng.substream(434, t), 4)) - 3
+        stack = y * (1 + k * eps)[:, None, None]
+        values = norms.operator_norm_values(stack, r, s)
+        assert emp._screened_largest(stack, r, s, 20, 1.0, False)[0] == values.max(), t
+
+
+def _plain_largest(d, r, s, max_enum_dim, denom, last):
+    """:func:`empirical._screened_largest` without the screen: every member's
+    exact norm."""
+    values = norms.operator_norm_values(d, r, s, max_enum_dim) / denom
+    return emp._largest_and_last(values, last)
+
+
+def test_screen_keeps_every_report_of_a_sweep(monkeypatch):
+    # the benchmark's shape: one Gaussian matrix with kappa_2 below 1e3,
+    # every kind and pair, two deltas of 1000 samples
+    a = gaussian(431, 0, shape=(7, 7))
+    assert np.linalg.cond(a) < 1e3
+    b = gaussian(431, 1, shape=(7,))
+    config = emp.EstimatorConfig(deltas=(1e-6, 1e-7), samples_per_delta=1000, seed=38)
+    cases = _sweep_cases(a, b)
+    screened = _sweep(cases, config, cold=False)
+    monkeypatch.setattr(emp, "_screened_largest", _plain_largest)
+    assert _sweep(cases, config, cold=True) == screened
+
+
+@pytest.mark.parametrize("r,s", [(1, "inf"), (2, "inf"), (1, 2), (2, 2)])
+def test_screen_takes_few_exact_norms_per_inversion_stack(monkeypatch, r, s):
+    # the output pairs (inf,1), (inf,2), (2,1) and (2,2); a warm second
+    # estimate finds the draws' norms and A's in the memos, so its only
+    # exact norms are the screen's: the member of largest bound alone, then
+    # the members that can still be the largest with the worst row
+    a = gaussian(432, 0, shape=(6, 6))
+    config = emp.EstimatorConfig(deltas=(1e-5, 1e-6, 1e-7), samples_per_delta=300, seed=39)
+    want = emp.estimate_condition("inversion", a, r=r, s=s, config=config)
+    evaluated = []
+    operator_norm_values = emp.operator_norm_values
+
+    def spy(m, *args):
+        evaluated.append(len(m))
+        return operator_norm_values(m, *args)
+
+    monkeypatch.setattr(emp, "operator_norm_values", spy)
+    assert emp.estimate_condition("inversion", a, r=r, s=s, config=config) == want
+    assert evaluated[0::2] == [1, 1, 1]
+    assert len(evaluated) == 6
+    assert all(1 <= k <= 1 + 300 // 20 for k in evaluated[1::2]), evaluated
+
+
+def test_worst_inversion_perturbation_rejects_non_finite_delta():
+    # NaN passed "delta <= 0" and was blamed on the matrix entries
+    for delta in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^delta must be finite, got {delta}$"):
+            emp.worst_inversion_perturbation(np.diag([1.0, 2.0]), 2, 2, delta)

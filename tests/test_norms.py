@@ -242,6 +242,42 @@ def test_zero_matrix_norm_and_attainer(r, s):
     assert np.array_equal(res.attainer, expected)
 
 
+@pytest.mark.parametrize("r,s", norms.BOUNDED_PAIRS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_bounds_are_never_below_the_computed_values(shape, r, s):
+    # Gaussian and rank-one stacks, at 2^k for k from the subnormals, where
+    # the entries and the values round absolutely, to past DBL_MAX / 2^10
+    g = gaussian(214, *shape, shape=(100,) + shape)
+    y = gaussian(215, *shape, shape=(100, shape[0]))
+    u = gaussian(216, *shape, shape=(100, shape[1]))
+    rank_one = y[:, :, None] * u[:, None, :]
+    for stack in (g, rank_one):
+        for k in (-1074, -1070, -1060, -1000, 0, 600, 1010):
+            scaled = np.ldexp(stack, k)
+            bounds = norms.operator_norm_bounds(scaled, r, s)
+            assert np.all(norms.operator_norm_values(scaled, r, s) <= bounds), k
+    # equality on a rank-one matrix, but for the margin gamma and the rounding
+    # of y u^T and of either side
+    gamma = 64 * sum(shape) ** 2 * np.finfo(np.float64).eps
+    values = norms.operator_norm_values(rank_one, r, s)
+    assert np.all(norms.operator_norm_bounds(rank_one, r, s) <= values * (1 + gamma + 1e-14))
+
+
+def test_bounds_of_zero_and_non_finite_members():
+    eps = np.finfo(np.float64).eps
+    stack = np.zeros((4, 2, 3))
+    stack[1, 0, 0], stack[2, 1, 2], stack[3, 0, 1] = np.nan, inf, 1.0
+    for r, s in norms.BOUNDED_PAIRS:
+        bounds = norms.operator_norm_bounds(stack, r, s)
+        assert bounds[0] == 5 * 2.0**-1074  # (p + q) times the least subnormal
+        assert np.isnan(bounds[1]) and not np.isfinite(bounds[2])
+        assert bounds[3] == (1 + 64 * 25 * eps) + 0.0
+    for r, s in ALL_PAIRS:
+        if (r, s) not in norms.BOUNDED_PAIRS:
+            with pytest.raises(ValueError, match="no rank-one bound"):
+                norms.operator_norm_bounds(stack, r, s)
+
+
 def test_enumeration_dimension_gate_on_stacks():
     with pytest.raises(DimensionTooLarge):
         norms.operator_norm_values(np.ones((2, 3, 21)), inf, 1)

@@ -153,6 +153,31 @@ def test_sampler_determinism():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("seed", 1.5, "seed must be an integer"), ("seed", True, "seed must be an integer"),
+    ("seed", "1", "seed must be an integer"), ("seed", 2.0, "seed must be an integer"),
+    ("trials", 2.5, "trials must be an integer"), ("trials", True, "trials must be an integer"),
+    ("trials", "10", "trials must be an integer"),
+    ("sizes", (2.7,), "sizes must be"), ("sizes", (True,), "sizes must be"),
+    ("sizes", ("3",), "sizes must be"), ("sizes", (3, 4.0), "sizes must be"),
+    ("sizes", 3, "sizes must be"), ("sizes", "3", "sizes must be"),
+])
+def test_config_rejects_numbers_that_are_not_integers(field, value, message):
+    # seed=1.5 drew seed 1 but reported 1.5, sizes=(2.7,) ran n = 2 and
+    # trials=2.5 ended in a numpy TypeError
+    kwargs = {"sizes": (3,), "trials": 10, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=f"^{message}"):
+        rl.ExperimentConfig("unit_lower_gaussian", **kwargs)
+
+
+def test_config_accepts_numpy_integers_and_any_seed():
+    for seed in (-1, 2**64 + 5, np.int64(3)):
+        config = rl.ExperimentConfig("unit_lower_gaussian", sizes=(np.int64(3),),
+                                     trials=np.int32(10), seed=seed)
+        assert config.sizes == (3,) and type(config.sizes[0]) is int
+        assert config.seed == seed
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         rl.ExperimentConfig("unit_lower_gaussian", sizes=(), trials=10)

@@ -90,6 +90,14 @@ def test_backward_error_of_a_non_finite_solution_is_inf():
     assert not rep.satisfied
 
 
+@pytest.mark.parametrize("x_hat", [[1.0, 1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [1.0], 1.0])
+def test_backward_error_checks_the_solution_shape(x_hat):
+    # a length-3 x_hat raised numpy's matmul ValueError, and a (2, 2) one a
+    # TypeError that the CLI's error table does not map
+    with pytest.raises(ValueError, match=r"^solution shape mismatch: expected \(2,\), got "):
+        tri.componentwise_backward_error(np.eye(2), np.array([1.0, 1.0]), x_hat)
+
+
 @pytest.mark.parametrize("precision", [tri.WORKING, tri.REDUCED])
 def test_overflowing_solve_reports_inf_without_warnings(precision):
     # x_1 = 2^1060 overflows to inf, the rounding model's result, and the
