@@ -13,8 +13,11 @@ output errors, the worst direction and the sample directions.  The
 directions are drawn from the keys of the first delta and normalized once;
 every delta rescales the same directions onto its own sphere (common random
 numbers), so the first delta of any schedule gets the bits of a one-delta
-schedule.  A sample whose perturbed matrix is singular is redrawn from keys
-of its own delta and attempt.
+schedule.  If any perturbed matrix of a delta, a sample's or the worst
+direction's, is singular within tolerance, the estimate raises DeltaTooLarge
+at that delta: the delta-sphere then reaches the singular set
+(delta kappa_rs(A) >= 1 for the normwise models), where the supremum is
+infinite.
 
 Two bounded memos share work across estimates.  Each keeps read-only
 arrays, evicts the least recently used entry first and takes a lock around
@@ -48,10 +51,10 @@ evaluates one analytically worst direction built from norm attainers and
 the rank-one interpolator (for inversion this is exactly the construction
 from the lower-bound half of the equality cond = kappa).  That direction is
 built once as well, and only its length follows delta.  For every kind the
-worst direction rides the first stack of samples of each delta as one more
-row, through the same evaluation and error calls: one GEMM for matvec, one
-block solve with A's factors for solve_fixed_a, and the batched LU and
-solves for the kinds that perturb A.  LU, solves and norms give each matrix
+worst direction rides the stack of samples of each delta as one more row,
+through the same evaluation and error calls: one GEMM for matvec, one block
+solve with A's factors for solve_fixed_a, and the batched LU and solves for
+the kinds that perturb A.  LU, solves and norms give each matrix
 the same bits alone as inside a stack.  A GEMM row need not have the bits of
 a matrix-vector product, so matvec's worst ratio can differ in its last bits
 from ``A @ (x + dx)`` taken alone (relative 1e-9 at delta = 1e-7, where the
@@ -87,7 +90,9 @@ smallest delta; no extrapolation is applied.
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -100,7 +105,7 @@ from .conditioning import (
     condition_closed_form,
     problem_kind,
 )
-from .errors import DeltaTooLarge, SingularMatrix, ZeroComponent, ZeroVector
+from .errors import DeltaTooLarge, ZeroComponent, ZeroVector
 
 # ``invert``, ``solve`` and ``operator_norm`` are not called here; they stay
 # bound because the benchmark's tracing (bench/tracing.py) wraps them by
@@ -296,19 +301,19 @@ class _Instance:
         return _relerror_to(self.exact, model, self.op.max_enum_dim, self._denom(model))
 
     def largest_error(self, model):
-        """``(outputs, last) -> (the largest relerror(., exact output, model)
-        over the members of ``outputs``, all but the last when ``last``; the
-        last member's, or None)``, as :func:`_largest_and_last` puts it.
+        """``outputs -> (the largest relerror(., exact output, model) over
+        the members of ``outputs`` but the last; the last member's)``, as
+        :func:`_largest_and_last` puts it.
 
         The largest error of a stack of perturbed inverses at a pair of
         ``BOUNDED_PAIRS`` goes through :func:`_screened_largest`; any other
         takes every member's error."""
         max_enum_dim, denom = self.op.max_enum_dim, self._denom(model)
         if denom is not None and (model.r, model.s) in BOUNDED_PAIRS:
-            return lambda outputs, last: _screened_largest(
-                outputs - self.exact, model.r, model.s, max_enum_dim, denom, last)
+            return lambda outputs: _screened_largest(
+                outputs - self.exact, model.r, model.s, max_enum_dim, denom)
         err = _relerror_to(self.exact, model, max_enum_dim, denom)
-        return lambda outputs, last: _largest_and_last(err(outputs), last)
+        return lambda outputs: _largest_and_last(err(outputs))
 
     def _denom(self, model):
         if self.kind == "inversion" and model.mode == NORMWISE and model.s is not None:
@@ -316,22 +321,21 @@ class _Instance:
         return None
 
 
-def _largest_and_last(values, last):
-    """(the largest of ``values``, all but the last when ``last``, or -inf
-    if there are none; the last value when ``last``, else None).  The
-    largest is NaN if any value it covers is, as with ``np.max``."""
-    rest = values[:-1] if last else values
-    return np.max(rest, initial=-np.inf), (values[-1] if last else None)
+def _largest_and_last(values):
+    """(the largest of ``values`` but the last, or -inf if there is no
+    other; the last value).  The largest is NaN if any value it covers is,
+    as with ``np.max``."""
+    return np.max(values[:-1], initial=-np.inf), values[-1]
 
 
-def _screened_largest(d, r, s, max_enum_dim, denom, last):
+def _screened_largest(d, r, s, max_enum_dim, denom):
     """:func:`_largest_and_last` of ||D||_rs / denom over the members D of
     the stack ``d``, with the exact norm taken only where it can be the
     largest.
 
-    The exact (r, s) norm runs first on the member with the largest bound
-    from :func:`~condlab.norms.operator_norm_bounds`, and then, as one
-    C-contiguous stack, on the last member when ``last`` and on every member
+    The exact (r, s) norm runs first on the member but the last with the
+    largest bound from :func:`~condlab.norms.operator_norm_bounds`, and
+    then, as one C-contiguous stack, on the last member and on every member
     whose bound is not below that value.  A bound is never below the value
     the exact norm computes (its docstring derives the margin gamma = 64
     (p + q)^2 eps for p x q members), so a member left out has a smaller
@@ -341,8 +345,8 @@ def _screened_largest(d, r, s, max_enum_dim, denom, last):
     bits it gets in any stack, so the last member's value is the one of an
     unscreened call.
     """
-    members = len(d) - last
-    values, taken = np.empty(0), np.arange(members, len(d))
+    members = len(d) - 1
+    values, taken = np.empty(0), np.array([members])
     if members:
         bound = operator_norm_bounds(d[:members], r, s)
         top = int(np.argmax(bound))  # the first NaN, if any
@@ -350,16 +354,15 @@ def _screened_largest(d, r, s, max_enum_dim, denom, last):
         rest = ~(bound < values[0])
         rest[top] = False
         taken = np.append(np.flatnonzero(rest), taken)
-    if taken.size:
-        values = np.append(values, operator_norm_values(d[taken], r, s, max_enum_dim))
-    return _largest_and_last(values / denom, last)
+    values = np.append(values, operator_norm_values(d[taken], r, s, max_enum_dim))
+    return _largest_and_last(values / denom)
 
 
 def _worst_row(inst, input_model):
     """The worst direction of ``inst`` as a function of delta, delta -> (dA
     or None, dv or None, divisor): the perturbation of A and of the vector
-    that joins the first stack of samples at delta, and what its output
-    error is divided by.
+    that joins the stack of samples at delta, and what its output error is
+    divided by.
 
     matvec moves x by delta ||x||_r times the attainer of ||A||_rs, and
     solve_fixed_a moves b by delta ||b||_s y, y the attainer of
@@ -401,20 +404,23 @@ class EstimatorConfig:
     deltas: tuple = (1e-4, 1e-5, 1e-6, 1e-7)
     samples_per_delta: int = 1000
     seed: int = 0
-    max_attempts: int = 10  # resampling cap when a perturbation crosses the singular set
 
     def __post_init__(self):
-        d = tuple(float(x) for x in self.deltas)
+        d = self.deltas
+        listed = (isinstance(d, Sequence) and not isinstance(d, (str, bytes))
+                  or isinstance(d, np.ndarray) and d.ndim == 1)
+        if not (listed and len(d)
+                and all(isinstance(x, Real) and not isinstance(x, bool) for x in d)):
+            raise ValueError(f"deltas must be a nonempty sequence of numbers, got {d!r}")
+        d = tuple(float(x) for x in d)
         for x in d:
             if not np.isfinite(x):
                 raise ValueError(f"every delta must be finite, got {x!r}")
-        if not d or any(x <= 0.0 for x in d) or any(a <= b for a, b in zip(d, d[1:])):
+        if any(x <= 0.0 for x in d) or any(a <= b for a, b in zip(d, d[1:])):
             raise ValueError("deltas must be strictly decreasing and positive")
         object.__setattr__(self, "deltas", d)
         if not rng.is_whole(self.samples_per_delta, 1):
             raise ValueError("samples_per_delta must be an integer of at least 1")
-        if not rng.is_whole(self.max_attempts, 0):
-            raise ValueError("max_attempts must be an integer of at least 0")
         if not rng.is_whole(self.seed):
             raise ValueError("seed must be an integer")
 
@@ -426,7 +432,7 @@ class DeltaSample:
     delta: float
     sampled_sup_ratio: float
     directional_ratio: float
-    resampled: int = 0
+    resampled: int = 0  # always 0, kept so that every payload keeps its fields
 
 
 @dataclass
@@ -546,18 +552,16 @@ def estimate_condition(
     on the input-error sphere, evaluates the exact map, and records the
     supremum ratio together with the ratio along the analytically worst
     direction.  The sample directions and the worst direction are built
-    once and rescaled for every delta.  Samples whose perturbed matrix is
-    singular are discarded and resampled (their count is reported).  The
-    final estimate is the max over the smallest delta's sampled and
-    directional ratios.
+    once and rescaled for every delta.  The final estimate is the max over
+    the smallest delta's sampled and directional ratios.
 
     For ``solve_both`` the input error is the blockwise componentwise-max
     max(||dA||_rs / ||A||_rs, ||db||_s / ||b||_s); pass
     ``input_model=componentwise_sum`` to combine the blocks by sum instead.
 
-    Raises DeltaTooLarge when the worst direction of a kind that perturbs A
-    reaches the singular set at some delta, once that delta's samples are
-    done.
+    Raises DeltaTooLarge when a perturbed matrix of some delta, a sample's
+    or the worst direction's, is singular within tolerance: the supremum at
+    that delta is infinite.  A singular A raises SingularMatrix.
     """
     kind = problem_kind(kind)
     r = norm_index(r)
@@ -575,10 +579,8 @@ def estimate_condition(
     report = EstimateReport(kind=kind, closed_form=closed)
 
     ratios = _ratios(inst, input_model, output_model, config)
-    for delta, (sampled, resampled, directional) in zip(config.deltas, ratios):
-        report.per_delta.append(
-            DeltaSample(delta, float(sampled), float(directional), resampled)
-        )
+    for delta, (sampled, directional) in zip(config.deltas, ratios):
+        report.per_delta.append(DeltaSample(delta, float(sampled), float(directional)))
 
     last = report.per_delta[-1]
     report.estimate = max(last.sampled_sup_ratio, last.directional_ratio)
@@ -610,18 +612,18 @@ def _input_blocks(kind, input_model, r, s):
     return matrix_model, normwise(matrix_model.s), input_model.mode != COMPONENTWISE_SUM
 
 
-def _perturbations(inst, blocks, deltas, seed, path):
+def _perturbations(inst, blocks, deltas, seed, idx):
     """(dA or None, dv or None) for each of ``deltas`` in turn, from one draw
-    per sample: sample k of ``path = (di, k, attempt)`` draws block j from
-    substream (seed, di, k, attempt, j), or its vector from (seed, di, k)
-    when the kind perturbs only the vector and so never resamples."""
+    per sample: sample k of ``idx`` draws block j from substream
+    (seed, 0, k, 0, j), or its vector from (seed, 0, k) when the kind
+    perturbs only the vector."""
     matrix_model, vector_model, whole = blocks
     if matrix_model is None:
-        keys = rng.substream(seed, *path[:2])
+        keys = rng.substream(seed, 0, idx)
         return ((None, dv) for dv in _sphere_vectors(inst.vec, deltas, keys, vector_model))
 
     def keys(block):
-        return rng.substream(seed, *path, block)
+        return rng.substream(seed, 0, idx, 0, block)
 
     radii = deltas if whole else (1.0,)
     da = _sphere_matrices(inst.op, radii, keys(0), matrix_model)
@@ -637,76 +639,61 @@ def _perturbations(inst, blocks, deltas, seed, path):
             for delta in deltas)
 
 
-def _plus(base, d, last=None):
+def _plus(base, d, last):
     """``base + d`` for a stack ``d`` of perturbations of ``base``, with
-    ``base + last`` as one more member at the end when given, in one
-    batch-last buffer; returned as its ``(members,) + base.shape`` view, or
-    None when ``d`` is None."""
+    ``base + last`` as one more member at the end, in one batch-last
+    buffer; returned as its ``(members,) + base.shape`` view, or None when
+    ``d`` is None."""
     if d is None:
         return None
-    members = len(d) + (last is not None)
-    out = np.moveaxis(np.empty(base.shape + (members,)), -1, 0)
-    np.add(base, d, out=out[: len(d)])
-    if last is not None:
-        np.add(base, last, out=out[-1])
+    out = np.moveaxis(np.empty(base.shape + (len(d) + 1,)), -1, 0)
+    np.add(base, d, out=out[:-1])
+    np.add(base, last, out=out[-1])
     return out
 
 
-def _perturbed_outputs(inst, a_tilde, b_tilde):
-    """(the exact outputs of the perturbed problems with matrices ``a_tilde``,
+def _perturbed_outputs(inst, a_tilde, b_tilde, delta):
+    """The exact outputs of the perturbed problems with matrices ``a_tilde``,
     or A when that is None, and vectors ``b_tilde``, or the instance's when
-    that is None, whose matrix is nonsingular within tolerance, in order, or
-    None if there are none; the mask of those whose matrix is singular).
-    A fixed A multiplies the vectors in one GEMM or solves them as one block
-    of right-hand sides."""
+    that is None, in order.  A fixed A multiplies the vectors in one GEMM or
+    solves them as one block of right-hand sides.  Raises DeltaTooLarge at
+    ``delta`` if any matrix of ``a_tilde`` is singular within tolerance."""
     if a_tilde is None:
-        out = b_tilde @ inst.op.a.T if inst.kind == "matvec" else inst.op.solve(b_tilde.T).T
-        return out, np.zeros(len(b_tilde), dtype=bool)
+        return b_tilde @ inst.op.a.T if inst.kind == "matvec" else inst.op.solve(b_tilde.T).T
     lu, perm, _, singular = _lu_raw(a_tilde)
-    ok = ~singular
-    if not ok.any():
-        return None, singular
-    if not ok.all():
-        lu, perm = lu[ok], perm[ok]
-        b_tilde = None if b_tilde is None else b_tilde[ok]
+    if singular.any():
+        raise _singular_at(delta)
     if inst.kind == "inversion":
         eye = np.broadcast_to(np.eye(lu.shape[-1]), lu.shape)
-        return _lu_solve_packed(lu, perm, eye), singular
+        return _lu_solve_packed(lu, perm, eye)
     rhs = np.broadcast_to(inst.vec, lu.shape[:-1]) if b_tilde is None else b_tilde
-    return _lu_solve_packed(lu, perm, rhs[..., None])[..., 0], singular
+    return _lu_solve_packed(lu, perm, rhs[..., None])[..., 0]
 
 
 def _ratios(inst, input_model, output_model, config):
-    """(the largest sampled ratio, the number of resampled samples, the
-    directional ratio) for each delta in turn.
+    """(the largest sampled ratio, the directional ratio) for each delta in
+    turn.
 
-    The directions are drawn once per estimate, or taken from the memo,
-    from the keys of delta index 0: sample k draws from substream
-    (seed, 0, k) for matvec and solve_fixed_a, which perturb only the
-    vector, and from (seed, 0, k, 0, block) for the kinds that perturb the
-    matrix (block 0 = matrix entries, 1 = right-hand side, 2 = the split of
-    the blockwise-sum budget).  Their norms are taken once too, and every
-    delta rescales the same directions onto its own sphere (common random
-    numbers).  A sample whose perturbed matrix is singular within tolerance
-    is redrawn at its own delta index di from (seed, di, k, attempt, block)
-    for attempt >= 1.  So results do not depend on evaluation order or on
-    which other samples were discarded, and the first delta of a schedule
-    matches a one-delta schedule bit for bit.
+    The directions are drawn once per estimate, or taken from the memo:
+    sample k draws from substream (seed, 0, k) for matvec and solve_fixed_a,
+    which perturb only the vector, and from (seed, 0, k, 0, block) for the
+    kinds that perturb the matrix (block 0 = matrix entries, 1 = right-hand
+    side, 2 = the split of the blockwise-sum budget).  Their norms are taken
+    once too, and every delta rescales the same directions onto its own
+    sphere (common random numbers), so the first delta of a schedule matches
+    a one-delta schedule bit for bit.
 
-    Each attempt adds the largest ratio of its samples, from
-    :meth:`_Instance.largest_error`, which takes the exact norm of a
-    perturbed inverse at (inf,1), (inf,2), (2,1) and (2,2) only where its
-    bound, inflated by gamma = 64 (p + q)^2 eps, reaches the exact norm of
-    the member of largest bound (see :func:`_screened_largest`).  The
-    largest over the attempts is that over every sample, bit for bit, NaN
-    included.
-
-    For every kind the worst direction is the last row of each delta's
-    first attempt, evaluated with the samples and always exactly.  Its
-    output error is measured in the default output model of the kind, in
-    the samples' call when that is the model asked for.  A singular worst
-    row raises DeltaTooLarge after the samples of its delta are done, so
-    samples that keep crossing the singular set raise SingularMatrix first.
+    Each delta evaluates one stack: its samples and, as the last row, the
+    worst direction.  If any of its perturbed matrices is singular within
+    tolerance, the estimate raises DeltaTooLarge at that delta.  The largest
+    sampled ratio comes from :meth:`_Instance.largest_error`, which takes
+    the exact norm of a perturbed inverse at (inf,1), (inf,2), (2,1) and
+    (2,2) only where its bound, inflated by gamma = 64 (p + q)^2 eps,
+    reaches the exact norm of the member of largest bound (see
+    :func:`_screened_largest`); it has the bits of the largest over every
+    sample, NaN included.  The worst row is evaluated always exactly, and
+    its output error is measured in the default output model of the kind,
+    in the samples' call when that is the model asked for.
     """
     kind, op, vec = inst.kind, inst.op, inst.vec
     idx = np.arange(config.samples_per_delta)
@@ -715,36 +702,11 @@ def _ratios(inst, input_model, output_model, config):
     worst = _worst_row(inst, input_model)
     default_out = _default_models(kind, inst.r, inst.s)[1]
     worst_err = None if output_model == default_out else inst.output_error(default_out)
-    first = _perturbations(inst, blocks, config.deltas, config.seed, (0, idx, 0))
-    for di, (delta, (da, db)) in enumerate(zip(config.deltas, first)):
+    samples = _perturbations(inst, blocks, config.deltas, config.seed, idx)
+    for delta, (da, db) in zip(config.deltas, samples):
         w_da, w_db, divisor = worst(delta)
-        a_tilde, b_tilde = _plus(op.a, da, w_da), _plus(vec, db, w_db)
-        sampled, pending, resampled = -np.inf, idx, 0
-        for attempt in range(config.max_attempts + 1):
-            if not pending.size:
-                break
-            if attempt:
-                path = (di, pending, attempt)
-                da, db = next(_perturbations(inst, blocks, (delta,), config.seed, path))
-                a_tilde, b_tilde = _plus(op.a, da), _plus(vec, db)
-            out, singular = _perturbed_outputs(inst, a_tilde, b_tilde)
-            with_worst = False
-            if not attempt:  # the last row is the worst direction's
-                worst_crossed, singular = singular[-1], singular[:-1]
-                with_worst = not worst_crossed
-            if out is not None:
-                largest, value = err(out, with_worst)
-                if with_worst:
-                    value = value if worst_err is None else worst_err(out[-1])
-                    directional = value / divisor
-                sampled = np.maximum(sampled, largest / delta)
-            resampled += int(np.sum(singular))
-            pending = pending[singular]
-        if pending.size:
-            raise SingularMatrix(
-                "perturbation kept crossing the singular set after "
-                f"{config.max_attempts} resampling rounds"
-            )
-        if worst_crossed:
-            raise _singular_at(delta)
-        yield sampled, resampled, directional
+        out = _perturbed_outputs(inst, _plus(op.a, da, w_da), _plus(vec, db, w_db), delta)
+        largest, value = err(out)
+        if worst_err is not None:
+            value = worst_err(out[-1])
+        yield largest / delta, value / divisor

@@ -182,8 +182,9 @@ def verify_backward_stability(lower, b, precision=REDUCED):
     The report's ``satisfied`` flag checks epsilon_cw <= (n+2) * eps_mach,
     which holds for every valid input when the hypothesis gate passes.
     """
-    b = np.asarray(b, dtype=np.float64)
-    hypothesis_gate(b.shape[-1], precision)
+    lower = _check_lower(lower)
+    b = _check_rhs(b, lower.shape[0])
+    hypothesis_gate(lower.shape[0], precision)
     x_hat = forward_substitution(lower, b, precision)
     return componentwise_backward_error(lower, b, x_hat, precision)
 

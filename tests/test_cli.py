@@ -235,6 +235,23 @@ def test_estimate_exit_code_delta_too_large(tmp_path, capsys, kind):
     assert "A - E is singular at delta=1e-05" in captured.err
 
 
+@pytest.mark.parametrize("kind", ["inversion", "solve-fixed-b", "solve-both"])
+def test_estimate_exit_code_singular_sample(tmp_path, capsys, kind):
+    # delta kappa_2 = 3.3 for diag(1, 3e-13) at delta = 1e-12: some samples
+    # are singular, so the supremum is infinite; this used to exit 0 with a
+    # finite estimate from redrawn samples
+    matio.write_matrix_csv(tmp_path / "a.csv", np.diag([1.0, 3e-13]))
+    matio.write_matrix_csv(tmp_path / "b.csv", np.array([[1.0], [-1.0]]))
+    argv = ["estimate", kind, "--matrix", str(tmp_path / "a.csv"), "--delta", "1e-12",
+            "--samples", "200", "--seed", "3"]
+    if kind != "inversion":
+        argv += ["--vector", str(tmp_path / "b.csv")]
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "A - E is singular at delta=1e-12" in captured.err
+
+
 @pytest.mark.parametrize("kind", ["matvec", "solve-fixed-a", "inversion"])
 @pytest.mark.parametrize("delta", ["nan", "inf", "1e-4,nan"])
 def test_estimate_exit_code_non_finite_delta(files, capsys, kind, delta):

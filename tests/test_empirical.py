@@ -183,6 +183,8 @@ def test_estimator_config_validation():
         emp.EstimatorConfig(deltas=())
     with pytest.raises(ValueError):
         emp.EstimatorConfig(samples_per_delta=0)
+    with pytest.raises(TypeError):  # no resampling, so no cap on it
+        emp.EstimatorConfig(max_attempts=10)
 
 
 @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
@@ -195,15 +197,15 @@ def test_estimator_config_rejects_non_finite_deltas(delta):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("max_attempts", -1), ("max_attempts", 2.5), ("max_attempts", "3"), ("max_attempts", None),
-    ("max_attempts", True), ("samples_per_delta", 2.5), ("samples_per_delta", -3),
+    ("deltas", 1e-4), ("deltas", None), ("deltas", "1e-4"),
+    ("samples_per_delta", 2.5), ("samples_per_delta", -3),
     ("samples_per_delta", "10"), ("samples_per_delta", True),
     ("seed", 1.5), ("seed", True), ("seed", "1"), ("seed", None), ("seed", 2.0),
 ])
 def test_estimator_config_rejects_bad_counts(field, value):
-    # a negative cap used to end in SingularMatrix "after -1 resampling
-    # rounds" on a well-conditioned matrix, a fractional sample count in
-    # a TypeError inside rng.substream, and a seed of 1.5 drew seed 1
+    # a lone delta or None used to raise TypeError and a string to be read
+    # character by character, a fractional sample count ended in a
+    # TypeError inside rng.substream, and a seed of 1.5 drew seed 1
     with pytest.raises(ValueError, match=field):
         emp.EstimatorConfig(**{field: value})
 
@@ -211,7 +213,7 @@ def test_estimator_config_rejects_bad_counts(field, value):
 def test_estimator_config_accepts_whole_counts():
     for seed in (-1, 2**64 + 5, np.int64(7), np.uint64(2**63)):  # wrapped mod 2^64
         assert emp.EstimatorConfig(seed=seed).seed == seed
-    cfg = emp.EstimatorConfig(samples_per_delta=np.int64(5), max_attempts=0)
+    cfg = emp.EstimatorConfig(samples_per_delta=np.int64(5))
     rep = emp.estimate_condition("inversion", np.eye(3) + 0.1, config=cfg)
     assert rep.estimate == pytest.approx(rep.closed_form, rel=0.05)
 
@@ -315,20 +317,20 @@ def test_first_delta_matches_a_one_delta_schedule(kind):
 
 
 @pytest.mark.parametrize("kind", ("inversion", "solve_fixed_b", "solve_both"))
-def test_first_delta_matches_a_one_delta_schedule_with_resampling(kind):
-    # perturbations of relative size 1e-12 push the 3e-13 pivot below the
-    # singular tolerance, so some samples are redrawn at the first delta
+def test_a_singular_sample_raises_delta_too_large(kind):
+    # delta kappa_2 = 3.3 for diag(1, 3e-13) at delta = 1e-12: the sphere
+    # reaches the singular set and the supremum there is infinite.  The
+    # worst direction's matrix is not singular, but some samples' are, and
+    # they raise at that delta, in a one-delta schedule as in a longer one
     a = np.diag([1.0, 3e-13])
     b = None if kind == "inversion" else np.array([1.0, -1.0])
-    one, two = (
-        emp.estimate_condition(
-            kind, a, b, 2, 2,
-            config=emp.EstimatorConfig(deltas=deltas, samples_per_delta=200, seed=3),
-        )
-        for deltas in ((1e-12,), (1e-12, 1e-14))
-    )
-    assert one.per_delta[0].resampled > 0
-    assert two.per_delta[0] == one.per_delta[0]
+    model = emp._default_models(kind, 2.0, 2.0)[0]
+    inst = emp._Instance(kind, emp._operand(a, 20), b, 2.0, 2.0)
+    assert not linalg._lu_raw((a + emp._worst_row(inst, model)(1e-12)[0])[None])[3].any()
+    for deltas in ((1e-12,), (1e-12, 1e-14)):
+        config = emp.EstimatorConfig(deltas=deltas, samples_per_delta=200, seed=3)
+        with pytest.raises(DeltaTooLarge, match=r"^A - E is singular at delta=1e-12$"):
+            emp.estimate_condition(kind, a, b, 2, 2, config=config)
 
 
 def test_matvec_samples_share_their_directions_across_deltas():
@@ -498,17 +500,19 @@ def test_shared_directions_keep_every_report_bitwise():
     # the 3x3 instance draws from the same keys as the 4x4 one
     a = gaussian(417, 0, shape=(4, 4))
     b = gaussian(417, 1, shape=(4,))
-    near_singular = np.diag([1.0, 3e-13])
     cases = (
         _sweep_cases(a, b)
         + _sweep_cases(a[:3, :3], b[:3], pairs=[(2, 2), ("inf", 2)])
         + _sweep_cases(a, b, kinds=("solve_both",), model=emp.componentwise_sum)
-        + _sweep_cases(near_singular, np.array([1.0, -1.0]), pairs=[(2, 2), (1, "inf")],
-                       kinds=("inversion", "solve_fixed_b", "solve_both"))
     )
     config = emp.EstimatorConfig(deltas=(1e-12, 1e-14), samples_per_delta=100, seed=23)
     cold = _sweep(cases, config, cold=True)
-    assert sum(rep.per_delta[0].resampled for rep in cold) > 0
+    # estimates refused at delta = 1e-12 on diag(1, 3e-13) leave the memos
+    # with their draws and operand, and the warm sweep starts after them
+    for kind in ("inversion", "solve_fixed_b", "solve_both"):
+        with pytest.raises(DeltaTooLarge, match="singular at delta=1e-12"):
+            b = None if kind == "inversion" else np.array([1.0, -1.0])
+            emp.estimate_condition(kind, np.diag([1.0, 3e-13]), b, config=config)
     warm = _sweep(cases[::-1], config, cold=False)[::-1]
     assert warm == cold
 
@@ -793,13 +797,13 @@ def test_folded_worst_direction_keeps_its_bits(output_model):
 
 def test_one_perturbed_stack_per_delta(monkeypatch):
     # every kind evaluates its samples and its worst direction as one stack,
-    # samples + 1 members, once per delta when nothing is resampled
+    # samples + 1 members, once per delta
     stacks = []
     perturbed_outputs = emp._perturbed_outputs
 
-    def spy(inst, a_tilde, b_tilde):
+    def spy(inst, a_tilde, b_tilde, delta):
         stacks.append(len(b_tilde if a_tilde is None else a_tilde))
-        return perturbed_outputs(inst, a_tilde, b_tilde)
+        return perturbed_outputs(inst, a_tilde, b_tilde, delta)
 
     monkeypatch.setattr(emp, "_perturbed_outputs", spy)
     a = gaussian(427, 0, shape=(4, 4))
@@ -808,7 +812,7 @@ def test_one_perturbed_stack_per_delta(monkeypatch):
     for kind in conditioning.PROBLEM_KINDS:
         stacks.clear()
         rep = emp.estimate_condition(kind, a, None if kind == "inversion" else b, config=config)
-        assert not any(d.resampled for d in rep.per_delta)
+        assert [d.resampled for d in rep.per_delta] == [0, 0, 0]
         assert stacks == [31, 31, 31], kind
 
 
@@ -828,18 +832,15 @@ def test_singular_worst_direction_raises_delta_too_large(kind):
 
 
 @pytest.mark.parametrize("kind", ("inversion", "solve_fixed_b", "solve_both"))
-def test_samples_that_keep_crossing_raise_before_the_worst_direction(kind):
+def test_singular_samples_and_worst_row_raise_delta_too_large(kind):
     # at delta = 3e-13 both the worst direction of diag(1, 3e-13) and some
-    # samples cross the singular set: without resampling the samples raise
-    # first, and with it the worst direction raises once they are done
+    # samples cross the singular set: the stack raises DeltaTooLarge at that
+    # delta, never SingularMatrix, which is kept for a singular A
     a = np.diag([1.0, 3e-13])
     b = None if kind == "inversion" else np.array([0.0, 1.0])
-    for attempts, error, message in ((0, SingularMatrix, "after 0 resampling rounds"),
-                                     (10, DeltaTooLarge, "singular at delta=3e-13")):
-        config = emp.EstimatorConfig(deltas=(3e-13,), samples_per_delta=200, seed=3,
-                                     max_attempts=attempts)
-        with pytest.raises(error, match=message):
-            emp.estimate_condition(kind, a, b, config=config)
+    config = emp.EstimatorConfig(deltas=(3e-13,), samples_per_delta=200, seed=3)
+    with pytest.raises(DeltaTooLarge, match=r"^A - E is singular at delta=3e-13$"):
+        emp.estimate_condition(kind, a, b, config=config)
 
 
 # members of a stack for the screen: a Gaussian draw, a rank-one matrix (its
@@ -850,10 +851,10 @@ _MEMBERS = st.sampled_from(
 
 
 @given(st.sampled_from(norms.BOUNDED_PAIRS), st.integers(1, 5), st.integers(1, 5),
-       st.lists(_MEMBERS, min_size=1, max_size=12), st.booleans(),
+       st.lists(_MEMBERS, min_size=1, max_size=12),
        st.sampled_from((None, np.nan, np.inf, -np.inf)), st.integers(0, 2**16))
 @settings(max_examples=300, deadline=None)
-def test_screened_largest_is_the_largest_value_bit_for_bit(pair, p, q, kinds, last, bad, seed):
+def test_screened_largest_is_the_largest_value_bit_for_bit(pair, p, q, kinds, bad, seed):
     r, s = pair
     stack = []
     for k, kind in enumerate(kinds):
@@ -876,13 +877,12 @@ def test_screened_largest_is_the_largest_value_bit_for_bit(pair, p, q, kinds, la
             with pytest.raises(ValueError, match="matrix entries must be finite"):
                 norms.operator_norm_values(stack, r, s)
             with pytest.raises(ValueError, match="matrix entries must be finite"):
-                emp._screened_largest(stack, r, s, 20, denom, last)
+                emp._screened_largest(stack, r, s, 20, denom)
             continue
         values = norms.operator_norm_values(stack, r, s) / denom
-        largest, last_value = emp._screened_largest(stack, r, s, 20, denom, last)
-        rest = values[:-1] if last else values
-        assert largest == (rest.max() if len(rest) else -np.inf)
-        assert last_value == (values[-1] if last else None)
+        largest, last_value = emp._screened_largest(stack, r, s, 20, denom)
+        assert largest == (values[:-1].max() if len(values) > 1 else -np.inf)
+        assert last_value == values[-1]
 
 
 @pytest.mark.parametrize("r,s", norms.BOUNDED_PAIRS)
@@ -899,14 +899,17 @@ def test_screened_largest_of_near_ties(r, s):
         k = np.floor(7 * rng.uniforms(rng.substream(434, t), 4)) - 3
         stack = y * (1 + k * eps)[:, None, None]
         values = norms.operator_norm_values(stack, r, s)
-        assert emp._screened_largest(stack, r, s, 20, 1.0, False)[0] == values.max(), t
+        # an all-zero last row, as the worst direction's, leaves every copy
+        # to the screen
+        stack = np.append(stack, np.zeros((1, p, q)), axis=0)
+        assert emp._screened_largest(stack, r, s, 20, 1.0)[0] == values.max(), t
 
 
-def _plain_largest(d, r, s, max_enum_dim, denom, last):
+def _plain_largest(d, r, s, max_enum_dim, denom):
     """:func:`empirical._screened_largest` without the screen: every member's
     exact norm."""
     values = norms.operator_norm_values(d, r, s, max_enum_dim) / denom
-    return emp._largest_and_last(values, last)
+    return emp._largest_and_last(values)
 
 
 def test_screen_keeps_every_report_of_a_sweep(monkeypatch):

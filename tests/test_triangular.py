@@ -164,6 +164,12 @@ def test_verify_backward_stability_100x100_unit():
     assert rep.satisfied
 
 
+def test_verify_backward_stability_rejects_a_scalar_rhs():
+    # a 0-d b used to reach the hypothesis gate first and raise IndexError
+    with pytest.raises(ValueError, match="right-hand side shape mismatch"):
+        tri.verify_backward_stability(np.eye(2), 5.0)
+
+
 def test_hypothesis_gate():
     with pytest.raises(HypothesisViolated):
         tri.hypothesis_gate(2**25, tri.REDUCED)
