@@ -189,20 +189,22 @@ def _build_parser():
     (``run``), the files it reads (``inputs``) and its CSV writer."""
     parser = _Parser(prog="condlab", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options every subcommand shares, declared once and copied into each
+    common = _Parser(add_help=False)
+    common.add_argument("--matrix", help="matrix file (CSV or MatrixMarket array)")
+    common.add_argument("--vector", help="vector file (one row or one column)")
+    common.add_argument("--r", default="2", help="input norm index: 1, 2 or inf")
+    common.add_argument("--s", default="2", help="output norm index: 1, 2 or inf")
+    common.add_argument("--max-enum-dim", type=int, default=20,
+                        help="cap for exact sign-vector enumeration")
+    common.add_argument("--format", choices=["json", "csv"], default="json")
+    common.add_argument("--seed", type=int, default=0, help="64-bit seed")
 
     def add(name, help_, run, inputs=("matrix",), kind=False, csv_=_flat_csv):
-        p = sub.add_parser(name, help=help_)
+        p = sub.add_parser(name, help=help_, parents=[common])
         p.set_defaults(run=run, inputs=inputs, kind=None, csv=csv_)
         if kind:
             p.add_argument("kind", choices=_KIND_CHOICES, help="problem kind")
-        p.add_argument("--matrix", help="matrix file (CSV or MatrixMarket array)")
-        p.add_argument("--vector", help="vector file (one row or one column)")
-        p.add_argument("--r", default="2", help="input norm index: 1, 2 or inf")
-        p.add_argument("--s", default="2", help="output norm index: 1, 2 or inf")
-        p.add_argument("--max-enum-dim", type=int, default=20,
-                       help="cap for exact sign-vector enumeration")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--seed", type=int, default=0, help="64-bit seed")
         return p
 
     both = ("matrix", "vector")
@@ -234,6 +236,8 @@ def _run_command(args):
     """Read the files the command declares and run its handler; returns
     (payload, inputs echo, exit code).  Every kind but inversion needs a
     vector."""
+    if args.max_enum_dim < 0:
+        raise ValueError(f"--max-enum-dim must be nonnegative, got {args.max_enum_dim}")
     r, s = norm_index(args.r), norm_index(args.s)
     echo = {"r": "inf" if r == inf else int(r), "s": "inf" if s == inf else int(s),
             "seed": args.seed}

@@ -2,9 +2,10 @@
 
 CSV files are bare numeric rows, comma-separated, equal length, no header.
 MatrixMarket array files carry the ``%%MatrixMarket matrix array real
-general`` banner, optional % comments, a dims line, then values in
-column-major order.  Writers emit shortest round-trip float representations
-so a written file re-ingests bit-identically.
+general`` banner, optional % comments, a dims line of two positive integers,
+then one value per line in column-major order.  Writers emit shortest
+round-trip float representations so a written file re-ingests
+bit-identically.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def _parse_csv(lines, path):
 
 
 def _parse_matrix_market(lines, path):
-    """Banner (the first nonblank line), dims line, column-major values."""
+    """Banner (the first nonblank line), dims line, column-major values one
+    to a line; blank lines and % comments may come anywhere after the banner."""
     banner = next(lines)[1].split()
     if [tok.lower() for tok in banner[:5]] != [
         "%%matrixmarket",
@@ -79,15 +81,26 @@ def _parse_matrix_market(lines, path):
         break
     else:
         raise ValueError(f"{path}: missing dimensions line")
-    if len(dims) != 2:
-        raise ValueError(f"{path}: malformed dimensions line {dims!r}")
+    if len(dims) != 2 or not all(tok.isdecimal() and int(tok) > 0 for tok in dims):
+        raise ValueError(
+            f"{path}: malformed dimensions line {dims!r}, expected two positive integers"
+        )
     rows, cols = int(dims[0]), int(dims[1])
 
     def values():
-        for _, line in lines:
-            line = line.strip()
-            if line and not line.startswith("%"):
-                yield float(line.split()[0])
+        for lineno, line in lines:
+            tokens = line.split()
+            if not tokens or tokens[0].startswith("%"):
+                continue
+            if len(tokens) > 1:
+                raise ValueError(
+                    f"{path}:{lineno}: expected one value per line, found {len(tokens)}"
+                )
+            try:
+                value = float(tokens[0])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            yield value
 
     # sized by what the file holds, never by what its header claims
     data = np.fromiter(values(), dtype=np.float64)

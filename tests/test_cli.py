@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -7,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from condlab import matio
+from condlab import cli, matio
 from condlab.cli import main
 
 from conftest import conditioned, gaussian
@@ -98,6 +99,48 @@ def test_matrix_market_header_larger_than_its_values(tmp_path):
     path.write_text("%%MatrixMarket matrix array real general\n1000000000 1000000000\n1.0\n")
     with pytest.raises(ValueError, match="expected 1000000000000000000 values, found 1"):
         matio.read_matrix(path)
+
+
+_MM = "%%MatrixMarket matrix array real general\n"
+
+
+@pytest.mark.parametrize("values,message", [
+    pytest.param("1 5\n2\n3\n4\n", r"m\.mtx:3: expected one value per line, found 2",
+                 id="two-on-a-line"),
+    pytest.param("1\n5\n2\n3\n4\n", r"m\.mtx: expected 4 values, found 5",
+                 id="five-lines"),
+    pytest.param("1\n2\n3\n4\t% note\n", r"m\.mtx:6: expected one value per line, found 3",
+                 id="trailing-comment"),
+    pytest.param("1\n2\nx\n4\n", r"m\.mtx:5: could not convert string to float: 'x'",
+                 id="not-a-number"),
+])
+def test_matrix_market_value_lines_hold_one_value(tmp_path, capsys, values, message):
+    path = tmp_path / "m.mtx"
+    path.write_text(_MM + "2 2\n" + values)
+    with pytest.raises(ValueError, match=message):
+        matio.read_matrix(path)
+    assert main(["kappa", "--matrix", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(path) in captured.err
+
+
+def test_matrix_market_comments_between_values(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_text(_MM + "% c\n2 2\n1\n% c\n\n2\n  %c\n3\n4\n")
+    assert np.array_equal(matio.read_matrix(path), [[1.0, 3.0], [2.0, 4.0]])
+
+
+@pytest.mark.parametrize("dims", ["2.0 2", "-1 -1", "0 2", "2 0", "2", "2 2 2", "a b"])
+def test_matrix_market_dimensions_are_two_positive_integers(tmp_path, capsys, dims):
+    path = tmp_path / "m.mtx"
+    path.write_text(_MM + dims + "\n1\n")
+    with pytest.raises(ValueError, match=r"m\.mtx: malformed dimensions line .*"
+                                         r"expected two positive integers"):
+        matio.read_matrix(path)
+    assert main(["kappa", "--matrix", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"condlab: {path}: malformed dimensions line {dims.split()!r}, "
+            "expected two positive integers\n")
 
 
 def test_read_vector_rejects_matrices(tmp_path):
@@ -368,10 +411,76 @@ def test_exit_code_enum_dim(files, capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_negative_max_enum_dim_is_bad_input(files, capsys):
+    argv = ["norm", "--matrix", files["diag12.csv"], "--r", "inf", "--s", "1"]
+    assert main(argv + ["--max-enum-dim", "-1"]) == 1
+    assert capsys.readouterr() == ("", "condlab: --max-enum-dim must be nonnegative, got -1\n")
+    assert main(argv + ["--max-enum-dim", "x"]) == 1
+    assert capsys.readouterr() == (
+        "", "condlab: argument --max-enum-dim: invalid int value: 'x'\n")
+    assert main(argv + ["--max-enum-dim", "0"]) == 4
+    capsys.readouterr()
+
+
+# (option strings, dest, default, choices) of every action of each
+# subcommand's parser, in declaration order
+_HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None)
+_SHARED = [
+    (("--matrix",), "matrix", None, None),
+    (("--vector",), "vector", None, None),
+    (("--r",), "r", "2", None),
+    (("--s",), "s", "2", None),
+    (("--max-enum-dim",), "max_enum_dim", 20, None),
+    (("--format",), "format", "json", ["json", "csv"]),
+    (("--seed",), "seed", 0, None),
+]
+_KIND = ((), "kind", None, _KINDS)
+_COMMAND_ACTIONS = {
+    "norm": [],
+    "kappa": [],
+    "cond": [_KIND],
+    "mixed": [],
+    "dist": [],
+    "nearest-singular": [],
+    "estimate": [_KIND, (("--delta",), "delta", "1e-4,1e-5,1e-6,1e-7", None),
+                 (("--samples",), "samples", 1000, None)],
+    "solve-tri": [(("--precision",), "precision", "working", ["working", "reduced"])],
+    "verify-tri": [(("--precision",), "precision", "reduced", ["working", "reduced"])],
+    "experiment": [((), "name", None, ["frob-inv", "kappa-sq", "log-kappa", "ql"]),
+                   (("--n",), "n", "2,3,4,5,6,7,8", None),
+                   (("--trials",), "trials", 10000, None)],
+}
+
+
+def test_command_table_actions():
+    (sub,) = [a for a in cli._build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(_COMMAND_ACTIONS)
+    for name, parser in sub.choices.items():
+        actions = [(tuple(a.option_strings), a.dest, a.default, a.choices)
+                   for a in parser._actions]
+        assert actions == [_HELP] + _SHARED + _COMMAND_ACTIONS[name], name
+
+
+def test_shared_options_are_declared_once(monkeypatch):
+    declared = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(self, *args, **kwargs):
+        declared.extend(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    parser = cli._build_parser()
+    for (option,), *_ in _SHARED:
+        assert declared.count(option) == 1, option
+    assert parser is not cli._build_parser()  # built per call, never cached
+
+
 def test_exit_code_violated_bound(files, capsys, monkeypatch):
     # the backward-error bound holds for every honest input, so force an
     # unsatisfied report to pin the exit-code mapping itself
-    from condlab import cli, triangular
+    from condlab import triangular
 
     def forged(lower, b, precision):
         return triangular.BackwardErrorReport(
