@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Digests of the benchmark's estimator reports and CLI outputs, and of a
-probe of every CLI command.
+"""Digests of the benchmark's estimator reports, CLI outputs and Monte Carlo
+summaries, and of a probe of every CLI command.
 
     python3 scripts/report_digest.py [--seeds 1,2,3]
 
-For each seed this builds the inputs of the ``estimator`` and ``cli``
-workloads with ``bench/estimator.py`` and ``bench/commands.py`` (the CLI's
-files go to a temporary directory), runs every operation once in the
-benchmark's order, and prints one SHA-256 over the ``repr`` of every
-estimator report and one over the ``repr`` of every CLI output (exit code
-and stdout).  A third digest, ``cli-all``, runs a fixed list of about 120
-command lines on files drawn from the seed: all ten commands, both output
-formats, and the error exits 1, 2, 4 and 5.  It hashes each exit code with
-its stdout and its stderr, with the temporary directory's name replaced.
+For each seed this builds the inputs of the ``estimator``, ``cli`` and
+``montecarlo`` workloads with ``bench/estimator.py``, ``bench/commands.py``
+and ``bench/montecarlo.py`` (the CLI's files go to a temporary directory),
+runs every operation once in the benchmark's order, and prints one SHA-256
+over the ``repr`` of every estimator report, one over the ``repr`` of every
+CLI output (exit code and stdout), and one over the ``repr`` of every
+``ExperimentSummary``.  The ``cli-all`` digest runs a fixed list of about
+120 command lines on files drawn from the seed: all ten commands, both
+output formats, and the error exits 1, 2, 4 and 5.  It hashes each exit
+code with its stdout and its stderr, with the temporary directory's name
+replaced.
 Under the ``estimator`` total, one digest per problem kind hashes that
 kind's reports alone, in the same order, so a change that can touch only
 one kind can show that the others kept their bits.  condlab is imported
@@ -151,10 +153,12 @@ def _workloads():
     """(name, make_inputs, operations) of each digest."""
     import commands
     import estimator
+    import montecarlo
 
     return (("estimator", estimator.make_inputs, estimator.operations),
             ("cli", commands.make_inputs, commands.operations),
-            ("cli-all", _probe_inputs, _probe_operations))
+            ("cli-all", _probe_inputs, _probe_operations),
+            ("montecarlo", montecarlo.make_inputs, montecarlo.operations))
 
 
 def digests(seeds):

@@ -238,6 +238,8 @@ def _run_command(args):
     vector."""
     if args.max_enum_dim < 0:
         raise ValueError(f"--max-enum-dim must be nonnegative, got {args.max_enum_dim}")
+    if not 0 <= args.seed < 2**64:
+        raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
     r, s = norm_index(args.r), norm_index(args.s)
     echo = {"r": "inf" if r == inf else int(r), "s": "inf" if s == inf else int(s),
             "seed": args.seed}

@@ -1,5 +1,5 @@
 """Dense real matrix kernels: LU with partial pivoting, triangular solves,
-inversion, Householder QL, and singular values.
+inversion, QL, and singular values.
 
 Everything works in binary64 and accepts stacked inputs: a shape
 ``(..., n, m)`` array is treated as a stack of matrices and the result
@@ -30,6 +30,9 @@ two that brings its largest magnitude into [1/2, 1).  That scaling is
 exact, so the values of 2^k * A are exactly 2^k times those of A while the
 entries stay normal.  The tests keep one-sided Jacobi, a high-relative-
 accuracy method (Demmel & Veselic 1992), as the reference for both.
+QL comes from LAPACK too, as the Householder QR (``np.linalg.qr``) of the
+reversed matrix, so its bits depend on the LAPACK build, as the singular
+values' do.
 
 All functions are pure; inputs are never modified.
 """
@@ -298,44 +301,31 @@ class QLFactors:
 
 
 def _householder_ql(a, want_q):
-    """Reflectors are applied right-to-left so trailing columns stay triangular."""
-    a = as_square(a)
-    lead = a.shape[:-2]
-    n = a.shape[-1]
-    work = a.reshape(-1, n, n).copy()
-    nb = work.shape[0]
-    q = np.broadcast_to(np.eye(n), (nb, n, n)).copy() if want_q else None
-    for k in range(n - 1, -1, -1):
-        x = work[:, : k + 1, k]
-        norm = np.sqrt(np.einsum("bi,bi->b", x, x))
-        # v = x + sign(x_k) * ||x|| * e_k ; skip elements with nothing to do
-        head = x[:, k]
-        sign = np.where(head >= 0.0, 1.0, -1.0)
-        v = x.copy()
-        v[:, k] += sign * norm
-        vtv = np.einsum("bi,bi->b", v, v)
-        active = vtv > 0.0
-        beta = np.where(active, 2.0 / np.where(active, vtv, 1.0), 0.0)
-        proj = np.einsum("bi,bij->bj", v, work[:, : k + 1, : k + 1])
-        work[:, : k + 1, : k + 1] -= beta[:, None, None] * v[:, :, None] * proj[:, None, :]
-        if want_q:
-            projq = np.einsum("bij,bj->bi", q[:, :, : k + 1], v)
-            q[:, :, : k + 1] -= beta[:, None, None] * projq[:, :, None] * v[:, None, :]
-    lower = np.tril(work)
-    flip = lower[:, np.arange(n), np.arange(n)] < 0.0
-    lower[flip] = -lower[flip]  # negate rows of L with negative diagonal
+    """QL from LAPACK's Householder QR of the reversed matrix: with J the
+    reversal, J A J = Q R gives A = (J Q J)(J R J), and J R J is lower
+    triangular."""
+    a = as_square(a)[..., ::-1, ::-1]
     if want_q:
-        q = np.where(flip[:, None, :], -q, q)  # matching column flips keep A = Q L
-        return q.reshape(lead + (n, n)), lower.reshape(lead + (n, n))
-    return None, lower.reshape(lead + (n, n))
+        q, r = np.linalg.qr(a)
+        q = q[..., ::-1, ::-1]
+    else:
+        q, r = None, np.linalg.qr(a, mode="r")
+    lower = r[..., ::-1, ::-1]
+    flip = np.diagonal(lower, axis1=-2, axis2=-1) < 0.0
+    # negate the rows of L with a negative diagonal, and the matching columns
+    # of Q so that A = Q L still holds
+    lower = np.where(flip[..., :, None], -lower, lower)
+    if want_q:
+        q = np.where(flip[..., None, :], -q, q)
+    return q, lower
 
 
 def ql_decompose(a):
-    """QL factorization by Householder reflectors, columns processed right to
-    left, then row/column sign flips so that diag(L) >= 0.
+    """QL factorization from LAPACK's Householder QR of the reversed matrix,
+    then row/column sign flips so that diag(L) >= 0.
 
-    Deterministic for fixed input.  Rank-deficient inputs simply yield zero
-    diagonal entries in L.
+    Deterministic for fixed input and LAPACK build.  Rank-deficient inputs
+    simply yield zero diagonal entries in L.
     """
     q, lower = _householder_ql(a, want_q=True)
     return QLFactors(orthogonal=q, lower_triangular=lower)

@@ -108,7 +108,9 @@ def _sample_batch(ensemble, n, keys):
 def sample_matrix(ensemble, n, key):
     """One draw of the ensemble at size n from the given substream key."""
     ensemble = ensemble_kind(ensemble)
-    return _sample_batch(ensemble, n, np.asarray(key, dtype=np.uint64).reshape(1))[0]
+    if not rng.is_whole(n, 1):
+        raise ValueError(f"size must be a positive integer, got {n!r}")
+    return _sample_batch(ensemble, int(n), np.asarray(key, dtype=np.uint64).reshape(1))[0]
 
 
 def _lower_inverse_batched(lower):

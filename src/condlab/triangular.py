@@ -151,21 +151,17 @@ def componentwise_backward_error(lower, b, x_hat, precision=WORKING):
     with np.errstate(over="ignore", invalid="ignore"):
         residual = b - lower @ x_hat
         denom = np.abs(lower) @ np.abs(x_hat)
-    eps = _rowwise_eps(np.abs(residual), denom)
-    bound = (n + 2) * precision.eps_mach
-    return BackwardErrorReport(
-        epsilon_cw=float(eps), bound=bound, satisfied=bool(eps <= bound), residual=residual
-    )
-
-
-def _rowwise_eps(abs_residual, denom):
-    with np.errstate(divide="ignore", invalid="ignore"):
+        abs_residual = np.abs(residual)
         eps = np.where(
             denom > 0.0,
             abs_residual / np.where(denom > 0.0, denom, 1.0),
             np.where(abs_residual > 0.0, inf, 0.0),
         )
-    return np.max(np.where(np.isfinite(abs_residual), eps, inf), axis=-1)
+    eps = np.max(np.where(np.isfinite(abs_residual), eps, inf))
+    bound = (n + 2) * precision.eps_mach
+    return BackwardErrorReport(
+        epsilon_cw=float(eps), bound=bound, satisfied=bool(eps <= bound), residual=residual
+    )
 
 
 def hypothesis_gate(n, precision):
@@ -188,13 +184,3 @@ def verify_backward_stability(lower, b, precision=REDUCED):
     x_hat = forward_substitution(lower, b, precision)
     return componentwise_backward_error(lower, b, x_hat, precision)
 
-
-def _verify_batched(lower, b, precision):
-    """Batched verify for same-size stacks; returns (eps array, bound)."""
-    n = b.shape[-1]
-    hypothesis_gate(n, precision)
-    x_hat = _forward_substitution_batched(lower, b, precision)
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = b - np.einsum("bij,bj->bi", lower, x_hat)
-        denom = np.einsum("bij,bj->bi", np.abs(lower), np.abs(x_hat))
-    return _rowwise_eps(np.abs(residual), denom), (n + 2) * precision.eps_mach

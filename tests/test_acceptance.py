@@ -236,9 +236,10 @@ def test_criterion_9_backward_stability_1000_systems():
             # half the systems unit diagonal, half general Gaussian diagonal
             lowers[: count // 2, np.arange(n), np.arange(n)] = 1.0
             bs = rng.standard_normals(rng.substream(SEED, 9, n, idx + 1000), n)
-            eps, bound = triangular._verify_batched(lowers, bs, triangular.REDUCED)
-            assert np.all(eps <= bound)
-            worst_margin = max(worst_margin, float(np.max(eps) / bound))
+            for lower, b in zip(lowers, bs):
+                report = triangular.verify_backward_stability(lower, b, triangular.REDUCED)
+                assert report.satisfied
+                worst_margin = max(worst_margin, report.epsilon_cw / report.bound)
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0
     print(f"  worst eps/bound = {worst_margin:.3f}, {elapsed:.1f}s")

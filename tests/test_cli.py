@@ -422,6 +422,17 @@ def test_negative_max_enum_dim_is_bad_input(files, capsys):
     capsys.readouterr()
 
 
+def test_seed_outside_64_bits_is_bad_input(capsys):
+    # the RNG reduces a seed mod 2^64, so -1 would alias 2^64 - 1 and 2^64 alias 0
+    argv = ["experiment", "frob-inv", "--n", "2", "--trials", "300", "--format", "csv"]
+    for seed in (-1, 2**64):
+        assert main(argv + ["--seed", str(seed)]) == 1
+        assert capsys.readouterr() == (
+            "", f"condlab: --seed must be in [0, 2^64), got {seed}\n")
+    assert main(argv + ["--seed", str(2**64 - 1)]) == 0
+    capsys.readouterr()
+
+
 # (option strings, dest, default, choices) of every action of each
 # subcommand's parser, in declaration order
 _HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None)

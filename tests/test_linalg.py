@@ -330,18 +330,30 @@ def test_ql_orthogonal_input():
 
 
 def test_ql_random_reconstruction_and_invariants():
-    a = gaussian(103, 0, shape=(6, 6))
+    # one matrix, and a stack whose every member must satisfy the same
+    for a in (gaussian(103, 0, shape=(6, 6)), gaussian(103, 1, shape=(5, 4, 4))):
+        f = linalg.ql_decompose(a)
+        q, lower = f.orthogonal, f.lower_triangular
+        n = a.shape[-1]
+        assert np.all(np.triu(lower, 1) == 0.0)
+        assert np.all(np.diagonal(lower, axis1=-2, axis2=-1) >= 0.0)
+        assert np.max(np.abs(np.swapaxes(q, -2, -1) @ q - np.eye(n))) <= 1e-12
+        recon = linalg.frobenius_norm(q @ lower - a)
+        assert np.all(recon <= 1e-12 * linalg.frobenius_norm(a))
+        # orthogonal invariance: L has the singular values of A
+        sv_a = linalg.singular_values(a)
+        sv_l = linalg.singular_values(lower)
+        assert np.all(np.abs(sv_a - sv_l) <= 1e-10 * sv_a[..., :1])
+
+
+def test_ql_rank_deficient_input_gives_zero_diagonal():
+    a = np.array([[1.0, 0.0], [2.0, 0.0]])
     f = linalg.ql_decompose(a)
-    n = 6
-    assert np.all(np.triu(f.lower_triangular, 1) == 0.0)
-    assert np.all(np.diag(f.lower_triangular) >= 0.0)
-    assert np.max(np.abs(f.orthogonal.T @ f.orthogonal - np.eye(n))) <= 1e-12
-    recon = linalg.frobenius_norm(f.orthogonal @ f.lower_triangular - a)
-    assert recon <= 1e-12 * linalg.frobenius_norm(a)
-    # orthogonal invariance: L has the singular values of A
-    sv_a = linalg.singular_values(a)
-    sv_l = linalg.singular_values(f.lower_triangular)
-    assert np.max(np.abs(sv_a - sv_l)) <= 1e-10 * sv_a[0]
+    assert np.array_equal(np.diag(f.lower_triangular), [1.0, 0.0])
+    assert np.array_equal(f.orthogonal @ f.lower_triangular, a)
+    zero = linalg.ql_decompose(np.zeros((3, 3)))
+    assert np.array_equal(zero.lower_triangular, np.zeros((3, 3)))
+    assert np.max(np.abs(zero.orthogonal.T @ zero.orthogonal - np.eye(3))) <= 1e-15
 
 
 def test_ql_lower_matches_full_factorization():

@@ -48,6 +48,13 @@ def test_ql_factor_keeps_kappa_of_dense_draw():
         assert np.max(np.abs(kappa_l - kappa_a) / kappa_a) <= 1e-11
 
 
+@pytest.mark.parametrize("ensemble", rl.ENSEMBLES)
+@pytest.mark.parametrize("n", [0, 2.5, True, -1])
+def test_sampler_rejects_a_size_that_is_not_a_positive_integer(ensemble, n):
+    with pytest.raises(ValueError, match=r"^size must be a positive integer, got "):
+        rl.sample_matrix(ensemble, n, rng.substream(1, 0, 0))
+
+
 def test_exact_law_at_n2():
     # ||L^-1||_F^2 = 2 + l21^2 exactly for the unit ensemble at n = 2
     keys = rng.substream(4, 0, np.arange(200))

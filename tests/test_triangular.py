@@ -107,11 +107,12 @@ def test_overflowing_solve_reports_inf_without_warnings(precision):
         warnings.simplefilter("error")
         x = tri.forward_substitution(lower, b, precision)
         rep = tri.componentwise_backward_error(lower, b, x, precision)
-        eps, _ = tri._verify_batched(lower[None], b[None], precision)
+        verified = tri.verify_backward_stability(lower, b, precision)
     assert x.tolist() == [inf, -inf]
     assert rep.epsilon_cw == inf
     assert not rep.satisfied
-    assert eps.tolist() == [inf]
+    assert verified.epsilon_cw == inf
+    assert not verified.satisfied
 
 
 def test_backward_error_near_exact_solution():
