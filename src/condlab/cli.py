@@ -58,7 +58,7 @@ _EXPERIMENTS = {
     "ql": ("ql_pushforward", "log_kappa"),
 }
 
-_KIND_CHOICES = ["inversion", "matvec", "solve-fixed-a", "solve-fixed-b", "solve-both"]
+_KIND_CHOICES = [kind.replace("_", "-") for kind in conditioning.PROBLEM_KINDS]
 
 
 def jsonable(value):

@@ -124,7 +124,7 @@ class _Operand:
     fixed order that ``_lu_solve_packed`` documents.  Matvec needs A^-1 only
     for the kappa and alpha of its closed form, so a singular A leaves those
     out.  The factors and A^-1 are read-only, because the estimator's
-    operand memo shares them.
+    operand cache shares them.
     """
 
     def __init__(self, a, max_enum_dim):

@@ -19,12 +19,14 @@ at that delta: the delta-sphere then reaches the singular set
 (delta kappa_rs(A) >= 1 for the normwise models), where the supremum is
 infinite.
 
-Two bounded memos share work across estimates.  Each keeps read-only
-arrays, evicts the least recently used entry first and takes a lock around
-every lookup and insertion, so threads may share it.  A hit returns what a
-miss would compute, so neither memo changes a bit of any report.
+Two bounded :func:`functools.lru_cache` functions share work across
+estimates.  Each keeps read-only arrays and evicts the least recently used
+entry first, and threads may share it: two threads that miss on the same
+key both build the value, and one of the equal values is kept.  A hit
+returns what a miss would compute, so neither cache changes a bit of any
+report.
 
-* The operand memo keeps the :class:`~condlab.conditioning._Operand` of
+* The operand cache keeps the :class:`~condlab.conditioning._Operand` of
   the most recent matrix, keyed on A's bytes, its shape and the
   enumeration cap.  The operand holds a read-only copy of A, its LU
   factors, A^-1, and every norm of A and A^-1, with the attainers,
@@ -34,16 +36,18 @@ miss would compute, so neither memo changes a bit of any report.
   A's bytes and the operand holds a copy, so changing the caller's A in
   place gives a new operand.  One entry is enough for such a sweep, and
   the next matrix evicts it.
-* The direction memo keeps the last 4 normal draws, one copy of each and
-  a stack of matrices batch-last, with their normwise norms and
-  componentwise divisors, keyed on the draw's keys and the shape drawn; it
-  keeps no draw larger than 2^20 values.  The keys depend only on the
-  seed, the sample index and the block, not on the problem kind or on
-  (r, s).  Four is enough because a sweep over every kind and pair of one
-  instance touches three draws (the matrix block of inversion,
-  solve_fixed_b and solve_both; the vectors of matvec and solve_fixed_a;
-  the right-hand-side block of solve_both), and few enough that the next
-  instance's draws evict them.
+* The draw cache keeps the last 4 normal draws, one copy of each and a
+  stack of matrices batch-last, with their normwise norms and
+  componentwise divisors, keyed on the draw's keys and the shape drawn.
+  The keys depend only on the seed, the sample index and the block, not on
+  the problem kind or on (r, s).  Four is enough because a sweep over
+  every kind and pair of one instance touches three draws (the matrix
+  block of inversion, solve_fixed_b and solve_both; the vectors of matvec
+  and solve_fixed_a; the right-hand-side block of solve_both), and few
+  enough that the next instance's draws evict them.
+
+Neither cache takes a matrix or a draw of more than 2^20 values: such a
+one is built, returned and not kept, and it evicts nothing.
 
 Random sampling alone systematically under-covers a sup over a
 high-dimensional sphere, so for every problem kind the estimator also
@@ -60,7 +64,7 @@ a matrix-vector product, so matvec's worst ratio can differ in its last bits
 from ``A @ (x + dx)`` taken alone (relative 1e-9 at delta = 1e-7, where the
 output error cancels).  The perturbed matrices A + dA, the samples' and the
 worst row's, are written into one batch-last buffer ``(n, n, samples + 1)``
-from the memoized draw, which is kept batch-last, and the LU factors and
+from the cached draw, which is kept batch-last, and the LU factors and
 solves work on it in that layout (see :mod:`condlab.linalg`), so no stack is
 concatenated or transposed on its way to the solutions.
 
@@ -89,7 +93,8 @@ smallest delta; no extrapolation is applied.
 
 from __future__ import annotations
 
-import threading
+import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from numbers import Real
@@ -223,61 +228,24 @@ def worst_inversion_perturbation(a, r, s, delta, max_enum_dim=DEFAULT_MAX_ENUM_D
     return e
 
 
-class _Memo:
-    """The values of the most recently used keys, at most ``entries`` of
-    them, the least recently used evicted first.  Each lookup and each
-    insertion holds a lock, so threads may share one memo; two threads that
-    miss on the same key both make the value, and one of the equal values
-    is kept."""
-
-    def __init__(self, entries):
-        self.entries = entries
-        self._values = {}
-        self._lock = threading.Lock()
-
-    def get(self, key, make, keep):
-        """The value kept under ``key``, else ``make()``, kept if ``keep`` of it."""
-        with self._lock:
-            value = self._values.pop(key, None)
-            if value is not None:
-                self._values[key] = value  # most recent last
-                return value
-        value = make()
-        if keep(value):
-            with self._lock:
-                self._values[key] = value
-                while len(self._values) > self.entries:
-                    del self._values[next(iter(self._values))]
-        return value
-
-    def values(self):
-        with self._lock:
-            return list(self._values.values())
-
-    def clear(self):
-        with self._lock:
-            self._values.clear()
-
-    def __len__(self):
-        return len(self._values)
-
-
-#: Neither memo keeps an array of more than ``_MEMO_MAX_VALUES`` values: not
-#: a draw, and not the operand of such a matrix.
+#: Neither cache keeps an array of more than ``_MEMO_MAX_VALUES`` values:
+#: not a draw, and not the operand of such a matrix.
 _MEMO_MAX_VALUES = 1 << 20
-_draws = _Memo(4)
-_operands = _Memo(1)
+
+
+@functools.lru_cache(maxsize=1)
+def _operands(data, shape, max_enum_dim):
+    """The operand of the matrix with the bytes ``data`` and ``shape``,
+    over a read-only array of those bytes."""
+    return _Operand(np.frombuffer(data).reshape(shape), max_enum_dim)
 
 
 def _operand(a, max_enum_dim):
-    """The operand of ``a``: the memo's, if the last matrix had the
-    same bytes, shape and enumeration cap, else a new one over a read-only
-    copy of ``a``."""
-    return _operands.get(
-        (a.tobytes(), a.shape, max_enum_dim),
-        lambda: _Operand(_read_only(a.copy()), max_enum_dim),
-        lambda op: op.a.size <= _MEMO_MAX_VALUES,
-    )
+    """The operand of ``a``: the cache's, if the last matrix had the same
+    bytes, shape and enumeration cap, else a new one over a read-only copy
+    of ``a``."""
+    operands = _operands if a.size <= _MEMO_MAX_VALUES else _operands.__wrapped__
+    return operands(a.tobytes(), a.shape, max_enum_dim)
 
 
 class _Instance:
@@ -446,25 +414,38 @@ class EstimateReport:
     first_order_bound_check: bool | None = None
 
 
-def _draw(keys, shape, sample):
+def _batch_last(stack):
+    """A copy of ``stack`` with the same shape and batch-last memory."""
+    return np.moveaxis(np.moveaxis(stack, 0, -1).copy(), -1, 0)
+
+
+@functools.lru_cache(maxsize=4)
+def _draws(keys_data, keys_shape, shape):
+    """(the read-only normal draw of ``shape`` per key, {}) for the uint64
+    keys with the bytes ``keys_data`` and ``keys_shape``: a vector per key
+    for a 1-tuple ``shape``, else a stack of matrices batch-last."""
+    keys = np.frombuffer(keys_data, dtype=np.uint64).reshape(keys_shape)
+    if len(shape) == 1:
+        return _read_only(rng.standard_normals(keys, *shape)), {}
+    return _read_only(_batch_last(rng.normal_matrix(keys, *shape))), {}
+
+
+def _draw(keys, shape):
     """(the normal draw of ``keys`` of ``shape``, a dict of what derives from it).
 
-    The draw is read-only and comes from ``sample()`` unless one of the last
-    draws in the memo had the same keys and shape; the dict is the caller's
-    to fill with read-only arrays derived from the draw, one value per
-    matrix or vector of it (its norms, its componentwise divisors)."""
-    return _draws.get(
-        (keys.tobytes(), keys.shape, shape),
-        lambda: (_read_only(sample()), {}),
-        lambda entry: entry[0].size <= _MEMO_MAX_VALUES,
-    )
+    The draw is read-only and new unless one of the last draws in the cache
+    had the same keys and shape; the dict is the caller's to fill with
+    read-only arrays derived from the draw, one value per matrix or vector
+    of it (its norms, its componentwise divisors)."""
+    draws = _draws if keys.size * math.prod(shape) <= _MEMO_MAX_VALUES else _draws.__wrapped__
+    return draws(keys.tobytes(), keys.shape, shape)
 
 
 def _sphere_vectors(base, deltas, keys, model):
     """Perturbations of a vector on the delta-sphere of ``model``, one per key,
     for each of ``deltas`` in turn: the directions and their norms come from
-    the memo, and are rescaled lazily for every delta."""
-    g, gnorms = _draw(keys, (base.size,), lambda: rng.standard_normals(keys, base.size))
+    the cache, and are rescaled lazily for every delta."""
+    g, gnorms = _draw(keys, (base.size,))
     if model.mode == NORMWISE:
         if model.r not in gnorms:
             gnorms[model.r] = _read_only(vector_norm(g, model.r))
@@ -479,25 +460,20 @@ def _sphere_vectors(base, deltas, keys, model):
     return (delta * np.abs(base) * unit for delta in deltas)
 
 
-def _batch_last(stack):
-    """A copy of ``stack`` with the same shape and batch-last memory."""
-    return np.moveaxis(np.moveaxis(stack, 0, -1).copy(), -1, 0)
-
-
 def _sphere_matrices(op, deltas, keys, model):
     """Perturbations of the matrix of the operand ``op`` on the delta-sphere
     of ``model``, one per key, for each of ``deltas`` in turn: the directions
-    and their norms come from the memo, and are rescaled lazily for every
+    and their norms come from the cache, and are rescaled lazily for every
     delta.  The radius reads ||A||_rs from ``op``.
 
-    The memo keeps the draw batch-last, so each stack has the shape
+    The cache keeps the draw batch-last, so each stack has the shape
     ``(keys, n, m)`` and batch-last memory.  What derives from the draw, its
     normwise norms and its componentwise divisors, is taken once on a
     C-contiguous copy, which has the bits and layout of the draw as sampled,
     and is kept next to it."""
     base = op.a
     n, m = base.shape
-    g, derived = _draw(keys, (n, m), lambda: _batch_last(rng.normal_matrix(keys, n, m)))
+    g, derived = _draw(keys, (n, m))
 
     def per_matrix(key, of):
         if key not in derived:
@@ -674,7 +650,7 @@ def _ratios(inst, input_model, output_model, config):
     """(the largest sampled ratio, the directional ratio) for each delta in
     turn.
 
-    The directions are drawn once per estimate, or taken from the memo:
+    The directions are drawn once per estimate, or taken from the cache:
     sample k draws from substream (seed, 0, k) for matvec and solve_fixed_a,
     which perturb only the vector, and from (seed, 0, k, 0, block) for the
     kinds that perturb the matrix (block 0 = matrix entries, 1 = right-hand

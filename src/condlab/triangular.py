@@ -90,35 +90,27 @@ def forward_substitution(lower, b, precision=WORKING):
     x_1 = b_1 / l_11 and, for i >= 2, x_i = (b_i - sum_j<i l_ij x_j) / l_ii
     with the sum accumulated left to right.  In reduced mode every product,
     addition, subtraction and division is rounded before the next operation.
+
+    A column sweep: once x_j is known, the partial sums of all rows i > j
+    take their j-th term in one elementwise step, w_i = fl(w_i + fl(l_ij
+    x_j)).  Row i thus sees the operations of the row-oriented loop in the
+    same order j = 0, ..., i-1, rounded the same way, and x is the same bit
+    for bit.  An entry that overflows comes out as inf (and may make later
+    ones nan), the rounding model's result, without a warning.
     """
     lower = _check_lower(lower)
     b = _check_rhs(b, lower.shape[0])
     if np.any(np.diag(lower) == 0.0):
         raise ZeroDiagonal("forward substitution needs nonzero diagonal entries")
-    return _forward_substitution_batched(lower[None], b[None], precision)[0]
-
-
-def _forward_substitution_batched(lower, b, precision):
-    """Forward substitution on a stack of systems sharing one size.
-
-    ``lower`` has shape (B, n, n), ``b`` shape (B, n).  A column sweep: once
-    x_j is known, the partial sums of all rows i > j take their j-th term in
-    one elementwise step, w_i = fl(w_i + fl(l_ij x_j)).  Row i thus sees the
-    operations of the row-oriented loop in the same order j = 0, ..., i-1,
-    rounded the same way, and x is the same bit for bit.  Elementwise array
-    operations keep the per-operation rounding model intact across the stack.
-    An entry that overflows comes out as inf (and may make later ones nan),
-    the rounding model's result, without a warning.
-    """
     rnd = _rounder(precision)
-    nb, n = b.shape
-    x = np.empty((nb, n))
-    w = np.zeros((nb, n))
+    n = len(b)
+    x = np.empty(n)
+    w = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        x[:, 0] = rnd(b[:, 0] / lower[:, 0, 0])
+        x[0] = rnd(b[0] / lower[0, 0])
         for j in range(1, n):
-            w[:, j:] = rnd(w[:, j:] + rnd(lower[:, j:, j - 1] * x[:, j - 1, None]))
-            x[:, j] = rnd(rnd(b[:, j] - w[:, j]) / lower[:, j, j])
+            w[j:] = rnd(w[j:] + rnd(lower[j:, j - 1] * x[j - 1]))
+            x[j] = rnd(rnd(b[j] - w[j]) / lower[j, j])
     return x
 
 

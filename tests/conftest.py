@@ -20,14 +20,14 @@ def conditioned(seed, n, kappa):
 
 
 def clear_memos():
-    """Empty the estimator's operand and direction memos."""
-    empirical._operands.clear()
-    empirical._draws.clear()
+    """Empty the estimator's operand and draw caches."""
+    empirical._operands.cache_clear()
+    empirical._draws.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    # every test starts from empty memos, so no result depends on test order
+    # every test starts from empty caches, so no result depends on test order
     clear_memos()
 
 

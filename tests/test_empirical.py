@@ -530,20 +530,40 @@ def test_one_sweep_draws_three_times(monkeypatch):
         return standard_normals(keys, count)
 
     monkeypatch.setattr(rng, "standard_normals", spy)
-    emp._draws.clear()
+    emp._draws.cache_clear()
     _sweep(_sweep_cases(a, b), emp.EstimatorConfig(deltas=(1e-6, 1e-7), samples_per_delta=50,
                                                    seed=24), cold=False)
     assert sorted(drawn) == [((50,), 4), ((50,), 4), ((50,), 16)]
 
 
-def test_memo_arrays_are_read_only():
+def _kept_draws(monkeypatch, run):
+    """The entries of the draw cache after ``run()``: every draw that
+    ``run`` asked for, asked for again, each time a hit."""
+    asked = {}
+    draw = emp._draw
+
+    def spy(keys, shape):
+        asked[keys.tobytes(), keys.shape, shape] = keys, shape
+        return draw(keys, shape)
+
+    monkeypatch.setattr(emp, "_draw", spy)
+    run()
+    hits = emp._draws.cache_info().hits
+    entries = [draw(keys, shape) for keys, shape in asked.values()]
+    assert emp._draws.cache_info().hits == hits + len(entries)
+    return entries
+
+
+def test_memo_arrays_are_read_only(monkeypatch):
     a = gaussian(419, 0, shape=(4, 4))
     b = gaussian(419, 1, shape=(4,))
-    emp._draws.clear()
-    _sweep(_sweep_cases(a, b, pairs=[(2, 2), ("inf", 1)]),
-           emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=20, seed=25), cold=False)
-    assert len(emp._draws) == 3
-    arrays = [x for g, gnorms in emp._draws.values() for x in (g, *gnorms.values())]
+    emp._draws.cache_clear()
+    kept = _kept_draws(monkeypatch, lambda: _sweep(
+        _sweep_cases(a, b, pairs=[(2, 2), ("inf", 1)]),
+        emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=20, seed=25), cold=False))
+    assert emp._draws.cache_info().currsize == 3
+    assert len(kept) == 3
+    arrays = [x for g, gnorms in kept for x in (g, *gnorms.values())]
     assert len(arrays) > 3
     for x in arrays:
         assert not x.flags.writeable
@@ -551,19 +571,20 @@ def test_memo_arrays_are_read_only():
             x[...] = 0.0
 
 
-def test_memo_keeps_one_copy_of_each_draw():
+def test_memo_keeps_one_copy_of_each_draw(monkeypatch):
     # a matrix draw is kept batch-last, and what derives from a draw holds
-    # one value per matrix or vector, so the memo holds no second copy
+    # one value per matrix or vector, so the cache holds no second copy
     a = gaussian(421, 0, shape=(4, 4))
     b = gaussian(421, 1, shape=(4,))
-    emp._draws.clear()
+    emp._draws.cache_clear()
     cases = _sweep_cases(a, b, pairs=[(2, 2), ("inf", 1)]) + _sweep_cases(
         a, b, kinds=("inversion",), pairs=[(2, 2)], model=emp.componentwise_max)
-    _sweep(cases, emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=20, seed=27), cold=False)
-    matrices = [(g, derived) for g, derived in emp._draws.values() if g.ndim == 3]
+    config = emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=20, seed=27)
+    kept = _kept_draws(monkeypatch, lambda: _sweep(cases, config, cold=False))
+    matrices = [(g, derived) for g, derived in kept if g.ndim == 3]
     assert len(matrices) == 1
     assert any(emp.COMPONENTWISE_MAX in derived for _, derived in matrices)
-    for g, derived in emp._draws.values():
+    for g, derived in kept:
         if g.ndim == 3:
             assert np.moveaxis(g, 0, -1).flags.c_contiguous
         assert derived
@@ -576,25 +597,41 @@ def test_memo_keeps_at_most_four_draws():
         a = gaussian(420, n, 0, shape=(n, n))
         b = gaussian(420, n, 1, shape=(n,))
         _sweep(_sweep_cases(a, b, pairs=[(2, 2)]), config, cold=False)
-        assert len(emp._draws) <= 4
-    assert len(emp._draws) == 4
+        assert emp._draws.cache_info().currsize <= 4
+    assert emp._draws.cache_info().currsize == 4
 
 
 @pytest.mark.parametrize("size,kept", [(1 << 10, True), ((1 << 10) + 1, False)])
 def test_memo_does_not_keep_draws_past_its_size_cap(size, kept):
-    # 2^10 keys of 2^10 values is the largest draw the memo keeps
+    # 2^10 keys of 2^10 values is the largest draw the cache keeps
     keys = rng.substream(27, np.arange(1 << 10))
-    emp._draws.clear()
+    emp._draws.cache_clear()
     next(emp._sphere_vectors(np.ones(size), (1e-3,), keys, emp.normwise(2)))
-    assert len(emp._draws) == kept
+    assert emp._draws.cache_info().currsize == kept
+
+
+def test_requests_past_the_cap_evict_nothing():
+    # a matrix or a draw past 2^20 values is built and returned, and the
+    # entries kept before it stay kept
+    small = gaussian(425, 0, shape=(3, 3))
+    op = emp._operand(small, 12)
+    assert emp._operand(np.zeros((1025, 1024)), 12).a.shape == (1025, 1024)
+    assert emp._operand(small, 12) is op
+    assert emp._operands.cache_info().currsize == 1
+    kept = [emp._draw(rng.substream(29, i, np.arange(10)), (3,)) for i in range(4)]
+    keys = rng.substream(29, np.arange(1 << 10))
+    next(emp._sphere_vectors(np.ones((1 << 10) + 1), (1e-3,), keys, emp.normwise(2)))
+    assert emp._draws.cache_info().currsize == 4
+    for i, entry in enumerate(kept):
+        assert emp._draw(rng.substream(29, i, np.arange(10)), (3,)) is entry
 
 
 def test_memo_under_threads():
-    # threads that share the memo draw the same directions and leave it bounded
+    # threads that share the cache draw the same directions and leave it bounded
     base = np.ones(3)
     all_keys = [rng.substream(28, i, np.arange(10)) for i in range(6)]
     want = [next(emp._sphere_vectors(base, (1.0,), k, emp.normwise(2))) for k in all_keys]
-    emp._draws.clear()
+    emp._draws.cache_clear()
     errors = []
 
     def work(t):
@@ -619,7 +656,7 @@ def test_memo_under_threads():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert not errors
-    assert len(emp._draws) <= 4
+    assert emp._draws.cache_info().currsize <= 4
 
 
 def test_singular_matrix_outcomes_per_kind():
@@ -667,12 +704,15 @@ def test_sweep_factors_a_once_and_enumerates_each_inverse_norm_once(monkeypatch)
 
 def test_operand_memo_copies_a_and_keys_on_its_bytes():
     # changing the caller's A in place between two estimates gives the
-    # report of a cleared memo, and the memo's arrays are read-only
+    # report of a cleared cache, and the cache's arrays are read-only
     a = gaussian(422, 0, shape=(4, 4))
     b = gaussian(422, 1, shape=(4,))
     config = emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=20, seed=30)
     emp.estimate_condition("solve_both", a, b, "inf", 1, config=config)
-    (op,) = emp._operands.values()
+    assert emp._operands.cache_info().currsize == 1
+    hits = emp._operands.cache_info().hits
+    op = emp._operand(a, emp.DEFAULT_MAX_ENUM_DIM)  # the kept operand
+    assert emp._operands.cache_info().hits == hits + 1
     assert not np.shares_memory(op.a, a)
     for x in (op.a, op.inverse, *op.factors):
         assert not x.flags.writeable
@@ -686,7 +726,7 @@ def test_operand_memo_is_bounded():
     config = emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=10, seed=31)
     for n in (3, 4, 5):
         emp.estimate_condition("inversion", gaussian(423, n, shape=(n, n)), config=config)
-        assert len(emp._operands) == 1
+        assert emp._operands.cache_info().currsize == 1
     # no operand of a matrix of more than 2^20 values is kept
     largest, larger = np.zeros((1024, 1024)), np.zeros((1025, 1024))
     assert emp._operand(largest, 12) is emp._operand(largest, 12)
@@ -694,7 +734,7 @@ def test_operand_memo_is_bounded():
 
 
 def test_operand_memo_under_threads():
-    # threads that share the memo get the reports of a cleared memo, and
+    # threads that share the cache get the reports of a cleared cache, and
     # leave it bounded
     config = emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=10, seed=32)
     cases = [(kind, gaussian(424, i, 0, shape=(3, 3)), gaussian(424, i, 1, shape=(3,)), r, s)
@@ -718,7 +758,7 @@ def test_operand_memo_under_threads():
                 i = (t + j // 3) % len(cases)
                 if estimate(*cases[i]) != want[i]:
                     errors.append(i)
-                for k in range(200):  # lookups alone, to press on the lock
+                for k in range(200):  # lookups alone, to press on the cache
                     a = cases[(i + k) % len(cases)][1]
                     if not np.array_equal(emp._operand(a, 12).a, a):
                         errors.append(k)
@@ -737,7 +777,7 @@ def test_operand_memo_under_threads():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert not errors
-    assert len(emp._operands) <= 1
+    assert emp._operands.cache_info().currsize <= 1
 
 
 def _unfolded_directional(kind, a, b, r, s, delta, input_model):
