@@ -26,6 +26,7 @@ import io
 import json
 import sys
 from math import inf
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -177,6 +178,54 @@ def _experiment(args, a, vec, r, s, echo):
     return summary, summary.verdict != "violates"
 
 
+# Options beyond the shared ones, as (flags, add_argument keywords) pairs
+_KIND = (("kind",), {"choices": _KIND_CHOICES, "help": "problem kind"})
+
+
+def _precision(default):
+    return (("--precision",), {"choices": ["working", "reduced"], "default": default})
+
+
+class _Command(NamedTuple):
+    """One row of the command table: the subcommand's help, its handler
+    (``run``), the files it reads (``inputs``), its own options and its CSV
+    writer."""
+
+    help: str
+    run: Callable
+    inputs: tuple = ("matrix",)
+    options: tuple = ()
+    csv: Callable = _flat_csv
+
+
+_BOTH = ("matrix", "vector")
+_COMMANDS = {
+    "norm": _Command("operator norm ||A||_rs with its attaining vector", _norm),
+    "kappa": _Command("kappa_rs(A) = ||A||_rs ||A^-1||_sr", _kappa),
+    "cond": _Command("closed-form condition number of a problem kind", _cond, _BOTH,
+                     (_KIND,)),
+    "mixed": _Command("mixed condition number of (A, b) -> A^-1 b", _mixed, _BOTH),
+    "dist": _Command("distance to the singular set, with the kappa identity check", _dist),
+    "nearest-singular": _Command("rank-one E with A+E singular at minimal ||E||_rs",
+                                 _nearest_singular),
+    "estimate": _Command(
+        "sampling estimate of the definitional condition number", _estimate, _BOTH, (
+            _KIND,
+            (("--delta",), {"default": "1e-4,1e-5,1e-6,1e-7",
+                            "help": "comma-separated decreasing perturbation sizes"}),
+            (("--samples",), {"type": int, "default": 1000, "help": "samples per delta"}),
+        )),
+    "solve-tri": _Command("forward substitution", _solve_tri, _BOTH, (_precision("working"),)),
+    "verify-tri": _Command("verify the componentwise backward-error bound", _verify_tri,
+                           _BOTH, (_precision("reduced"),)),
+    "experiment": _Command("random-matrix Monte Carlo experiments", _experiment, (), (
+        (("name",), {"choices": sorted(_EXPERIMENTS), "help": "experiment name"}),
+        (("--n",), {"default": "2,3,4,5,6,7,8", "help": "comma-separated matrix sizes"}),
+        (("--trials",), {"type": int, "default": 10000}),
+    ), experiment_csv),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on bad flags; raise to the input-error code."""
 
@@ -184,9 +233,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _build_parser():
-    """The command table: each subcommand with its options, its handler
-    (``run``), the files it reads (``inputs``) and its CSV writer."""
+def _build_parser(command=None):
+    """The parser of the command table, with each subcommand's options and
+    its row as defaults.  With ``command`` it holds that subcommand alone:
+    three parsers (top level, shared options, ``command``) instead of one
+    per row.  The full table serves ``--help`` and the error for a name
+    that is not a command, which list every subcommand."""
     parser = _Parser(prog="condlab", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
     # the options every subcommand shares, declared once and copied into each
@@ -199,36 +251,13 @@ def _build_parser():
                         help="cap for exact sign-vector enumeration")
     common.add_argument("--format", choices=["json", "csv"], default="json")
     common.add_argument("--seed", type=int, default=0, help="64-bit seed")
-
-    def add(name, help_, run, inputs=("matrix",), kind=False, csv_=_flat_csv):
-        p = sub.add_parser(name, help=help_, parents=[common])
-        p.set_defaults(run=run, inputs=inputs, kind=None, csv=csv_)
-        if kind:
-            p.add_argument("kind", choices=_KIND_CHOICES, help="problem kind")
-        return p
-
-    both = ("matrix", "vector")
-    add("norm", "operator norm ||A||_rs with its attaining vector", _norm)
-    add("kappa", "kappa_rs(A) = ||A||_rs ||A^-1||_sr", _kappa)
-    add("cond", "closed-form condition number of a problem kind", _cond, both, kind=True)
-    add("mixed", "mixed condition number of (A, b) -> A^-1 b", _mixed, both)
-    add("dist", "distance to the singular set, with the kappa identity check", _dist)
-    add("nearest-singular", "rank-one E with A+E singular at minimal ||E||_rs",
-        _nearest_singular)
-    p = add("estimate", "sampling estimate of the definitional condition number",
-            _estimate, both, kind=True)
-    p.add_argument("--delta", default="1e-4,1e-5,1e-6,1e-7",
-                   help="comma-separated decreasing perturbation sizes")
-    p.add_argument("--samples", type=int, default=1000, help="samples per delta")
-    p = add("solve-tri", "forward substitution", _solve_tri, both)
-    p.add_argument("--precision", choices=["working", "reduced"], default="working")
-    p = add("verify-tri", "verify the componentwise backward-error bound", _verify_tri, both)
-    p.add_argument("--precision", choices=["working", "reduced"], default="reduced")
-    p = add("experiment", "random-matrix Monte Carlo experiments", _experiment, (),
-            csv_=experiment_csv)
-    p.add_argument("name", choices=sorted(_EXPERIMENTS), help="experiment name")
-    p.add_argument("--n", default="2,3,4,5,6,7,8", help="comma-separated matrix sizes")
-    p.add_argument("--trials", type=int, default=10000)
+    for name, row in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=row.help, parents=[common])
+        p.set_defaults(run=row.run, inputs=row.inputs, kind=None, csv=row.csv)
+        for flags, kwargs in row.options:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -260,8 +289,11 @@ def _run_command(args):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # build only the named command's parser; anything else gets the full table
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
         payload, echo, code = _run_command(args)
     except tuple(row[0] for row in _EXIT_CODES) as exc:
         code, prefix = next((c, p) for cls, c, p in _EXIT_CODES if isinstance(exc, cls))

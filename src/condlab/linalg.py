@@ -303,14 +303,22 @@ class QLFactors:
 def _householder_ql(a, want_q):
     """QL from LAPACK's Householder QR of the reversed matrix: with J the
     reversal, J A J = Q R gives A = (J Q J)(J R J), and J R J is lower
-    triangular."""
+    triangular.
+
+    Each matrix is scaled by 2^-e, e the binary exponent of its largest
+    magnitude, and its L scaled back by 2^e, as in ``_jacobi``.  So the
+    factors of a matrix near the overflow threshold stay finite, and while
+    no entry turns subnormal the scaling is exact and leaves the bits of
+    the unscaled factorization."""
     a = as_square(a)[..., ::-1, ::-1]
+    _, exponent = np.frexp(np.max(np.abs(a), axis=(-2, -1), keepdims=True))
+    a = np.ldexp(a, -exponent)
     if want_q:
         q, r = np.linalg.qr(a)
         q = q[..., ::-1, ::-1]
     else:
         q, r = None, np.linalg.qr(a, mode="r")
-    lower = r[..., ::-1, ::-1]
+    lower = np.ldexp(r[..., ::-1, ::-1], exponent)
     flip = np.diagonal(lower, axis1=-2, axis2=-1) < 0.0
     # negate the rows of L with a negative diagonal, and the matching columns
     # of Q so that A = Q L still holds

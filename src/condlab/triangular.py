@@ -68,6 +68,8 @@ def _check_lower(lower):
     lower = np.asarray(lower, dtype=np.float64)
     if lower.ndim != 2 or lower.shape[0] != lower.shape[1]:
         raise ValueError("expected a square matrix")
+    if lower.shape[0] == 0:
+        raise ValueError("matrix dimensions must be positive")
     if not np.all(np.isfinite(lower)):
         raise ValueError("matrix entries must be finite")
     if np.any(np.triu(lower, 1) != 0.0):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from condlab import empirical, rng
+
+# Hypothesis draws the same examples on every run, so a failure reproduces;
+# each test keeps its own max_examples
+settings.register_profile("condlab", derandomize=True)
+settings.load_profile("condlab")
 
 
 def gaussian(seed, *path, shape):

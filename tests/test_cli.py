@@ -463,14 +463,77 @@ _COMMAND_ACTIONS = {
 }
 
 
+def _subparsers(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _actions(parser):
+    return [(tuple(a.option_strings), a.dest, a.default, a.choices) for a in parser._actions]
+
+
 def test_command_table_actions():
-    (sub,) = [a for a in cli._build_parser()._actions
-              if isinstance(a, argparse._SubParsersAction)]
-    assert list(sub.choices) == list(_COMMAND_ACTIONS)
-    for name, parser in sub.choices.items():
-        actions = [(tuple(a.option_strings), a.dest, a.default, a.choices)
-                   for a in parser._actions]
-        assert actions == [_HELP] + _SHARED + _COMMAND_ACTIONS[name], name
+    # the full table, and each command's parser built alone, declare the same
+    full = _subparsers(cli._build_parser())
+    assert list(full) == list(_COMMAND_ACTIONS)
+    for name, own in _COMMAND_ACTIONS.items():
+        assert _actions(full[name]) == [_HELP] + _SHARED + own, name
+        alone = _subparsers(cli._build_parser(name))
+        assert list(alone) == [name]
+        assert _actions(alone[name]) == [_HELP] + _SHARED + own, name
+
+
+@pytest.mark.parametrize("name", list(_COMMAND_ACTIONS))
+def test_command_help_matches_the_full_table(name, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([name, "--help"])
+    assert exit_.value.code == 0
+    alone = capsys.readouterr()
+    assert alone.out.startswith(f"usage: condlab {name} [-h] ")
+    with pytest.raises(SystemExit):
+        cli._build_parser().parse_args([name, "--help"])
+    assert capsys.readouterr() == alone
+
+
+def test_top_level_help_and_unknown_command_list_every_command(capsys):
+    names = list(_COMMAND_ACTIONS)
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    assert f"{{{','.join(names)}}}" in capsys.readouterr().out
+    choices = ", ".join(f"'{name}'" for name in names)
+    # an unknown name, and an option placed before the command
+    for argv, token in ((["kapa", "--matrix", "a.csv"], "kapa"),
+                        (["--seed", "1", "kappa"], "1")):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "condlab: argument command: invalid choice: "
+                                       f"'{token}' (choose from {choices})\n")
+
+
+def test_a_named_command_builds_three_parsers(files, capsys, monkeypatch):
+    # top level, shared options and the command; the full table has one per row
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cli._build_parser()
+    assert len(built) == 2 + len(_COMMAND_ACTIONS) == 12
+    for name in _COMMAND_ACTIONS:
+        built.clear()
+        cli._build_parser(name)
+        assert len(built) == 3, name
+    built.clear()
+    assert main(["kappa", "--matrix", files["diag12.csv"]]) == 0
+    assert len(built) == 3
+    for argv in (["kapa"], []):
+        built.clear()
+        assert main(argv) == 1
+        assert len(built) == 12
+    capsys.readouterr()
 
 
 def test_shared_options_are_declared_once(monkeypatch):

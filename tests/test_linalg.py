@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -360,6 +362,40 @@ def test_ql_lower_matches_full_factorization():
     a = gaussian(104, 0, shape=(8, 5, 5))
     full = linalg.ql_decompose(a)
     assert np.array_equal(linalg.ql_lower(a), full.lower_triangular)
+
+
+def test_ql_near_overflow_gives_finite_factors():
+    # unscaled, LAPACK returned L with a -inf and Q with a NaN, silently
+    a = 1e308 * np.array([[1.0, 1.0], [1.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = linalg.ql_decompose(a)
+    q, lower = f.orthogonal, f.lower_triangular
+    assert np.all(np.isfinite(q)) and np.all(np.isfinite(lower))
+    assert np.max(np.abs(q.T @ q - np.eye(2))) <= 1e-15
+    assert np.max(np.abs(q @ lower - a)) <= 1e-15 * np.max(np.abs(a))
+    assert np.array_equal(linalg.ql_lower(a), lower)
+
+
+def _unscaled_ql(a):
+    """QL from LAPACK on ``a`` as given, with no prescaling."""
+    q, r = np.linalg.qr(a[..., ::-1, ::-1])
+    q, lower = q[..., ::-1, ::-1], r[..., ::-1, ::-1]
+    flip = np.diagonal(lower, axis1=-2, axis2=-1) < 0.0
+    return np.where(flip[..., None, :], -q, q), np.where(flip[..., :, None], -lower, lower)
+
+
+@pytest.mark.parametrize("k", [-900, -301, -1, 0, 1, 301, 900])
+def test_ql_prescaling_keeps_the_bits(k):
+    # the power-of-two prescaling is exact: wherever the unscaled factors
+    # are finite, both factors keep their bits, and 2^k A factors as 2^k L
+    for a in (gaussian(105, 0, shape=(6, 6)), gaussian(105, 1, shape=(5, 4, 4))):
+        scaled = np.ldexp(a, k)
+        q, lower = _unscaled_ql(scaled)
+        f = linalg.ql_decompose(scaled)
+        assert np.array_equal(f.orthogonal, q)
+        assert np.array_equal(f.lower_triangular, lower)
+        assert np.array_equal(linalg.ql_lower(scaled), np.ldexp(linalg.ql_lower(a), k))
 
 
 def test_singular_values_trivial_cases():

@@ -67,6 +67,17 @@ def test_forward_substitution_validation():
         tri.forward_substitution(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 1.0]))
 
 
+def test_empty_system_rejected():
+    # a 0x0 matrix raised IndexError in the solve and numpy's zero-size
+    # reduction error in the backward error
+    empty, b = np.zeros((0, 0)), np.zeros(0)
+    for call in (lambda: tri.forward_substitution(empty, b),
+                 lambda: tri.componentwise_backward_error(empty, b, b),
+                 lambda: tri.verify_backward_stability(empty, b)):
+        with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
+            call()
+
+
 @pytest.mark.parametrize("bad", [np.nan, inf])
 def test_non_finite_input_rejected(bad):
     # a NaN in L or b used to pass as a backward-stable solve with eps = 0
