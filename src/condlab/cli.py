@@ -263,8 +263,8 @@ def _build_parser(command=None):
 
 def _run_command(args):
     """Read the files the command declares and run its handler; returns
-    (payload, inputs echo, exit code).  Every kind but inversion needs a
-    vector."""
+    (payload, inputs echo, exit code).  A kind reads the vector file unless
+    its row of ``conditioning.KINDS`` outputs the inverse."""
     if args.max_enum_dim < 0:
         raise ValueError(f"--max-enum-dim must be nonnegative, got {args.max_enum_dim}")
     if not 0 <= args.seed < 2**64:
@@ -278,9 +278,8 @@ def _run_command(args):
             raise ValueError("--matrix is required")
         a = matio.read_matrix(args.matrix)
         echo["dims"] = list(a.shape)
-    if args.kind:
-        args.kind = conditioning.problem_kind(args.kind)
-    if "vector" in args.inputs and args.kind != "inversion":
+    row = args.kind and conditioning.KINDS[conditioning.problem_kind(args.kind)]
+    if "vector" in args.inputs and not (row and row.output == "inverse"):
         if not args.vector:
             raise ValueError("--vector is required")
         vec = matio.read_vector(args.vector)

@@ -1,13 +1,18 @@
 """Closed-form condition numbers for the five matrix problems, distance to
 singularity, and the constructive nearest singular perturbation.
 
-Problem kinds:
+Problem kinds, one row each of :data:`KINDS`: what the map outputs, and
+whether it perturbs A and the vector.
 
 * ``inversion``      A -> A^-1                      cond = kappa_rs(A)
 * ``matvec``         x -> A x (A fixed)             cond = ||A|| ||x|| / ||Ax||
 * ``solve_fixed_a``  b -> A^-1 b (A fixed)          cond = ||A^-1|| ||b|| / ||A^-1 b||
 * ``solve_fixed_b``  A -> A^-1 b (b fixed)          cond = kappa_rs(A)
 * ``solve_both``     (A, b) -> A^-1 b, mixed error  cond = kappa + ||A^-1|| ||b|| / ||A^-1 b||
+
+The closed form, the estimator and the CLI read the row, not the kind's
+name: an inverse or a solution costs kappa for a perturbed A plus the
+solution term for a perturbed vector.
 
 Input norms are ||.||_rs on matrices and ||.||_r on primal vectors; the
 output side uses the transposed pair (s, r).  kappa of a singular matrix is
@@ -39,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +64,25 @@ from .norms import (
     vector_norm,
 )
 
-PROBLEM_KINDS = ("inversion", "matvec", "solve_fixed_a", "solve_fixed_b", "solve_both")
+
+class _Kind(NamedTuple):
+    """One row of the kind table: what the map outputs from A and the
+    vector (``"product"`` A x, ``"inverse"`` A^-1 or ``"solution"``
+    A^-1 b), and whether the input error perturbs A and the vector."""
+
+    output: str
+    perturbs_a: bool
+    perturbs_vector: bool
+
+
+KINDS = {
+    "inversion": _Kind("inverse", perturbs_a=True, perturbs_vector=False),
+    "matvec": _Kind("product", perturbs_a=False, perturbs_vector=True),
+    "solve_fixed_a": _Kind("solution", perturbs_a=False, perturbs_vector=True),
+    "solve_fixed_b": _Kind("solution", perturbs_a=True, perturbs_vector=False),
+    "solve_both": _Kind("solution", perturbs_a=True, perturbs_vector=True),
+}
+PROBLEM_KINDS = tuple(KINDS)
 
 
 def problem_kind(kind):
@@ -68,13 +92,17 @@ def problem_kind(kind):
     return kind
 
 
-def _problem_vector(kind, vec, n):
-    """The vector of ``kind`` as float64 for a matrix with ``n`` columns;
-    raises ValueError when a kind other than inversion has none, or one that
-    is not 1-d, not of length n or not finite, and ZeroVector when it is
-    zero."""
-    if kind == "inversion":
-        return vec
+def _problem(kind, a, vec, r, s):
+    """(kind, A, vector, r, s) checked in the order kind, r, s, A, vector:
+    A as a float64 matrix, and the vector as float64 for A's ``n`` columns.
+    Raises ValueError when a kind with a vector has none, or one that is not
+    1-d, not of length n or not finite, and ZeroVector when it is zero."""
+    kind = problem_kind(kind)
+    r, s = norm_index(r), norm_index(s)
+    a = as_matrix(a)
+    n = a.shape[-1]
+    if KINDS[kind].output == "inverse":
+        return kind, a, vec, r, s
     if vec is None:
         raise ValueError(f"{kind} needs a vector argument")
     vec = np.asarray(vec, dtype=np.float64)
@@ -89,7 +117,7 @@ def _problem_vector(kind, vec, n):
         raise ValueError("vector entries must be finite")
     if not np.any(vec != 0.0):
         raise ZeroVector(f"{kind} requires a nonzero vector")
-    return vec
+    return kind, a, vec, r, s
 
 
 @dataclass
@@ -194,17 +222,11 @@ def condition_closed_form(
     kind, a, vec=None, r=2, s=2, max_enum_dim=DEFAULT_MAX_ENUM_DIM, *, _op=None
 ):
     """Closed-form condition number of ``kind`` at the given instance."""
-    kind = problem_kind(kind)
-    r = norm_index(r)
-    s = norm_index(s)
-    a = as_matrix(a)
-    vec = _problem_vector(kind, vec, a.shape[-1])
+    kind, a, vec, r, s = _problem(kind, a, vec, r, s)
     op = _op or _Operand(a, max_enum_dim)
+    row = KINDS[kind]
 
-    if kind in ("inversion", "solve_fixed_b"):
-        return ConditionReport(kind, value=kappa(a, r, s, max_enum_dim, _op=op))
-
-    if kind == "matvec":
+    if row.output == "product":
         image = a @ vec
         denom = vector_norm(image, s)
         anorm = op.norm(r, s)
@@ -221,10 +243,12 @@ def condition_closed_form(
                 alpha = vector_norm(vec, r) / (inv_norm * denom)
         return ConditionReport(kind, value=value, kappa=kap, alpha=alpha)
 
-    if kind == "solve_fixed_a":
-        return ConditionReport(kind, value=_solution_term(op, vec, r, s))
-
-    return mixed_condition(a, vec, r, s, max_enum_dim, _op=op)
+    # the solution term raises for a singular A, before kappa would read inf
+    term = _solution_term(op, vec, r, s) if row.perturbs_vector else None
+    kap = kappa(a, r, s, max_enum_dim, _op=op) if row.perturbs_a else None
+    if term is None or kap is None:
+        return ConditionReport(kind, value=kap if term is None else term)
+    return ConditionReport(kind, value=kap + term, kappa=kap, mixed_term=term)
 
 
 def mixed_condition(a, b, r=2, s=2, max_enum_dim=DEFAULT_MAX_ENUM_DIM, *, _op=None):
@@ -232,15 +256,8 @@ def mixed_condition(a, b, r=2, s=2, max_enum_dim=DEFAULT_MAX_ENUM_DIM, *, _op=No
 
     Always sandwiched between kappa and 2*kappa.
     """
-    r = norm_index(r)
-    s = norm_index(s)
-    a = as_square(a)
-    b = _problem_vector("solve_both", b, a.shape[-1])
-    op = _op or _Operand(a, max_enum_dim)
-    inv_norm = op.norm(s, r, inverse=True)
-    kap = op.norm(r, s) * inv_norm
-    term = _solution_term(op, b, r, s)
-    return ConditionReport("solve_both", value=kap + term, kappa=kap, mixed_term=term)
+    r, s = norm_index(r), norm_index(s)  # checked before A, as A before b
+    return condition_closed_form("solve_both", as_square(a), b, r, s, max_enum_dim, _op=_op)
 
 
 def inverse_norm(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):

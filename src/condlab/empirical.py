@@ -103,19 +103,19 @@ import numpy as np
 
 from . import rng
 from .conditioning import (
+    KINDS,
     _extremal_pair,
     _Operand,
-    _problem_vector,
+    _problem,
     _read_only,
     condition_closed_form,
-    problem_kind,
 )
 from .errors import DeltaTooLarge, ZeroComponent, ZeroVector
 
 # ``invert``, ``solve`` and ``operator_norm`` are not called here; they stay
 # bound because the benchmark's tracing (bench/tracing.py) wraps them by
 # these names.
-from .linalg import _lu_raw, _lu_solve_packed, as_matrix, as_square, invert, solve  # noqa: F401
+from .linalg import _lu_raw, _lu_solve_packed, as_square, invert, solve  # noqa: F401
 from .norms import (  # noqa: F401
     BOUNDED_PAIRS,
     DEFAULT_MAX_ENUM_DIM,
@@ -196,13 +196,6 @@ def relerror(x_tilde, x, model, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     return _relerror_to(x, model, max_enum_dim)(x_tilde)
 
 
-def _worst_inversion_direction(op, r, s):
-    """B with ||B||_rs = 1 sending x = A^-1 y / ||A^-1 y||_r to the attainer y
-    of ||A^-1||_sr, for the matrix A of the operand ``op``."""
-    _, y, w = _extremal_pair(op, r, s)
-    return rank_one_interpolator(w / vector_norm(w, r), y, r, s)
-
-
 def _singular_at(delta):
     return DeltaTooLarge(f"A - E is singular at delta={delta:g}")
 
@@ -222,7 +215,8 @@ def worst_inversion_perturbation(a, r, s, delta, max_enum_dim=DEFAULT_MAX_ENUM_D
         raise ValueError(f"delta must be finite, got {delta!r}")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    e = delta * _worst_inversion_direction(_Operand(a, max_enum_dim), r, s)
+    _, y, w = _extremal_pair(_Operand(a, max_enum_dim), r, s)
+    e = delta * rank_one_interpolator(w / vector_norm(w, r), y, r, s)
     if np.any(_lu_raw(a - e)[3]):
         raise _singular_at(delta)
     return e
@@ -249,15 +243,15 @@ def _operand(a, max_enum_dim):
 
 
 class _Instance:
-    """One problem instance: its kind, the operand of A, the vector, the
-    norm pair, and the exact output (A x, A^-1 or A^-1 b), which the
-    operand's factors give their bits."""
+    """One problem instance: its kind's row of ``KINDS``, the operand of A,
+    the vector, the norm pair, and the exact output (A x, A^-1 or A^-1 b),
+    which the operand's factors give their bits."""
 
     def __init__(self, kind, op, vec, r, s):
-        self.kind, self.op, self.vec, self.r, self.s = kind, op, vec, r, s
-        if kind == "matvec":
+        self.row, self.op, self.vec, self.r, self.s = KINDS[kind], op, vec, r, s
+        if self.row.output == "product":
             self.exact = op.a @ vec
-        elif kind == "inversion":
+        elif self.row.output == "inverse":
             self.exact = op.inverse
         else:
             self.exact = op.solve(vec[:, None])[:, 0]
@@ -284,7 +278,7 @@ class _Instance:
         return lambda outputs: _largest_and_last(err(outputs))
 
     def _denom(self, model):
-        if self.kind == "inversion" and model.mode == NORMWISE and model.s is not None:
+        if self.row.output == "inverse" and model.mode == NORMWISE and model.s is not None:
             return self.op.norm(model.r, model.s, inverse=True)
         return None
 
@@ -335,29 +329,25 @@ def _worst_row(inst, input_model):
     matvec moves x by delta ||x||_r times the attainer of ||A||_rs, and
     solve_fixed_a moves b by delta ||b||_s y, y the attainer of
     ||A^-1||_sr.  The other kinds move A: dA is -E with E = delta ||A||_rs
-    B; rounding is symmetric, so A + dA has the bits of A - E.  For
-    inversion B is the interpolator of the lower bound of cond = kappa; for
-    the solve kinds it sends x / ||x||_r to y, and solve_both also moves b
-    by delta ||b||_s y.  Under the blockwise sum the ratio divides by the
-    sum of the block errors.
+    B; rounding is symmetric, so A + dA has the bits of A - E.  B sends
+    x / ||x||_r to y, with x = A^-1 y for inversion (the interpolator of the
+    lower bound of cond = kappa) and x = A^-1 b for the solve kinds, and
+    solve_both also moves b by delta ||b||_s y.  Under the blockwise sum
+    the ratio divides by the sum of the block errors.
     """
-    kind, op, vec, r, s = inst.kind, inst.op, inst.vec, inst.r, inst.s
-    if kind == "matvec":
+    row, op, vec, r, s = inst.row, inst.op, inst.vec, inst.r, inst.s
+    if row.output == "product":
         att = op.norm(r, s, attainer=True).attainer
         xnorm = vector_norm(vec, r)
         return lambda delta: (None, delta * xnorm * att, delta)
-    if kind == "inversion":
-        b_mat = _worst_inversion_direction(op, r, s)
-    else:
-        _, y, _ = _extremal_pair(op, r, s)
-        if kind == "solve_fixed_a":
-            bnorm = vector_norm(vec, s)
-            return lambda delta: (None, delta * bnorm * y, delta)
-        x = inst.exact
-        b_mat = rank_one_interpolator(x / vector_norm(x, r), y, r, s)
-    towards = -b_mat
+    _, y, w = _extremal_pair(op, r, s)
+    if not row.perturbs_a:
+        bnorm = vector_norm(vec, s)
+        return lambda delta: (None, delta * bnorm * y, delta)
+    x = w if row.output == "inverse" else inst.exact
+    towards = -rank_one_interpolator(x / vector_norm(x, r), y, r, s)
     anorm = op.norm(r, s)
-    if kind != "solve_both":
+    if not row.perturbs_vector:
         return lambda delta: (delta * anorm * towards, None, delta)
     bnorm = vector_norm(vec, s)
     # under the blockwise sum both blocks sit on their own delta-sphere
@@ -494,21 +484,17 @@ def _sphere_matrices(op, deltas, keys, model):
 
 
 def _default_models(kind, r, s):
-    input_model = {
-        "inversion": normwise(r, s),
-        "matvec": normwise(r),
-        "solve_fixed_a": normwise(s),
-        "solve_fixed_b": normwise(r, s),
-        "solve_both": componentwise_max,  # blockwise max over (A in rs, b in s)
-    }[kind]
-    output_model = {
-        "inversion": normwise(s, r),
-        "matvec": normwise(s),
-        "solve_fixed_a": normwise(r),
-        "solve_fixed_b": normwise(r),
-        "solve_both": normwise(r),
-    }[kind]
-    return input_model, output_model
+    """(input model, output model) of ``kind``: A in (r, s), A x from the
+    r-norm to the s-norm, and A^-1 b and A^-1 back from s to r."""
+    row = KINDS[kind]
+    vec_in, vec_out = (r, s) if row.output == "product" else (s, r)
+    if not row.perturbs_a:
+        input_model = normwise(vec_in)
+    elif row.perturbs_vector:
+        input_model = componentwise_max  # blockwise max over (A in rs, b in s)
+    else:
+        input_model = normwise(r, s)
+    return input_model, (normwise(s, r) if row.output == "inverse" else normwise(vec_out))
 
 
 def estimate_condition(
@@ -539,12 +525,8 @@ def estimate_condition(
     or the worst direction's, is singular within tolerance: the supremum at
     that delta is infinite.  A singular A raises SingularMatrix.
     """
-    kind = problem_kind(kind)
-    r = norm_index(r)
-    s = norm_index(s)
+    kind, a, vec, r, s = _problem(kind, a, vec, r, s)
     config = config or EstimatorConfig()
-    a = as_matrix(a)
-    vec = _problem_vector(kind, vec, a.shape[-1])
     default_in, default_out = _default_models(kind, r, s)
     input_model = input_model or default_in
     output_model = output_model or default_out
@@ -554,7 +536,7 @@ def estimate_condition(
     closed = condition_closed_form(kind, op.a, vec, r, s, max_enum_dim, _op=op).value
     report = EstimateReport(kind=kind, closed_form=closed)
 
-    ratios = _ratios(inst, input_model, output_model, config)
+    ratios = _ratios(inst, input_model, output_model, default_out, config)
     for delta, (sampled, directional) in zip(config.deltas, ratios):
         report.per_delta.append(DeltaSample(delta, float(sampled), float(directional)))
 
@@ -568,23 +550,23 @@ def estimate_condition(
     return report
 
 
-def _input_blocks(kind, input_model, r, s):
+def _input_blocks(inst, input_model):
     """(matrix model or None, vector model or None, whether each block takes
-    all of delta).
+    all of delta) of the instance ``inst``.
 
     matvec and solve_fixed_a perturb only the vector, and inversion and
     solve_fixed_b only A.  solve_both perturbs A on its (r, s)-sphere and b
     on its s-sphere under the blockwise models, or under the pair a normwise
     model names.
     """
-    if kind in ("matvec", "solve_fixed_a"):
+    if not inst.row.perturbs_a:
         return None, input_model, True
-    if kind != "solve_both":
+    if not inst.row.perturbs_vector:
         return input_model, None, True
     if input_model.mode == NORMWISE:
         matrix_model = normwise(input_model.r or 2, input_model.s or 2)
     else:
-        matrix_model = normwise(r, s)
+        matrix_model = normwise(inst.r, inst.s)
     return matrix_model, normwise(matrix_model.s), input_model.mode != COMPONENTWISE_SUM
 
 
@@ -635,18 +617,20 @@ def _perturbed_outputs(inst, a_tilde, b_tilde, delta):
     solves them as one block of right-hand sides.  Raises DeltaTooLarge at
     ``delta`` if any matrix of ``a_tilde`` is singular within tolerance."""
     if a_tilde is None:
-        return b_tilde @ inst.op.a.T if inst.kind == "matvec" else inst.op.solve(b_tilde.T).T
+        if inst.row.output == "product":
+            return b_tilde @ inst.op.a.T
+        return inst.op.solve(b_tilde.T).T
     lu, perm, _, singular = _lu_raw(a_tilde)
     if singular.any():
         raise _singular_at(delta)
-    if inst.kind == "inversion":
+    if inst.row.output == "inverse":
         eye = np.broadcast_to(np.eye(lu.shape[-1]), lu.shape)
         return _lu_solve_packed(lu, perm, eye)
     rhs = np.broadcast_to(inst.vec, lu.shape[:-1]) if b_tilde is None else b_tilde
     return _lu_solve_packed(lu, perm, rhs[..., None])[..., 0]
 
 
-def _ratios(inst, input_model, output_model, config):
+def _ratios(inst, input_model, output_model, default_out, config):
     """(the largest sampled ratio, the directional ratio) for each delta in
     turn.
 
@@ -668,15 +652,15 @@ def _ratios(inst, input_model, output_model, config):
     reaches the exact norm of the member of largest bound (see
     :func:`_screened_largest`); it has the bits of the largest over every
     sample, NaN included.  The worst row is evaluated always exactly, and
-    its output error is measured in the default output model of the kind,
-    in the samples' call when that is the model asked for.
+    its output error is measured in the default output model
+    ``default_out`` of the kind, in the samples' call when that is the
+    model asked for.
     """
-    kind, op, vec = inst.kind, inst.op, inst.vec
+    op, vec = inst.op, inst.vec
     idx = np.arange(config.samples_per_delta)
     err = inst.largest_error(output_model)
-    blocks = _input_blocks(kind, input_model, inst.r, inst.s)
+    blocks = _input_blocks(inst, input_model)
     worst = _worst_row(inst, input_model)
-    default_out = _default_models(kind, inst.r, inst.s)[1]
     worst_err = None if output_model == default_out else inst.output_error(default_out)
     samples = _perturbations(inst, blocks, config.deltas, config.seed, idx)
     for delta, (da, db) in zip(config.deltas, samples):

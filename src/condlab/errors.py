@@ -33,6 +33,10 @@ class ZeroComponent(CondLabError):
     """Componentwise error model hit a zero reference component."""
 
 
+class ResultOverflow(CondLabError):
+    """A result exceeds the largest finite double, DBL_MAX."""
+
+
 class DeltaTooLarge(CondLabError):
     """A perturbation of the requested size crossed the singular set."""
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, SingularMatrix
+from .errors import NoConvergence, ResultOverflow, SingularMatrix
 
 #: Relative pivot tolerance below which a matrix is reported singular.
 DEFAULT_PIVOT_TOL = 1e-13
@@ -73,11 +73,16 @@ def frobenius_norm(a):
     """Square root of the sum of squared entries; batched over leading dims.
 
     Scaled by the largest magnitude so squaring cannot under- or overflow.
+    Raises ResultOverflow when a norm exceeds DBL_MAX.
     """
     a = as_matrix(a)
     scale = np.max(np.abs(a), axis=(-2, -1), keepdims=True)
     y = a / np.where(scale > 0.0, scale, 1.0)
-    return scale[..., 0, 0] * np.sqrt(np.sum(y * y, axis=(-2, -1)))
+    with np.errstate(over="ignore"):
+        norm = scale[..., 0, 0] * np.sqrt(np.sum(y * y, axis=(-2, -1)))
+    if np.any(np.isinf(norm)):
+        raise ResultOverflow("Frobenius norm exceeds the largest finite double")
+    return norm
 
 
 @dataclass

@@ -10,6 +10,7 @@ import pytest
 
 from condlab import cli, matio
 from condlab.cli import main
+from condlab.errors import ResultOverflow
 
 from conftest import conditioned, gaussian
 
@@ -316,6 +317,12 @@ def test_exit_code_bad_input(files, capsys):
     assert main(["kappa", "--matrix", files["diag12.csv"], "--r", "7"]) == 1
     assert main(["experiment", "frob-inv", "--n", "3", "--trials", "1"]) == 1
     capsys.readouterr()
+
+
+def test_result_overflow_is_a_bad_input():
+    # a value beyond DBL_MAX takes the CondLabError row of the exit table
+    code = next(c for cls, c, _ in cli._EXIT_CODES if issubclass(ResultOverflow, cls))
+    assert code == cli.EXIT_BAD_INPUT
 
 
 _KINDS = ["inversion", "matvec", "solve-fixed-a", "solve-fixed-b", "solve-both"]

@@ -1,3 +1,4 @@
+import pathlib
 from math import inf, isinf, sqrt
 
 import numpy as np
@@ -285,3 +286,50 @@ def test_operand_takes_each_norm_once(monkeypatch, r, s):
     enumerated = (norms.norm_index(r), norms.norm_index(s)) in norms.ENUMERATION_PAIRS
     once = ["operator_norm"] if enumerated else ["operator_norm_values", "operator_norm"]
     assert calls == once * 2
+
+
+@pytest.mark.parametrize("kind", cond.PROBLEM_KINDS)
+def test_every_row_closed_form_is_the_directional_ratio(kind):
+    # at delta = 1e-8 the worst direction's ratio is the closed form up to
+    # second order, which stays within 2 delta kappa_rs(A) for every pair
+    # on instances with kappa_rs(A) <= 1e3
+    delta = 1e-8
+    config = empirical.EstimatorConfig(deltas=(delta,), samples_per_delta=1)
+    takes_vector = cond.KINDS[kind].output != "inverse"
+    checked = set()
+    for n in (2, 3, 4, 5):
+        for seed in range(2):
+            a = gaussian(312, n, seed, 0, shape=(n, n))
+            b = gaussian(312, n, seed, 1, shape=(n,)) if takes_vector else None
+            for r, s in ALL_PAIRS:
+                kap = cond.kappa(a, r, s)
+                if kap > 1e3:
+                    continue
+                rep = empirical.estimate_condition(kind, a, b, r, s, config=config)
+                ratio = rep.per_delta[-1].directional_ratio
+                assert abs(ratio / rep.closed_form - 1.0) <= 2.0 * delta * kap, (n, seed, r, s)
+                checked.add((r, s))
+    assert checked == set(ALL_PAIRS)
+
+
+def test_a_kind_row_missing_a_field_fails_the_import():
+    # KINDS is built when the module is imported, so a row that leaves out
+    # a field breaks the import, not the first closed form or estimate
+    with pytest.raises(TypeError, match="perturbs_vector"):
+        cond._Kind("solution", perturbs_a=True)
+    source = pathlib.Path(cond.__file__).read_text()
+    row = '"solve_both": _Kind("solution", perturbs_a=True, perturbs_vector=True)'
+    assert source.count(row) == 1
+    broken = source.replace(row, '"solve_both": _Kind("solution", perturbs_a=True)')
+    namespace = {"__name__": "condlab._broken_kinds", "__package__": "condlab"}
+    with pytest.raises(TypeError, match="perturbs_vector"):
+        exec(compile(broken, cond.__file__, "exec"), namespace)
+
+
+def test_every_row_names_an_output_the_dispatch_sites_know():
+    # the sites branch on "product" and "inverse" and take anything else as
+    # a solution, so a misspelt output would pass for one
+    for row in cond.KINDS.values():
+        assert row.output in ("product", "inverse", "solution")
+        assert type(row.perturbs_a) is bool and type(row.perturbs_vector) is bool
+        assert row.perturbs_a or row.perturbs_vector

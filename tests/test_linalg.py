@@ -5,7 +5,7 @@ import pytest
 
 from condlab import linalg, randomlab, rng
 from condlab.conditioning import kappa
-from condlab.errors import SingularMatrix
+from condlab.errors import ResultOverflow, SingularMatrix
 
 import jacobi_reference
 from conftest import gaussian
@@ -438,6 +438,17 @@ def test_singular_values_orthogonal_invariance():
 def test_frobenius_norm_values():
     assert linalg.frobenius_norm(np.eye(4)) == 2.0
     assert linalg.frobenius_norm(np.array([[3.0, 4.0], [0.0, 0.0]])) == 5.0
+
+
+def test_frobenius_norm_beyond_dbl_max_raises_without_a_warning():
+    # the scaled sum is finite; only the final product with the scale overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResultOverflow, match="exceeds the largest finite double"):
+            linalg.frobenius_norm(1e308 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+        with pytest.raises(ResultOverflow):
+            linalg.frobenius_norm(np.stack([np.eye(2), np.full((2, 2), 1e308)]))
+        assert linalg.frobenius_norm(1e308 * np.eye(2)) == 1e308 * np.sqrt(2.0)
 
 
 def test_frobenius_matches_singular_value_identity():
