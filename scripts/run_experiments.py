@@ -3,11 +3,15 @@
 CSV tables (for external plotting) plus a JSON summary to results/.
 
   python scripts/run_experiments.py [--seed 20260809] [--out results]
+
+The last line printed gives the total elapsed seconds and the process's
+peak resident memory.
 """
 
 import argparse
 import json
 import pathlib
+import resource
 import sys
 import time
 
@@ -31,6 +35,7 @@ def main():
     ap.add_argument("--out", default="results")
     args = ap.parse_args()
 
+    start = time.perf_counter()
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     combined = {}
@@ -52,6 +57,9 @@ def main():
             )
     (out / "summary.json").write_text(json.dumps(combined, indent=2))
     print(f"wrote {out}/summary.json and one CSV per experiment")
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
+    peak /= 1024.0**2 if sys.platform == "darwin" else 1024.0
+    print(f"total {time.perf_counter() - start:.2f}s, peak RSS {peak:.0f} MB")
 
 
 if __name__ == "__main__":

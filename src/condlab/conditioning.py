@@ -16,8 +16,9 @@ solution term for a perturbed vector.
 
 Input norms are ||.||_rs on matrices and ||.||_r on primal vectors; the
 output side uses the transposed pair (s, r).  kappa of a singular matrix is
-inf by convention, while distance_to_singularity raises because its formula
-divides by ||A^-1||.
+inf by convention, so inversion reports inf, while the three kinds that
+output a solution raise SingularMatrix, because A^-1 b does not exist, and
+distance_to_singularity raises because its formula divides by ||A^-1||.
 
 Every function here reads A, A^-1 and their norms from one
 :class:`_Operand`.  It factors A at most once, by the calls that
@@ -243,7 +244,10 @@ def condition_closed_form(
                 alpha = vector_norm(vec, r) / (inv_norm * denom)
         return ConditionReport(kind, value=value, kappa=kap, alpha=alpha)
 
-    # the solution term raises for a singular A, before kappa would read inf
+    if row.output == "solution":
+        # A^-1 b does not exist for a singular A: its factors raise
+        # SingularMatrix before kappa would read inf
+        op.factors  # noqa: B018
     term = _solution_term(op, vec, r, s) if row.perturbs_vector else None
     kap = kappa(a, r, s, max_enum_dim, _op=op) if row.perturbs_a else None
     if term is None or kap is None:

@@ -28,13 +28,22 @@ Statistics
   drops out of the statistic.
 
 Determinism: trial t of size index i draws from substream (seed, i, t), so
-summaries are bit-identical for a fixed seed regardless of chunking.
+summaries are bit-identical for a fixed seed regardless of chunking.  Each
+size's trials run in chunks sized by a budget of draw elements in flight
+(``_CHUNK_ELEMENTS``, trials times n^2, shared among the workers).  The
+chunks run on one thread per CPU the process may use; numpy releases the
+GIL in the SVD, the ufuncs and einsum, so they overlap.  Their results are
+collected in chunk order, so every reduction sees the same arrays whatever
+the thread count.  A one-CPU process runs its chunks inline and starts no
+thread; with more CPUs every size makes at least two chunks.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
-from math import log
+from math import ceil, log
 
 import numpy as np
 
@@ -52,8 +61,32 @@ _COMPATIBLE = {
 
 _POINTWISE_SLACK = 1.0 - 1e-12  # float slack on the per-sample kappa bound
 
-#: Trials drawn and reduced per batch; summaries do not depend on it.
-_CHUNK_TRIALS = 4096
+#: Draw elements (trials times n^2) in flight at once, shared among the
+#: workers; summaries do not depend on it.
+_CHUNK_ELEMENTS = 4096 * 8**2
+
+_pool = None  # (pid, executor) of this process's chunk threads
+_pool_lock = threading.Lock()
+
+
+def _workers():
+    """How many CPUs this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _executor(workers):
+    """This process's thread pool, built on first use; a forked child
+    builds its own."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = os.getpid(), ThreadPoolExecutor(workers, thread_name_prefix="condlab-chunk")
+        return _pool[1]
 
 
 def ensemble_kind(name):
@@ -118,10 +151,19 @@ def _lower_inverse_batched(lower):
     nb, n, _ = lower.shape
     x = np.zeros((nb, n, n))
     eye = np.eye(n)
-    for i in range(n):
-        acc = eye[i] - np.einsum("bj,bjk->bk", lower[:, i, :i], x[:, :i, :])
-        x[:, i, :] = acc / lower[:, i, i, None]
+    for i in range(n):  # row i of L^-1 is zero past column i
+        acc = eye[i, : i + 1] - np.einsum("bj,bjk->bk", lower[:, i, :i], x[:, :i, : i + 1])
+        x[:, i, : i + 1] = acc / lower[:, i, i, None]
     return x
+
+
+def _column_sums_sq(x):
+    """Squared column norms of each matrix, accumulated in row order: the
+    order of ``np.sum(x ** 2, axis=1)``, without its squared copy."""
+    cols = x[:, 0] ** 2
+    for i in range(1, x.shape[1]):
+        cols += x[:, i] ** 2
+    return cols
 
 
 def _kappa2_batched(lower):
@@ -173,6 +215,40 @@ def _aggregate(n, values, prediction, extra=None):
     )
 
 
+def _chunk(config, statistic, si, n, start, stop):
+    """(values, column sums or None, pointwise violations) of trials
+    start..stop-1 at size index si."""
+    keys = rng.substream(config.seed, si, np.arange(start, stop))
+    if config.ensemble == "ql_pushforward":
+        # log_kappa only: kappa_2(L) = kappa_2(A), so the QL step is skipped
+        draws = rng.normal_matrix(keys, n, n)
+    else:
+        draws = _sample_batch(config.ensemble, n, keys)
+    if statistic in ("frob_inv_sq", "col_sums_sq"):
+        cols = _column_sums_sq(_lower_inverse_batched(draws))
+        return np.sum(cols, axis=1), cols, 0
+    kap2 = _kappa2_batched(draws)
+    if statistic == "kappa_sq":
+        frob2 = np.sum(_lower_inverse_batched(draws) ** 2, axis=(1, 2))
+        return kap2, None, int(np.sum(kap2 < _POINTWISE_SLACK * frob2 / n))
+    return 0.5 * np.log(kap2), None, 0  # log_kappa
+
+
+def _chunks(config, statistic, si, n):
+    """The chunk results of size index si, in chunk order."""
+    workers = _workers()
+    trials = config.trials
+    size = max(1, min(ceil(trials / workers), _CHUNK_ELEMENTS // (n * n * workers)))
+
+    def chunk(start):
+        return _chunk(config, statistic, si, n, start, min(start + size, trials))
+
+    starts = range(0, trials, size)
+    if workers == 1:  # trials >= 2, so more workers always make two chunks or more
+        return [chunk(start) for start in starts]
+    return list(_executor(workers).map(chunk, starts))
+
+
 def run_experiment(config, statistic):
     """Run the Monte Carlo experiment and compare against the predicted law.
 
@@ -191,30 +267,9 @@ def run_experiment(config, statistic):
     )
     ok = True
     for si, n in enumerate(config.sizes):
-        values = []
-        columns = []
-        pointwise_bad = 0
-        for start in range(0, config.trials, _CHUNK_TRIALS):
-            idx = np.arange(start, min(start + _CHUNK_TRIALS, config.trials))
-            keys = rng.substream(config.seed, si, idx)
-            if config.ensemble == "ql_pushforward":
-                # log_kappa only: kappa_2(L) = kappa_2(A), so the QL step is skipped
-                draws = rng.normal_matrix(keys, n, n)
-            else:
-                draws = _sample_batch(config.ensemble, n, keys)
-            if statistic in ("frob_inv_sq", "col_sums_sq"):
-                cols = np.sum(_lower_inverse_batched(draws) ** 2, axis=1)
-                columns.append(cols)
-                values.append(np.sum(cols, axis=1))
-            elif statistic == "kappa_sq":
-                kap2 = _kappa2_batched(draws)
-                frob2 = np.sum(_lower_inverse_batched(draws) ** 2, axis=(1, 2))
-                pointwise_bad += int(np.sum(kap2 < _POINTWISE_SLACK * frob2 / n))
-                values.append(kap2)
-            else:  # log_kappa
-                kap2 = _kappa2_batched(draws)
-                values.append(0.5 * np.log(kap2))
+        values, columns, violations = zip(*_chunks(config, statistic, si, n))
         values = np.concatenate(values)
+        pointwise_bad = sum(violations)
 
         if statistic in ("frob_inv_sq", "col_sums_sq"):
             cols = np.concatenate(columns, axis=0)

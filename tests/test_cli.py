@@ -253,6 +253,12 @@ def test_exit_code_singular(files, capsys):
     assert main(["kappa", "--matrix", files["sing.csv"]]) == 0  # kappa = inf, not an error
     assert main(["dist", "--matrix", files["sing.csv"]]) == 2
     assert main(["nearest-singular", "--matrix", files["sing.csv"]]) == 2
+    # inversion reports kappa = inf; A^-1 b does not exist, so every kind
+    # that outputs it exits 2 (solve-fixed-b used to print Infinity)
+    assert main(["cond", "inversion", "--matrix", files["sing.csv"]]) == 0
+    for kind in ("solve-fixed-a", "solve-fixed-b", "solve-both"):
+        argv = ["cond", kind, "--matrix", files["sing.csv"], "--vector", files["b.csv"]]
+        assert main(argv) == 2, kind
     capsys.readouterr()
 
 

@@ -262,6 +262,23 @@ def test_singular_operand_raises_and_kappa_is_inf():
         assert isinf(cond.kappa(a, r, s))
 
 
+@pytest.mark.parametrize("kind", cond.PROBLEM_KINDS)
+def test_singular_a_across_the_kinds(kind):
+    # A^-1 b does not exist, so every kind that outputs a solution raises;
+    # solve_fixed_b used to report kappa = inf
+    a, b = np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0])
+    row = cond.KINDS[kind]
+    if row.output == "solution":
+        with pytest.raises(SingularMatrix, match="^cannot invert: matrix is singular"):
+            cond.condition_closed_form(kind, a, b)
+    elif row.output == "inverse":
+        assert isinf(cond.condition_closed_form(kind, a).value)
+    else:  # matvec reads A^-1 only for kappa and alpha, which it leaves out
+        report = cond.condition_closed_form(kind, a, b)
+        assert report.value == pytest.approx(5.0 * sqrt(2.0) / sqrt(45.0), rel=1e-14)
+        assert report.kappa is None and report.alpha is None
+
+
 @pytest.mark.parametrize("r,s", ALL_PAIRS)
 def test_operand_takes_each_norm_once(monkeypatch, r, s):
     # one memo: a value and an attainer, of A and of A^-1, each computed

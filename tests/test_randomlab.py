@@ -1,11 +1,14 @@
 import dataclasses
+import itertools
+import sys
+import threading
 from math import log
 
 import numpy as np
 import pytest
 
 from condlab import linalg, randomlab as rl, rng
-from condlab.errors import IncompatibleStatistic
+from condlab.errors import IncompatibleStatistic, NoConvergence
 
 
 def test_unit_lower_sampler_structure():
@@ -128,28 +131,142 @@ def test_incompatible_statistic():
         rl.run_experiment(config, "log_kappa")
 
 
-def _chunked(monkeypatch, chunk, config, statistic):
-    """The summary of ``config`` run in batches of ``chunk`` trials."""
+def _run(monkeypatch, config, statistic, workers=1, budget=rl._CHUNK_ELEMENTS):
+    """The summary of ``config`` on ``workers`` threads under a budget of
+    ``budget`` draw elements, and the (seed, size index, trials) key of
+    every batch drawn."""
     batches = []
     substream = rng.substream
     monkeypatch.setattr(rng, "substream", lambda *key: batches.append(key) or substream(*key))
-    monkeypatch.setattr(rl, "_CHUNK_TRIALS", chunk)
-    summary = dataclasses.asdict(rl.run_experiment(config, statistic))
-    assert len(batches) == len(config.sizes) * -(-config.trials // chunk)
+    monkeypatch.setattr(rl, "_workers", lambda: workers)
+    monkeypatch.setattr(rl, "_CHUNK_ELEMENTS", budget)
+    return dataclasses.asdict(rl.run_experiment(config, statistic)), batches
+
+
+def _chunked(monkeypatch, budget, config, statistic):
+    """The summary of ``config`` on one thread under a budget of ``budget``
+    draw elements."""
+    summary, batches = _run(monkeypatch, config, statistic, 1, budget)
+    chunks = [max(1, min(config.trials, budget // (n * n))) for n in config.sizes]
+    assert len(batches) == sum(-(-config.trials // c) for c in chunks)
     return summary
 
 
 def test_experiment_determinism_across_chunking(monkeypatch):
     config = rl.ExperimentConfig("unit_lower_gaussian", sizes=(2, 3), trials=500, seed=12)
-    one = _chunked(monkeypatch, 64, config, "frob_inv_sq")
-    assert one == _chunked(monkeypatch, 4096, config, "frob_inv_sq")
+    one = _chunked(monkeypatch, 256, config, "frob_inv_sq")
+    assert one == _chunked(monkeypatch, rl._CHUNK_ELEMENTS, config, "frob_inv_sq")
 
 
 def test_log_kappa_determinism_across_chunking(monkeypatch):
     for ensemble, sizes in (("lower_gaussian", (5, 10)), ("ql_pushforward", (8, 16))):
         config = rl.ExperimentConfig(ensemble, sizes=sizes, trials=300, seed=14)
-        one = _chunked(monkeypatch, 37, config, "log_kappa")
-        assert one == _chunked(monkeypatch, 4096, config, "log_kappa")
+        one = _chunked(monkeypatch, 1000, config, "log_kappa")
+        assert one == _chunked(monkeypatch, rl._CHUNK_ELEMENTS, config, "log_kappa")
+
+
+# two sizes each; at the default budget on one worker every size is one chunk
+_EXPERIMENTS = [("unit_lower_gaussian", (2, 6), "frob_inv_sq"),
+                ("unit_lower_gaussian", (3, 7), "col_sums_sq"),
+                ("unit_lower_gaussian", (2, 8), "kappa_sq"),
+                ("lower_gaussian", (4, 12), "log_kappa"),
+                ("ql_pushforward", (5, 16), "log_kappa")]
+
+
+@pytest.mark.parametrize("ensemble,sizes,statistic", _EXPERIMENTS)
+def test_summary_keeps_its_bits_across_workers_and_budgets(monkeypatch, ensemble, sizes,
+                                                           statistic):
+    config = rl.ExperimentConfig(ensemble, sizes=sizes, trials=301, seed=15)
+    want, batches = _run(monkeypatch, config, statistic)
+    assert len(batches) == len(sizes)  # every size fits in one chunk
+    for workers in (1, 2, 3):
+        for budget in (rl._CHUNK_ELEMENTS, 1 << 10):
+            got, batches = _run(monkeypatch, config, statistic, workers, budget)
+            assert got == want, (workers, budget)
+            # the draw elements in flight stay within the budget
+            for _, si, trials in batches:
+                n = sizes[si]
+                assert 1 <= len(trials) <= max(1, budget // (n * n * workers))
+            drawn = sorted((si, int(t)) for _, si, trials in batches for t in trials)
+            assert drawn == [(si, t) for si in range(len(sizes)) for t in range(301)]
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    started, threads = [], set()
+    start, chunk = threading.Thread.start, rl._chunk
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    monkeypatch.setattr(rl, "_chunk",
+                        lambda *args: threads.add(threading.get_ident()) or chunk(*args))
+    config = rl.ExperimentConfig("unit_lower_gaussian", sizes=(2, 8), trials=300, seed=16)
+    _, batches = _run(monkeypatch, config, "kappa_sq", 1, 1 << 10)
+    assert len(batches) > len(config.sizes)
+    assert started == [] and threads == {threading.get_ident()}
+
+
+def test_a_forked_child_builds_its_own_pool(monkeypatch):
+    monkeypatch.setattr(rl, "_pool", None)  # the process's own pool comes back afterwards
+    pool = rl._executor(2)
+    assert rl._executor(2) is pool
+    monkeypatch.setattr(rl.os, "getpid", lambda: -1)  # what a child of a fork reads
+    child = rl._executor(2)
+    assert child is not pool and rl._executor(2) is child
+    pool.shutdown()
+    child.shutdown()
+
+
+def test_concurrent_experiments_share_one_pool(monkeypatch):
+    # callers on several threads, with more workers than CPUs, all get the
+    # one-thread summaries, and the pool is built once
+    configs = [rl.ExperimentConfig("unit_lower_gaussian", sizes=(3, 5), trials=200, seed=s)
+               for s in range(4)]
+    want = [_run(monkeypatch, config, "col_sums_sq")[0] for config in configs]
+    monkeypatch.setattr(rl, "_pool", None)
+    monkeypatch.setattr(rl, "_workers", lambda: 3)
+    monkeypatch.setattr(rl, "_CHUNK_ELEMENTS", 1 << 10)
+    built = []
+    executor = rl._executor
+    monkeypatch.setattr(rl, "_executor", lambda workers: built.append(executor(workers))
+                        or built[-1])
+    got = [None] * len(configs)
+
+    def work(i):
+        for _ in range(5):
+            got[i] = dataclasses.asdict(rl.run_experiment(configs[i], "col_sums_sq"))
+            if got[i] != want[i]:
+                return
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(configs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+    assert built and all(pool is built[0] for pool in built)
+    built[0].shutdown()
+
+
+def test_chunk_error_comes_out_unchanged(monkeypatch):
+    error = NoConvergence("LAPACK singular values did not converge")
+    calls = itertools.count()
+    jacobi = rl._jacobi
+
+    def failing(a, want_vectors):
+        if next(calls) == 1:
+            raise error
+        return jacobi(a, want_vectors)
+
+    monkeypatch.setattr(rl, "_jacobi", failing)
+    config = rl.ExperimentConfig("lower_gaussian", sizes=(6,), trials=200, seed=17)
+    with pytest.raises(NoConvergence) as caught:
+        _run(monkeypatch, config, "log_kappa", 2, 1 << 10)
+    assert caught.value is error
 
 
 def test_sampler_determinism():
