@@ -19,11 +19,11 @@ at that delta: the delta-sphere then reaches the singular set
 (delta kappa_rs(A) >= 1 for the normwise models), where the supremum is
 infinite.
 
-Two bounded :func:`functools.lru_cache` functions share work across
+Four bounded :func:`functools.lru_cache` functions share work across
 estimates.  Each keeps read-only arrays and evicts the least recently used
 entry first, and threads may share it: two threads that miss on the same
 key both build the value, and one of the equal values is kept.  A hit
-returns what a miss would compute, so neither cache changes a bit of any
+returns what a miss would compute, so no cache changes a bit of any
 report.
 
 * The operand cache keeps the :class:`~condlab.conditioning._Operand` of
@@ -45,8 +45,14 @@ report.
   block of inversion, solve_fixed_b and solve_both; the vectors of matvec
   and solve_fixed_a; the right-hand-side block of solve_both), and few
   enough that the next instance's draws evict them.
+* The key cache keeps the substream keys of the last 4 (seed, samples,
+  block) triples, the keys the draw cache is keyed on, so a sweep derives
+  them once per block, not once per estimate.
+* The screen's operand cache keeps what :func:`_supremum_bounds` reads of
+  the last operand (the sums and maxima of |A| and |A^-1|, and the
+  backward-error scale of A's factors), keyed on the operand itself.
 
-Neither cache takes a matrix or a draw of more than 2^20 values: such a
+No cache takes a matrix, a draw or keys of more than 2^20 values: such a
 one is built, returned and not kept, and it evicts nothing.
 
 Random sampling alone systematically under-covers a sup over a
@@ -55,37 +61,51 @@ evaluates one analytically worst direction built from norm attainers and
 the rank-one interpolator (for inversion this is exactly the construction
 from the lower-bound half of the equality cond = kappa).  That direction is
 built once as well, and only its length follows delta.  For every kind the
-worst direction rides the stack of samples of each delta as one more row,
+worst direction rides a stack of samples of each delta as one more row,
 through the same evaluation and error calls: one GEMM for matvec, one block
 solve with A's factors for solve_fixed_a, and the batched LU and solves for
 the kinds that perturb A.  LU, solves and norms give each matrix
 the same bits alone as inside a stack.  A GEMM row need not have the bits of
 a matrix-vector product, so matvec's worst ratio can differ in its last bits
 from ``A @ (x + dx)`` taken alone (relative 1e-9 at delta = 1e-7, where the
-output error cancels).  The perturbed matrices A + dA, the samples' and the
-worst row's, are written into one batch-last buffer ``(n, n, samples + 1)``
-from the cached draw, which is kept batch-last, and the LU factors and
-solves work on it in that layout (see :mod:`condlab.linalg`), so no stack is
-concatenated or transposed on its way to the solutions.
+output error cancels).  The perturbed matrices A + dA are written into one
+batch-last buffer ``(n, n, members + 1)``, the worst row's last, and the LU
+factors and solves work on it in that layout (see :mod:`condlab.linalg`), so
+no stack is concatenated or transposed on its way to the solutions.
 
-An estimate keeps only the largest sampled ratio of each delta, so the
-output errors go to a function that returns that largest value and the
-worst row's, not every sample's.  For the perturbed inverses at (inf,1),
-(inf,2) and (2,1), a sign enumeration per member, and at (2,2), a LAPACK
-SVD per member, that function screens first.  Every difference D gets a
-bound from :func:`~condlab.norms.operator_norm_bounds` (the sum of |d_ij|,
-of the column or row 2-norms, or ||D||_F), which is exact on rank-one
-matrices and inflated by a margin gamma = 64 (p + q)^2 eps for p x q
-members, derived there to cover the rounding of the bound and of the exact
-norm, LAPACK's sigma_max included.  The exact norm runs on the member of
-largest bound, then on the worst row and on the members whose bound
-reaches that value.  A perturbed inverse differs from A^-1 by nearly
--A^-1 E A^-1, which is close to rank one when A^-1 has one dominant
-singular value: in 136 of 144 such stacks of the benchmark (six seeds), at
-most 5 of 1000 samples got the exact norm.  x -> fl(fl(x / denom) / delta)
-is monotone, so the largest ratio has the bits of the largest over every
-member's ratio.  The closed-form pairs and vector outputs take every
-member's error, which costs no more than a bound.
+An estimate keeps only the largest sampled ratio of each delta, so a kind
+that perturbs A factors only the samples that can set it.  Under a normwise
+output model every sample k gets an upper bound U_k on its computed output
+error before anything is factored (:func:`_supremum_bounds`): the norm of
+its first-order image -A^-1 E_k A^-1 or A^-1 (db_k - E_k x), which is
+linear in delta, so two GEMMs per estimate over the draw serve every delta,
+raised by a margin derived there from the second-order remainder and the
+backward errors of LU with partial pivoting (Higham, ASNA, sections 3.5, 9
+and 14).  The first stack of a delta takes the sample of largest bound,
+every sample without a finite bound or a certificate that its pivots stay
+above the singularity tolerance, and the worst row; a second stack takes
+the samples whose bound reaches the largest error found.  The others cannot
+exceed it, so the largest ratio has the bits of the largest over every
+sample, and a singular sample, which has no certificate, still raises
+DeltaTooLarge at its delta.  A componentwise output model has no bound, and
+there every sample is in the first stack.  A round of the benchmark's
+``estimator`` workload at its default seed factors 605 of the 162 162
+perturbed matrices.
+
+The output errors of a stack go to a function that returns the largest
+value and the worst row's, not every member's.  For the perturbed inverses
+at (inf,1), (inf,2) and (2,1), a sign enumeration per member, and at (2,2),
+a LAPACK SVD per member, that function screens too.  Every difference D
+gets a bound from :func:`~condlab.norms.operator_norm_bounds` (the sum of
+|d_ij|, of the column or row 2-norms, or ||D||_F), which is exact on
+rank-one matrices and inflated by a margin gamma = 64 (p + q)^2 eps for p x
+q members, derived there to cover the rounding of the bound and of the
+exact norm, LAPACK's sigma_max included.  The exact norm runs on the member
+of largest bound, then on the worst row and on the members whose bound
+reaches that value.  x -> fl(fl(x / denom) / delta) is monotone, so the
+largest ratio has the bits of the largest over every member's ratio.  The
+closed-form pairs and vector outputs take every member's error, which costs
+no more than a bound.
 
 The reported estimate is the max of sampled and directional ratios at the
 smallest delta; no extrapolation is applied.
@@ -115,10 +135,18 @@ from .errors import DeltaTooLarge, ZeroComponent, ZeroVector
 # ``invert``, ``solve`` and ``operator_norm`` are not called here; they stay
 # bound because the benchmark's tracing (bench/tracing.py) wraps them by
 # these names.
-from .linalg import _lu_raw, _lu_solve_packed, as_square, invert, solve  # noqa: F401
+from .linalg import (  # noqa: F401
+    DEFAULT_PIVOT_TOL,
+    _lu_raw,
+    _lu_solve_packed,
+    as_square,
+    invert,
+    solve,
+)
 from .norms import (  # noqa: F401
     BOUNDED_PAIRS,
     DEFAULT_MAX_ENUM_DIM,
+    dual_exponent,
     norm_index,
     operator_norm,
     operator_norm_bounds,
@@ -383,7 +411,7 @@ class EstimatorConfig:
             raise ValueError("seed must be an integer")
 
 
-@dataclass
+@dataclass(slots=True)
 class DeltaSample:
     """Worst ratios observed at a single delta."""
 
@@ -393,7 +421,7 @@ class DeltaSample:
     resampled: int = 0  # always 0, kept so that every payload keeps its fields
 
 
-@dataclass
+@dataclass(slots=True)
 class EstimateReport:
     """Per-delta supremum ratios plus the condition estimate at the smallest delta."""
 
@@ -418,6 +446,22 @@ def _draws(keys_data, keys_shape, shape):
     if len(shape) == 1:
         return _read_only(rng.standard_normals(keys, *shape)), {}
     return _read_only(_batch_last(rng.normal_matrix(keys, *shape))), {}
+
+
+@functools.lru_cache(maxsize=4)
+def _sample_keys(seed, samples, block):
+    """The read-only substream keys of samples 0..samples-1: (seed, 0, k)
+    for a ``block`` of None, else (seed, 0, k, 0, block)."""
+    idx = np.arange(samples)
+    path = (0, idx) if block is None else (0, idx, 0, block)
+    return _read_only(rng.substream(seed, *path))
+
+
+def _keys(seed, samples, block=None):
+    """:func:`_sample_keys`, from the cache unless there are more than
+    ``_MEMO_MAX_VALUES`` samples."""
+    keys = _sample_keys if samples <= _MEMO_MAX_VALUES else _sample_keys.__wrapped__
+    return keys(seed, samples, block)
 
 
 def _draw(keys, shape):
@@ -450,11 +494,30 @@ def _sphere_vectors(base, deltas, keys, model):
     return (delta * np.abs(base) * unit for delta in deltas)
 
 
+class _Scaled:
+    """A stack ``factor * unit`` of perturbations that computes only the
+    members asked for: ``stack[which]`` has the bits of the product's
+    members ``which``, the product being elementwise, and ``stack[:]`` is
+    the product.  ``factor`` holds one number per member, shaped
+    ``(members, 1, 1)``, or one matrix for every member."""
+
+    def __init__(self, factor, unit):
+        self.factor, self.unit = factor, unit
+
+    def __len__(self):
+        return len(self.unit)
+
+    def __getitem__(self, which):
+        factor = self.factor[which] if self.factor.ndim == self.unit.ndim else self.factor
+        return factor * self.unit[which]
+
+
 def _sphere_matrices(op, deltas, keys, model):
     """Perturbations of the matrix of the operand ``op`` on the delta-sphere
     of ``model``, one per key, for each of ``deltas`` in turn: the directions
     and their norms come from the cache, and are rescaled lazily for every
-    delta.  The radius reads ||A||_rs from ``op``.
+    delta, and for the members asked for (a :class:`_Scaled` stack).  The
+    radius reads ||A||_rs from ``op``.
 
     The cache keeps the draw batch-last, so each stack has the shape
     ``(keys, n, m)`` and batch-last memory.  What derives from the draw, its
@@ -474,13 +537,13 @@ def _sphere_matrices(op, deltas, keys, model):
         norm_key = model.r, model.s, op.max_enum_dim
         gnorm = per_matrix(norm_key, lambda c: operator_norm_values(c, *norm_key))
         ref = op.norm(model.r, model.s)
-        return ((delta * ref / gnorm)[:, None, None] * g for delta in deltas)
+        return (_Scaled((delta * ref / gnorm)[:, None, None], g) for delta in deltas)
     if np.any(base == 0.0):
         raise ZeroComponent("componentwise perturbation of a zero entry")
     reduce = np.max if model.mode == COMPONENTWISE_MAX else np.sum
     divisor = per_matrix(model.mode, lambda c: reduce(np.abs(c.reshape(len(c), -1)), axis=1))
     unit = g / divisor[:, None, None]
-    return (delta * np.abs(base) * unit for delta in deltas)
+    return (_Scaled(delta * np.abs(base), unit) for delta in deltas)
 
 
 def _default_models(kind, r, s):
@@ -570,30 +633,26 @@ def _input_blocks(inst, input_model):
     return matrix_model, normwise(matrix_model.s), input_model.mode != COMPONENTWISE_SUM
 
 
-def _perturbations(inst, blocks, deltas, seed, idx):
+def _perturbations(inst, blocks, deltas, seed, samples):
     """(dA or None, dv or None) for each of ``deltas`` in turn, from one draw
-    per sample: sample k of ``idx`` draws block j from substream
+    per sample: sample k < ``samples`` draws block j from substream
     (seed, 0, k, 0, j), or its vector from (seed, 0, k) when the kind
     perturbs only the vector."""
     matrix_model, vector_model, whole = blocks
     if matrix_model is None:
-        keys = rng.substream(seed, 0, idx)
+        keys = _keys(seed, samples)
         return ((None, dv) for dv in _sphere_vectors(inst.vec, deltas, keys, vector_model))
-
-    def keys(block):
-        return rng.substream(seed, 0, idx, 0, block)
-
     radii = deltas if whole else (1.0,)
-    da = _sphere_matrices(inst.op, radii, keys(0), matrix_model)
+    da = _sphere_matrices(inst.op, radii, _keys(seed, samples, 0), matrix_model)
     if vector_model is None:
         return ((d, None) for d in da)
-    db = _sphere_vectors(inst.vec, radii, keys(1), vector_model)
+    db = _sphere_vectors(inst.vec, radii, _keys(seed, samples, 1), vector_model)
     if whole:  # blockwise max: both blocks sit on their own delta-sphere
         return zip(da, db)
     # blockwise sum: split the budget so that the block errors add to delta
-    t = rng.uniforms(keys(2), 1)[:, 0]
-    da, db = next(da), next(db)
-    return ((da * (delta * t)[:, None, None], db * (delta * (1.0 - t))[:, None])
+    t = rng.uniforms(_keys(seed, samples, 2), 1)[:, 0]
+    da, db = next(da)[:], next(db)
+    return ((_Scaled((delta * t)[:, None, None], da), db * (delta * (1.0 - t))[:, None])
             for delta in deltas)
 
 
@@ -643,10 +702,17 @@ def _ratios(inst, input_model, output_model, default_out, config):
     sphere (common random numbers), so the first delta of a schedule matches
     a one-delta schedule bit for bit.
 
-    Each delta evaluates one stack: its samples and, as the last row, the
-    worst direction.  If any of its perturbed matrices is singular within
-    tolerance, the estimate raises DeltaTooLarge at that delta.  The largest
-    sampled ratio comes from :meth:`_Instance.largest_error`, which takes
+    Each delta evaluates a first stack: its samples and, as the last row,
+    the worst direction.  For a kind that perturbs A under a normwise output
+    model, the directions are read at delta = 1 first, and
+    :func:`_supremum_bounds` bounds every sample's output error from them;
+    the first stack then takes only the sample of largest bound and the
+    samples with no finite bound or pivot certificate, and a second stack,
+    whose last sample takes the worst row's place, the samples whose bound
+    is not below the largest error of the first.  If any of the perturbed
+    matrices is singular within tolerance, the estimate raises
+    DeltaTooLarge at that delta.  The largest error of a stack comes from
+    :meth:`_Instance.largest_error`, which takes
     the exact norm of a perturbed inverse at (inf,1), (inf,2), (2,1) and
     (2,2) only where its bound, inflated by gamma = 64 (p + q)^2 eps,
     reaches the exact norm of the member of largest bound (see
@@ -657,16 +723,261 @@ def _ratios(inst, input_model, output_model, default_out, config):
     model asked for.
     """
     op, vec = inst.op, inst.vec
-    idx = np.arange(config.samples_per_delta)
     err = inst.largest_error(output_model)
     blocks = _input_blocks(inst, input_model)
     worst = _worst_row(inst, input_model)
     worst_err = None if output_model == default_out else inst.output_error(default_out)
-    samples = _perturbations(inst, blocks, config.deltas, config.seed, idx)
+    screened = inst.row.perturbs_a and output_model.mode == NORMWISE
+    radii = (1.0,) * screened + config.deltas
+    samples = _perturbations(inst, blocks, radii, config.seed, config.samples_per_delta)
+    bounds = _supremum_bounds(inst, *next(samples), output_model) if screened else None
     for delta, (da, db) in zip(config.deltas, samples):
         w_da, w_db, divisor = worst(delta)
-        out = _perturbed_outputs(inst, _plus(op.a, da, w_da), _plus(vec, db, w_db), delta)
+        bound = None if bounds is None else bounds(delta)
+        first = _first_members(bound)
+        out = _perturbed_outputs(
+            inst, _plus(op.a, _rows(da, first), w_da), _plus(vec, _rows(db, first), w_db), delta)
         largest, value = err(out)
         if worst_err is not None:
             value = worst_err(out[-1])
+        if bound is not None:
+            rest = np.flatnonzero(~(first | (bound < largest)))
+            if len(rest):  # the last of them takes the worst row's place
+                out = _perturbed_outputs(
+                    inst, _plus(op.a, _rows(da, rest[:-1]), _rows(da, rest[-1])),
+                    _plus(vec, _rows(db, rest[:-1]), _rows(db, rest[-1])), delta)
+                largest = np.max((largest, *err(out)))
         yield largest / delta, value / divisor
+
+
+def _rows(d, which):
+    """``d[which]``, or None when ``d`` is None."""
+    return None if d is None else d[which]
+
+
+def _first_members(bound):
+    """The samples that the first stack of a delta takes: all of them when
+    there is no ``bound``, else the one of largest finite bound and every
+    one whose bound is not finite, as a mask."""
+    if bound is None:
+        return slice(None)
+    first = ~(bound < np.inf)
+    if not first.all():
+        first[np.argmax(np.where(first, -np.inf, bound))] = True
+    return first
+
+
+#: The largest order the screen bounds.  Past it the growth bound 2^(n-1)
+#: of partial pivoting leaves no pivot certificate for any member, and the
+#: rounding of the bound's own sums stays below 2^-40 up to it.
+_SCREEN_MAX_DIM = 32
+
+#: The scales of A, A^-1, b, its solution and delta that the screen bounds
+#: lie in [1 / _SCREEN_RANGE, _SCREEN_RANGE].
+_SCREEN_RANGE = 2.0**256
+
+#: Relative margin for the rounding of the bound's own arithmetic.
+_SCREEN_ROUNDING = 2.0**-30
+
+_U = 2.0**-53  # unit roundoff of binary64
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u)."""
+    return k * _U / (1.0 - k * _U)
+
+
+@functools.lru_cache(maxsize=1)
+def _screen_operand(op):
+    """What :func:`_supremum_bounds` reads of A and of the computed A^-1 of
+    the operand ``op``, taken once per operand: max|a_ij|, ||A||_1,
+    ||A||_inf, the row and column sums of |A^-1|, their total S, ||A^-1||_1,
+    ||A^-1||_inf, omega = gamma_3n max(|L^||U^|) S from A's factors, q =
+    omega / (1 - omega) and the lower bound on sigma_min(A)."""
+    a, x = op.a, op.inverse
+    n = len(a)
+    with np.errstate(all="ignore"):
+        abs_a, abs_x = np.abs(a), np.abs(x)
+        x_rows, x_cols = abs_x.sum(axis=1), abs_x.sum(axis=0)
+        total = x_rows.sum()
+        lu, _ = op.factors
+        lower = np.abs(np.tril(lu, -1)) + np.eye(n)
+        omega = _gamma(3 * n) * (lower @ np.abs(np.triu(lu))).max() * total
+        q = omega / (1.0 - omega)
+        x_one, x_inf = x_cols.max(), x_rows.max()
+        sigma_lo = 1.0 / ((1.0 + q) * math.sqrt(x_one * x_inf))
+        return (abs_a.max(), abs_a.sum(axis=0).max(), abs_a.sum(axis=1).max(),
+                _read_only(x_rows), _read_only(x_cols), total, x_one, x_inf, omega, q, sigma_lo)
+
+
+def _supremum_bounds(inst, w_a, w_b, model):
+    """delta -> U, where U_k bounds the relative output error that
+    :meth:`_Instance.largest_error` computes for sample k at delta, or
+    +inf where the member has no finite bound or no pivot certificate; or
+    None when the output ``model`` has no such bound.  ``w_a`` and ``w_b``
+    are the samples' perturbations at delta = 1 (None for b when the kind
+    keeps it).
+
+    The bound starts from the sample's first-order image, which is linear
+    in delta, so two GEMMs per estimate serve every delta.  Notation: u =
+    2^-53 and gamma_k = k u / (1 - k u) (Higham, ASNA, section 3.1); X and
+    x are A^-1 and A^-1 b, X^ and x^ their computed values, n the order,
+    J the all-ones matrix, Sigma the sum of the magnitudes, ||.|| the
+    output norm and [[B]] = || |B| ||, which bounds ||B|| and grows with
+    |B| (the p-norms are absolute).  An output pair (rho, sigma) sends
+    rho-norms to sigma-norms, so [[p q^T]] = ||p||_sigma ||q||_rho*, and a
+    solution's norm is its sigma-norm.  X^ and x^ have row sums x_r =
+    |X^| 1 and column sums x_c = |X^|^T 1, S = Sigma|X^|, and Xi = x_r x_c^T.
+
+    * The perturbation.  W_k, read at delta = 1 from the same sphere code,
+      gives dA_k = fl(delta W_k (1 + theta)), within gamma_5 delta |W_k| of
+      delta W_k (five roundings against two), so the perturbed matrix is
+      M_k = fl(A + dA_k) = A + D_k with |D_k - delta W_k| <= gamma_7 delta
+      |W_k| + u |A|; b's block likewise, with w_k.  max|W_k| is taken as
+      min(||W_k||_1, ||W_k||_inf), which is not below it.
+    * The second-order remainder.  With F_k = X D_k, the exact output
+      error is (I + F_k)^-1 f_k, f_k = -X D_k X for the inverse and
+      X (db_k - D_k x) for a solution, so its norm is at most [[f_k]] /
+      (1 - phi_k) for phi_k >= max(||F_k||_1, ||F_k||_inf), which is at
+      least || |F_k| ||_sigma,sigma, since ||.||_2 <= sqrt(||.||_1
+      ||.||_inf): the remainder is ||F_k|| / (1 - ||F_k||) relative.
+    * The first-order image and its GEMM rounding.  H_k = X^ W_k X^ for the
+      inverse, X^ (w_k - W_k x^) for a solution, is computed for every k
+      in two GEMMs; whatever order a BLAS sums in, each entry is within
+      gamma_2n |X^| |W_k| |X^| <= gamma_2n max|W_k| Xi, or gamma_2n+2 |X^|
+      (|w_k| + |W_k| |x^|), of the exact product (ASNA, section 3.5).
+      ||H_k|| is at most :func:`~condlab.norms.operator_norm_bounds` at
+      ``BOUNDED_PAIRS`` and the computed norm times 1 + gamma_v elsewhere.
+    * A^-1 and x.  The computed columns of X^ solve (A + dA_j) x^_j = e_j
+      with |dA_j| <= gamma_3n |L^||U^| (ASNA, Theorem 9.4, section 14.3),
+      so |X^ - X| <= eta |X| J |X^| with eta = gamma_3n max(|L^||U^|),
+      read from A's factors.  For omega = eta S <= 1/2 that gives |X - X^|
+      <= zeta Xi with zeta = eta / (1 - omega), and row and column sums of
+      |X| within 1 + q, q = omega / (1 - omega), of those of |X^|; for x^,
+      |x^ - x| <= zeta Sigma|x^| x_r.  These carry X - X^ into f_k and the
+      LU rounding of A^-1 into the error.
+    * Member k's LU and substitution, which are not computed.  Partial
+      pivoting keeps |l_ij| <= 1, and a step at most doubles the largest
+      entry, times (1 + u)^2, so the growth factor is at most rho_n =
+      (2 (1 + u)^2)^(n-1) (ASNA, section 9.4), |L^_k||U^_k| <= n rho_n
+      max|M_k| J, and |Y^_k - Y_k| <= eta_k |Y_k| J |Y^_k| with eta_k =
+      gamma_3n n rho_n max|M_k| (Theorem 9.4 again), Y_k the exact output.
+      Sigma|Y_k| <= (1 + q) S / (1 - phi_k) and eta_k Sigma|Y_k| <= 1/2 keep
+      that term finite.
+    * The pivot certificate.  Up to the first pivot it flags, the
+      elimination of M_k is the plain one, so that pivot is the largest
+      entry of a column of a Schur complement of P (M_k + dM), |dM| <=
+      gamma_n n rho_n max|M_k| J (ASNA, Theorem 9.3).  The Schur
+      complement's inverse is a block of the inverse, so the pivot is at
+      least sigma_min(M_k + dM) / sqrt(n) >= (sigma_min(A) - ||D_k||_2 -
+      gamma_n n^2 rho_n max|M_k|) / sqrt(n), with sigma_min(A) >= 1 /
+      ((1 + q) sqrt(||X^||_1 ||X^||_inf)) and ||D_k||_2 <= sqrt(||D_k||_1
+      ||D_k||_inf).  A member is skipped only where this exceeds
+      ``DEFAULT_PIVOT_TOL`` max|M_k| (1 + u), the pivot limit _lu_raw
+      computes, so no skipped member would have been flagged singular.
+    * The output error's own rounding.  fl(Y^_k - X^) adds u [[Y^_k -
+      X^]]; the computed norm is at most 1 + gamma_v, gamma_v = 64 (2n)^3
+      eps, times the exact one (operator_norm_bounds derives LAPACK's
+      sigma_max; the sign search and the closed forms round less), and the
+      division by the reference norm adds a factor 1 + u.
+    * The bound's own rounding.  Every quantity above is a sum, product or
+      quotient of at most n^2 + 64 nonnegative computed numbers, or one of
+      the differences 1 - phi_k and 1 - eta_k Sigma|Y_k| with a subtrahend
+      <= 1/2; for n <= ``_SCREEN_MAX_DIM`` each is within 2^-40 of its
+      exact value, so phi_k and the bound are raised by 2^-30, and the terms
+      of order u are doubled.  The doubling also covers gradual underflow:
+      the scales max|A|, Sigma|X^|, max|b|, Sigma|x^| and delta lie in
+      [2^-256, 2^256] or no member is skipped, so a product or quotient that
+      underflows errs by at most 2^-1075, below 2^-500 of those terms.
+
+    So U_k = ((delta B_k + 2 t1_k) / (1 - phi_k) + 2 (t2_k + t3 + t4_k))
+    (1 + gamma_v)(1 + u)(1 + 2^-30) / denom, with t1 the rounding of the
+    first-order image, t2 the member's LU, t3 A's, and t4 the difference.
+    """
+    op, n = inst.op, len(inst.op.a)
+    if model.mode != NORMWISE or n > _SCREEN_MAX_DIM:
+        return None
+    inverse = inst.row.output == "inverse"
+    u, x = _U, op.inverse
+    a_max, a_one, a_inf, x_rows, x_cols, total, x_one, x_inf, omega, q, sigma_lo = (
+        _screen_operand(op))
+    if inverse:
+        denom, scales = inst._denom(model), (a_max, total)
+    else:
+        xs = inst.exact
+        denom = vector_norm(xs, model.r)
+        s_x, b_max = np.abs(xs).sum(), np.abs(inst.vec).max()
+        scales = (a_max, total, b_max, s_x)
+    if not (omega <= 0.5 and np.isfinite(sigma_lo)
+            and all(1.0 / _SCREEN_RANGE <= t <= _SCREEN_RANGE for t in scales)):
+        return None
+    growth = (2.0 * (1.0 + u) ** 2) ** (n - 1)
+    gamma_v = 64.0 * (2 * n) ** 3 * 2.0 * u
+    scale = (1.0 + gamma_v) * (1.0 + u) * (1.0 + _SCREEN_ROUNDING) / denom
+    with np.errstate(all="ignore"):
+        # the samples' directions at delta = 1, with max|W_k| <= min(||W_k||_1, ||W_k||_inf)
+        wm = np.ascontiguousarray(np.moveaxis(w_a[:], 0, -1))  # (n, n, samples)
+        abs_w = np.abs(wm)
+        w_one, w_inf = abs_w.sum(axis=0).max(axis=0), abs_w.sum(axis=1).max(axis=0)
+        w_max = np.minimum(w_one, w_inf)
+        sigma = model.s if inverse else model.r
+        rank_one = vector_norm(x_rows, sigma)  # [[x_r]], times ||x_c||_rho* for Xi
+        if inverse:
+            rank_one *= vector_norm(x_cols, dual_exponent(model.r))
+            xw = (x @ wm.reshape(n, -1)).reshape(n, n, -1)  # X^ W_k, batch-last
+            image = np.moveaxis(x.T @ xw, -1, 0)  # X^ W_k X^, batch-last
+            if (model.r, model.s) in BOUNDED_PAIRS:
+                size = operator_norm_bounds(image, model.r, model.s)
+            else:
+                size = operator_norm_values(image, model.r, model.s) * (1.0 + gamma_v)
+        else:
+            wb_max = 0.0 if w_b is None else np.abs(w_b).max(axis=1)
+            image = np.einsum("ijk,j->ik", wm, xs)  # W_k x^
+            if w_b is not None:
+                image = w_b.T - image
+            size = vector_norm((x @ image).T, sigma) * (1.0 + gamma_v)
+
+    def bounds(delta):
+        if not 1.0 / _SCREEN_RANGE <= delta <= _SCREEN_RANGE:
+            return np.full(len(w_max), np.inf)
+        with np.errstate(all="ignore"):
+            dw = (1.0 + _gamma(7)) * delta
+            alpha = dw * w_max + u * a_max  # max|D_k|
+            d_one, d_inf = dw * w_one + u * a_one, dw * w_inf + u * a_inf
+            phi = (1.0 + q) * np.maximum(x_one * d_one, x_inf * d_inf)
+            phi *= 1.0 + _SCREEN_ROUNDING
+            m_max = (1.0 + u) * (a_max + (1.0 + _gamma(5)) * delta * w_max)
+            eta_k = _gamma(3 * n) * n * growth * m_max
+            certified = sigma_lo * (1.0 - _SCREEN_ROUNDING) > (1.0 + _SCREEN_ROUNDING) * (
+                np.sqrt(d_one * d_inf)
+                + (_gamma(n) * n * n * growth
+                   + math.sqrt(n) * DEFAULT_PIVOT_TOL * (1.0 + u)) * m_max)
+            y_mass = (1.0 + q) * total / (1.0 - phi)  # >= Sigma|Y_k|
+            # t2 is this times Sigma|y_k| for a solution, (1 + q) / (1 - phi) for the inverse
+            lu_scale = eta_k * (1.0 + q) * rank_one / ((1.0 - phi) * (1.0 - eta_k * y_mass))
+            if inverse:
+                t1 = rank_one * (delta * w_max * (q * (2.0 + q) + _gamma(2 * n))
+                                 + (_gamma(7) * delta * w_max + u * a_max) * (1.0 + q) ** 2)
+                t2 = lu_scale * y_mass / total
+                t3 = q * rank_one / total
+                f = alpha * (1.0 + q) ** 2 * rank_one  # [[f_k]]
+            else:
+                perturbed_b = w_b is not None
+                beta = (dw * wb_max + u * b_max) if perturbed_b else 0.0  # max|db_k|
+                sx = (1.0 + q) * s_x  # >= Sigma|x|
+                t1 = rank_one * (
+                    delta * ((q + _gamma(2 * n + 2)) * (wb_max + w_max * s_x)
+                             + q * (1.0 + q) * w_max * s_x)
+                    + (1.0 + q) * (_gamma(7) * delta * wb_max + u * b_max * perturbed_b
+                                   + (_gamma(7) * delta * w_max + u * a_max) * sx))
+                f = (1.0 + q) * (beta + alpha * sx)  # [[f_k]] / [[x_r]], Sigma|f_k| / S
+                sol_mass = sx + f * total / (1.0 - phi)  # >= Sigma|y_k|
+                t2 = lu_scale * sol_mass
+                t3 = q * s_x * rank_one / total
+                f = f * rank_one
+            t4 = u * (f / (1.0 - phi) + t2 + t3)
+            bound = ((delta * size + 2.0 * t1) / (1.0 - phi) + 2.0 * (t2 + t3 + t4)) * scale
+            ok = certified & (phi <= 0.5) & (eta_k * y_mass <= 0.5) & np.isfinite(bound)
+            return np.where(ok, bound, np.inf)
+
+    return bounds

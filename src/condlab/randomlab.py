@@ -30,8 +30,10 @@ Statistics
 Determinism: trial t of size index i draws from substream (seed, i, t), so
 summaries are bit-identical for a fixed seed regardless of chunking.  Each
 size's trials run in chunks sized by a budget of draw elements in flight
-(``_CHUNK_ELEMENTS``, trials times n^2, shared among the workers).  The
-chunks run on one thread per CPU the process may use; numpy releases the
+(``_CHUNK_ELEMENTS``, trials times n^2, shared among the workers): the
+fewest chunks within the budget, in a multiple of the worker count, with
+sizes within one trial of each other, so that the workers share the trials
+evenly.  The chunks run on one thread per CPU the process may use; numpy releases the
 GIL in the SVD, the ufuncs and einsum, so they overlap.  Their results are
 collected in chunk order, so every reduction sees the same arrays whatever
 the thread count.  A one-CPU process runs its chunks inline and starts no
@@ -238,15 +240,19 @@ def _chunks(config, statistic, si, n):
     """The chunk results of size index si, in chunk order."""
     workers = _workers()
     trials = config.trials
-    size = max(1, min(ceil(trials / workers), _CHUNK_ELEMENTS // (n * n * workers)))
+    cap = max(1, _CHUNK_ELEMENTS // (n * n * workers))
+    # the fewest chunks of at most cap trials, in a multiple of the worker
+    # count, each within one trial of the others
+    count = min(trials, workers * ceil(trials / (cap * workers)))
+    size, longer = divmod(trials, count)
+    bounds = [k * size + min(k, longer) for k in range(count + 1)]
 
-    def chunk(start):
-        return _chunk(config, statistic, si, n, start, min(start + size, trials))
+    def chunk(k):
+        return _chunk(config, statistic, si, n, bounds[k], bounds[k + 1])
 
-    starts = range(0, trials, size)
     if workers == 1:  # trials >= 2, so more workers always make two chunks or more
-        return [chunk(start) for start in starts]
-    return list(_executor(workers).map(chunk, starts))
+        return [chunk(k) for k in range(count)]
+    return list(_executor(workers).map(chunk, range(count)))
 
 
 def run_experiment(config, statistic):

@@ -26,9 +26,12 @@ def conditioned(seed, n, kappa):
 
 
 def clear_memos():
-    """Empty the estimator's operand and draw caches."""
+    """Empty the estimator's caches: operands, draws, sample keys and what
+    the screen reads of an operand."""
     empirical._operands.cache_clear()
     empirical._draws.cache_clear()
+    empirical._sample_keys.cache_clear()
+    empirical._screen_operand.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -1,5 +1,6 @@
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -349,32 +350,31 @@ def test_matvec_samples_share_their_directions_across_deltas():
 @pytest.mark.parametrize("r,s", [(1, 1), ("inf", 1)])
 def test_solve_both_samples_on_the_rs_and_s_spheres(monkeypatch, r, s):
     # under the blockwise-max model every sample has ||dA||_rs = delta ||A||_rs
-    # and ||db||_s = delta ||b||_s; the perturbed inputs are read where they
-    # enter the batched LU and solve, without the last row of the stack,
-    # which is the worst direction's
+    # and ||db||_s = delta ||b||_s; the perturbations are read where they are
+    # drawn, at each radius the sphere functions are asked for (the screen
+    # asks for delta = 1 first), and those of delta are kept
     a = gaussian(413, 0, shape=(4, 4)) + 4.0 * np.eye(4)
     b = gaussian(413, 1, shape=(4,))
     delta = 1e-2
-    seen_a, seen_b = [], []
-    lu_raw, lu_solve = emp._lu_raw, emp._lu_solve_packed
+    seen = {}
 
-    def spy_lu(m):
-        if m.ndim == 3:
-            seen_a.append(m[:-1] - a)
-        return lu_raw(m)
+    def spy(name):
+        sphere = getattr(emp, name)
 
-    def spy_solve(lu, perm, rhs):
-        if rhs.ndim == 3:
-            seen_b.append(rhs[:-1, :, 0] - b)
-        return lu_solve(lu, perm, rhs)
+        def drawn(base, deltas, keys, model):
+            for radius, d in zip(deltas, sphere(base, deltas, keys, model)):
+                seen.setdefault(name, {})[radius] = d[:]
+                yield d
 
-    monkeypatch.setattr(emp, "_lu_raw", spy_lu)
-    monkeypatch.setattr(emp, "_lu_solve_packed", spy_solve)
+        monkeypatch.setattr(emp, name, drawn)
+
+    spy("_sphere_matrices")
+    spy("_sphere_vectors")
     emp.estimate_condition(
         "solve_both", a, b, r, s,
         config=emp.EstimatorConfig(deltas=(delta,), samples_per_delta=50, seed=18),
     )
-    da, db = np.concatenate(seen_a), np.concatenate(seen_b)
+    da, db = seen["_sphere_matrices"][delta], seen["_sphere_vectors"][delta]
     assert len(da) == len(db) == 50
     want_a = delta * norms.operator_norm_values(a, r, s)
     want_b = delta * norms.vector_norm(b, s)
@@ -835,25 +835,54 @@ def test_folded_worst_direction_keeps_its_bits(output_model):
             assert d.directional_ratio == want, (kind, r, s, model, d.delta)
 
 
+def _every_member(inst, w_a, w_b, model):
+    """:func:`empirical._supremum_bounds` with every sample's bound U_k at
+    +inf: each delta factors all of its samples, as before the screen."""
+    return lambda delta: np.full(len(w_a), np.inf)
+
+
 def test_one_perturbed_stack_per_delta(monkeypatch):
-    # every kind evaluates its samples and its worst direction as one stack,
-    # samples + 1 members, once per delta
+    # with every sample a candidate, every kind evaluates its samples and its
+    # worst direction as one stack, samples + 1 members, once per delta.
+    # With the screen, matvec and solve_fixed_a keep that one stack; a kind
+    # that perturbs A evaluates per delta a first stack that ends with the
+    # worst row, then at most one stack of the candidates left, and no
+    # sample twice
     stacks = []
     perturbed_outputs = emp._perturbed_outputs
 
     def spy(inst, a_tilde, b_tilde, delta):
-        stacks.append(len(b_tilde if a_tilde is None else a_tilde))
+        stacks.append((delta, len(b_tilde if a_tilde is None else a_tilde)))
+        factored.append((delta, a_tilde))
         return perturbed_outputs(inst, a_tilde, b_tilde, delta)
 
+    factored = []
     monkeypatch.setattr(emp, "_perturbed_outputs", spy)
     a = gaussian(427, 0, shape=(4, 4))
     b = gaussian(427, 1, shape=(4,))
-    config = emp.EstimatorConfig(deltas=(1e-5, 1e-6, 1e-7), samples_per_delta=30, seed=35)
+    deltas = (1e-5, 1e-6, 1e-7)
+    config = emp.EstimatorConfig(deltas=deltas, samples_per_delta=30, seed=35)
     for kind in conditioning.PROBLEM_KINDS:
         stacks.clear()
+        factored.clear()
         rep = emp.estimate_condition(kind, a, None if kind == "inversion" else b, config=config)
         assert [d.resampled for d in rep.per_delta] == [0, 0, 0]
-        assert stacks == [31, 31, 31], kind
+        if not conditioning.KINDS[kind].perturbs_a:
+            assert stacks == [(d, 31) for d in deltas], kind
+            continue
+        for d in deltas:
+            sizes = [size for at, size in stacks if at == d]
+            assert 1 <= len(sizes) <= 2 and 2 <= sizes[0] and sum(sizes) <= 31, (kind, sizes)
+            first, *rest = [m for at, m in factored if at == d]
+            samples = np.concatenate([first[:-1], *rest]).reshape(sum(sizes) - 1, -1)
+            assert len(np.unique(samples, axis=0)) == len(samples)
+        assert [at for at, _ in stacks] == sorted((at for at, _ in stacks), reverse=True)
+    with monkeypatch.context() as m:
+        m.setattr(emp, "_supremum_bounds", _every_member)
+        for kind in conditioning.PROBLEM_KINDS:
+            stacks.clear()
+            emp.estimate_condition(kind, a, None if kind == "inversion" else b, config=config)
+            assert stacks == [(d, 31) for d in deltas], kind
 
 
 @pytest.mark.parametrize("kind", ("inversion", "solve_fixed_b", "solve_both"))
@@ -954,7 +983,8 @@ def _plain_largest(d, r, s, max_enum_dim, denom):
 
 def test_screen_keeps_every_report_of_a_sweep(monkeypatch):
     # the benchmark's shape: one Gaussian matrix with kappa_2 below 1e3,
-    # every kind and pair, two deltas of 1000 samples
+    # every kind and pair, two deltas of 1000 samples; against every
+    # sample factored and every member's exact norm
     a = gaussian(431, 0, shape=(7, 7))
     assert np.linalg.cond(a) < 1e3
     b = gaussian(431, 1, shape=(7,))
@@ -962,6 +992,7 @@ def test_screen_keeps_every_report_of_a_sweep(monkeypatch):
     cases = _sweep_cases(a, b)
     screened = _sweep(cases, config, cold=False)
     monkeypatch.setattr(emp, "_screened_largest", _plain_largest)
+    monkeypatch.setattr(emp, "_supremum_bounds", _every_member)
     assert _sweep(cases, config, cold=True) == screened
 
 
@@ -969,8 +1000,11 @@ def test_screen_keeps_every_report_of_a_sweep(monkeypatch):
 def test_screen_takes_few_exact_norms_per_inversion_stack(monkeypatch, r, s):
     # the output pairs (inf,1), (inf,2), (2,1) and (2,2); a warm second
     # estimate finds the draws' norms and A's in the memos, so its only
-    # exact norms are the screen's: the member of largest bound alone, then
-    # the members that can still be the largest with the worst row
+    # exact norms are the norm screen's.  With every sample a candidate it
+    # sees each delta's full stack: the member of largest bound alone, then
+    # the members that can still be the largest with the worst row.  With
+    # the first-order screen it sees the first stack, the sample of largest
+    # bound and the worst row, and then at most a few candidates
     a = gaussian(432, 0, shape=(6, 6))
     config = emp.EstimatorConfig(deltas=(1e-5, 1e-6, 1e-7), samples_per_delta=300, seed=39)
     want = emp.estimate_condition("inversion", a, r=r, s=s, config=config)
@@ -982,10 +1016,16 @@ def test_screen_takes_few_exact_norms_per_inversion_stack(monkeypatch, r, s):
         return operator_norm_values(m, *args)
 
     monkeypatch.setattr(emp, "operator_norm_values", spy)
-    assert emp.estimate_condition("inversion", a, r=r, s=s, config=config) == want
+    with monkeypatch.context() as m:
+        m.setattr(emp, "_supremum_bounds", _every_member)
+        assert emp.estimate_condition("inversion", a, r=r, s=s, config=config) == want
     assert evaluated[0::2] == [1, 1, 1]
     assert len(evaluated) == 6
     assert all(1 <= k <= 1 + 300 // 20 for k in evaluated[1::2]), evaluated
+    evaluated.clear()
+    assert emp.estimate_condition("inversion", a, r=r, s=s, config=config) == want
+    assert evaluated[:2] == [1, 1] and 6 <= len(evaluated) <= 12, evaluated
+    assert sum(evaluated) <= 3 * (2 + 300 // 20), evaluated
 
 
 def test_worst_inversion_perturbation_rejects_non_finite_delta():
@@ -993,3 +1033,189 @@ def test_worst_inversion_perturbation_rejects_non_finite_delta():
     for delta in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=f"^delta must be finite, got {delta}$"):
             emp.worst_inversion_perturbation(np.diag([1.0, 2.0]), 2, 2, delta)
+
+
+# the first-order screen: U_k bounds every sample's computed output error,
+# so factoring only the samples whose U_k reaches the largest value found
+# keeps every report and every refusal
+
+_FAMILIES = st.sampled_from(
+    ("gaussian", "conditioned", "orthogonal", "diagonal", "edge", "pivot"))
+# log10 kappa: whole values put 1 / kappa of "diagonal" on the schedule's
+# deltas, where the worst direction reaches the singular set
+_LOG_KAPPAS = st.one_of(st.integers(0, 8), st.floats(0.0, 8.0))
+_DELTAS = st.sampled_from([10.0**-k for k in range(1, 16)] + [3e-13, 1e-12, 8e-15, 1e-16])
+_INPUT_MODELS = st.sampled_from((None, "componentwise_max", "componentwise_sum", "normwise"))
+_OUTPUT_MODELS = st.sampled_from((None, "componentwise_max", "normwise"))
+_NORMS = st.sampled_from((1.0, 2.0, np.inf))
+# A's second pivot, 1.2e-13, is just past the singularity tolerance 1e-13
+_SMALL_PIVOT = np.array([[1.0, 1.0], [1.0, 1.0 + 1.2e-13]])
+
+
+def _instance(family, n, log_kappa, scale, seed):
+    """An n x n matrix of ``family`` scaled by 2^scale, and a vector."""
+    if family == "gaussian":
+        a = gaussian(seed, 0, shape=(n, n))
+    elif family == "conditioned":
+        a = conditioned(seed, n, 10.0 ** log_kappa)
+    elif family == "orthogonal":  # every sample's ratio nearly ties at (2,2)
+        a = conditioned(seed, n, 1.0)
+    elif family == "diagonal":
+        a = np.diag(np.logspace(0.0, -log_kappa, n))
+    elif family == "edge":  # kappa_2 = 3.3e12: samples turn singular from delta = 1e-12 on
+        a = np.diag(np.r_[np.ones(n - 1), 3e-13])
+    else:  # a pivot of 1.2e-13, just past the tolerance: samples turn singular at 8e-15
+        a = np.eye(n)
+        a[:2, :2] = _SMALL_PIVOT[:n, :n]
+    return np.ldexp(a, scale), gaussian(seed, 2, shape=(n,))
+
+
+def _model(name, r, s):
+    if name is None:
+        return None
+    return emp.normwise(r, s) if name == "normwise" else getattr(emp, name)
+
+
+def _outcome(kind, a, b, r, s, input_model, output_model, config):
+    """The report of an estimate, or its exception's type and message."""
+    try:
+        return emp.estimate_condition(kind, a, b, r, s, input_model=input_model,
+                                      output_model=output_model, config=config)
+    except Exception as exc:  # noqa: BLE001 - compared as outcomes
+        return type(exc), str(exc)
+
+
+@given(st.sampled_from(conditioning.PROBLEM_KINDS), st.integers(2, 8), _FAMILIES,
+       _LOG_KAPPAS, st.sampled_from((0, 0, -40, 40, -300, 300, 700)),
+       _NORMS, _NORMS, _INPUT_MODELS, _OUTPUT_MODELS, _NORMS, _NORMS,
+       st.lists(_DELTAS, min_size=1, max_size=3, unique=True),
+       st.integers(1, 120), st.integers(0, 2**16))
+@settings(max_examples=250, deadline=None)
+def test_screened_estimate_is_the_estimate_of_every_member(
+        kind, n, family, log_kappa, scale, r, s, input_name, output_name, r2, s2, deltas,
+        samples, seed):
+    # the same report, or the same exception with the same message, as when
+    # every sample's U_k is +inf and every sample is factored
+    a, b = _instance(family, n, log_kappa, scale, seed)
+    b = None if kind == "inversion" else b
+    config = emp.EstimatorConfig(deltas=sorted(deltas, reverse=True), samples_per_delta=samples,
+                                 seed=seed)
+    args = (kind, a, b, r, s, _model(input_name, r2, s2), _model(output_name, r2, s2), config)
+    screened = _outcome(*args)
+    with mock.patch.object(emp, "_supremum_bounds", _every_member):
+        assert _outcome(*args) == screened
+
+
+def _bounds_and_errors(kind, a, b, r, s, input_model, output_model, config):
+    """For each delta: (U, the computed output error of every sample on the
+    full stack, the samples that _lu_raw flags singular)."""
+    op = emp._operand(a, norms.DEFAULT_MAX_ENUM_DIM)
+    inst = emp._Instance(kind, op, b, r, s)
+    input_model = input_model or emp._default_models(kind, r, s)[0]
+    output_model = output_model or emp._default_models(kind, r, s)[1]
+    blocks = emp._input_blocks(inst, input_model)
+    samples = emp._perturbations(inst, blocks, (1.0,) + config.deltas, config.seed,
+                                 config.samples_per_delta)
+    bounds = emp._supremum_bounds(inst, *next(samples), output_model)
+    err = inst.output_error(output_model)
+    for delta, (da, db) in zip(config.deltas, samples):
+        a_tilde = emp._plus(op.a, da[:], da[-1])[:-1]
+        lu, perm, _, singular = linalg._lu_raw(a_tilde)
+        if inst.row.output == "inverse":
+            out = linalg._lu_solve_packed(lu, perm, np.broadcast_to(np.eye(len(a)), lu.shape))
+        else:
+            rhs = np.broadcast_to(b, lu.shape[:-1]) if db is None else emp._plus(b, db, db[-1])[:-1]
+            out = linalg._lu_solve_packed(lu, perm, rhs[..., None])[..., 0]
+        errors = np.full(len(out), np.nan)  # a singular sample's factors are garbage
+        with np.errstate(all="ignore"):
+            errors[~singular] = err(out[~singular])
+            yield (None if bounds is None else bounds(delta)), errors, singular
+
+
+@given(st.sampled_from(("inversion", "solve_fixed_b", "solve_both")), st.integers(1, 8),
+       _FAMILIES, _LOG_KAPPAS, st.sampled_from((0, -40, 40, -200, 200)),
+       _NORMS, _NORMS, st.sampled_from((None, "componentwise_max", "componentwise_sum")),
+       st.sampled_from((None, "normwise")), _NORMS, _NORMS, _DELTAS, st.integers(0, 2**16))
+@settings(max_examples=250, deadline=None)
+def test_supremum_bound_is_never_below_a_computed_error(
+        kind, n, family, log_kappa, scale, r, s, input_name, output_name, r2, s2, delta, seed):
+    # on full stacks, including near-ties (orthogonal A at (2,2)), images
+    # close to rank one (A^-1 with one dominant singular value, or n = 1),
+    # errors made of rounding alone (delta near eps) and 2^k scalings:
+    # where U_k is finite the sample is not flagged singular and its
+    # computed error is at most U_k
+    a, b = _instance(family, n, log_kappa, scale, seed)
+    config = emp.EstimatorConfig(deltas=(delta,), samples_per_delta=200, seed=seed)
+    args = (kind, a, b, r, s, _model(input_name, r2, s2), _model(output_name, r2, s2), config)
+    try:
+        (bound, errors, singular), = _bounds_and_errors(*args)
+    except (SingularMatrix, ZeroComponent):
+        return
+    if bound is None:
+        return
+    finite = np.isfinite(bound)
+    assert not (finite & singular).any()
+    assert np.all(errors[finite] <= bound[finite]), np.max(errors[finite] / bound[finite])
+
+
+@pytest.mark.parametrize("kind", ("inversion", "solve_fixed_b", "solve_both"))
+def test_pivot_certificate_keeps_singular_samples_factored(kind):
+    # A's second pivot, 1.2e-13, is just past the tolerance 1e-13, so at
+    # delta = 8e-15 and 1e-14 some samples are singular within it although
+    # their first-order terms stay small (phi_k <= 1/2 for some of them).
+    # Without the pivot certificate they would get finite bounds and be
+    # skipped; with it every one of them is factored, and the estimate
+    # raises DeltaTooLarge as with every sample factored
+    b = np.array([1.0, -1.0])
+    for delta in (8e-15, 1e-14):
+        for r, s in ((1, 1), (2, 2), (np.inf, np.inf)):
+            config = emp.EstimatorConfig(deltas=(delta,), samples_per_delta=1000, seed=3)
+            args = (kind, _SMALL_PIVOT, b, r, s, None, None, config)
+            (bound, _, singular), = _bounds_and_errors(*args)
+            assert singular.any() and not (np.isfinite(bound) & singular).any()
+            screened = _outcome(*args)
+            assert screened[0] is DeltaTooLarge, screened
+            with mock.patch.object(emp, "_supremum_bounds", _every_member):
+                assert _outcome(*args) == screened
+
+
+@pytest.mark.parametrize("kind", ("inversion", "solve_fixed_b", "solve_both"))
+def test_supremum_bound_of_a_rank_one_image_at_its_ties(kind):
+    # A = I, where the first-order bound is the norm of the image: at n = 1
+    # every image is a scalar, and at (1,1) and (inf,inf) the closed forms
+    # are exact, so for inversion every sample's error ties with delta and
+    # every bound sits within its margin of every error.  The bounds cover
+    # the errors, and the worst-case margins leave only a small excess
+    # wherever the error is not rounding alone
+    for n, (r, s) in ((1, (2, 2)), (1, (1, np.inf)), (5, (1, 1)), (6, (np.inf, np.inf))):
+        b = gaussian(436, n, shape=(n,))
+        config = emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=300, seed=n)
+        (bound, errors, singular), = _bounds_and_errors(
+            kind, np.eye(n), b, r, s, None, None, config)
+        assert np.isfinite(bound).all() and not singular.any()
+        assert np.all(errors <= bound)
+        large = errors > 1e-3 * errors.max()
+        assert np.max(bound[large] / errors[large]) <= 1.01, (n, r, s)
+        if kind == "inversion":
+            assert np.max(errors) <= np.min(errors) * (1 + 1e-5), (n, r, s)
+
+
+def test_screen_factors_few_samples_of_a_benchmark_sweep(monkeypatch):
+    # the benchmark's shape: a 7 x 7 Gaussian matrix with kappa_2 below 1e3,
+    # every kind and pair, two deltas of 1000 samples; at most 2% of the
+    # samples of the kinds that perturb A are factored
+    a = gaussian(431, 0, shape=(7, 7))
+    b = gaussian(431, 1, shape=(7,))
+    factored = []
+    lu_raw = emp._lu_raw
+
+    def spy(m):
+        factored.append(len(m))
+        return lu_raw(m)
+
+    monkeypatch.setattr(emp, "_lu_raw", spy)
+    config = emp.EstimatorConfig(deltas=(1e-6, 1e-7), samples_per_delta=1000, seed=38)
+    _sweep(_sweep_cases(a, b), config, cold=False)
+    stacks = 3 * len(PAIRS) * 2  # kinds that perturb A, pairs, deltas
+    samples = sum(factored) - stacks  # each delta's first stack has the worst row
+    assert 0 < samples <= 0.02 * 1000 * stacks, (samples, factored)

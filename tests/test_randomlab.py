@@ -191,6 +191,28 @@ def test_summary_keeps_its_bits_across_workers_and_budgets(monkeypatch, ensemble
             assert drawn == [(si, t) for si in range(len(sizes)) for t in range(301)]
 
 
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_chunks_split_the_trials_evenly_among_the_workers(monkeypatch, workers):
+    # the fewest chunks within the budget, in a multiple of the worker
+    # count, their sizes within one trial of each other: on two workers
+    # log_kappa at n = 20 runs 4 chunks of 250 trials where it ran 327, 327,
+    # 327 and 19
+    cases = [(rl.ExperimentConfig("lower_gaussian", sizes=(20,), trials=1000, seed=16),
+              "log_kappa"),
+             (rl.ExperimentConfig("unit_lower_gaussian", sizes=(3, 4), trials=301, seed=16),
+              "frob_inv_sq")]
+    for config, statistic in cases:
+        _, batches = _run(monkeypatch, config, statistic, workers, 1 << 16)
+        for si, n in enumerate(config.sizes):
+            sizes = [len(trials) for _, at, trials in batches if at == si]
+            cap = max(1, (1 << 16) // (n * n * workers))
+            assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1, sizes
+            assert len(sizes) == min(config.trials, workers * -(-config.trials // (cap * workers)))
+            assert len(sizes) % workers == 0 or len(sizes) == config.trials
+    _, batches = _run(monkeypatch, cases[0][0], "log_kappa", 2)
+    assert [len(trials) for *_, trials in batches] == [250] * 4
+
+
 def test_one_worker_starts_no_thread(monkeypatch):
     started, threads = [], set()
     start, chunk = threading.Thread.start, rl._chunk
