@@ -92,20 +92,13 @@ there every sample is in the first stack.  A round of the benchmark's
 ``estimator`` workload at its default seed factors 605 of the 162 162
 perturbed matrices.
 
-The output errors of a stack go to a function that returns the largest
-value and the worst row's, not every member's.  For the perturbed inverses
-at (inf,1), (inf,2) and (2,1), a sign enumeration per member, and at (2,2),
-a LAPACK SVD per member, that function screens too.  Every difference D
-gets a bound from :func:`~condlab.norms.operator_norm_bounds` (the sum of
-|d_ij|, of the column or row 2-norms, or ||D||_F), which is exact on
-rank-one matrices and inflated by a margin gamma = 64 (p + q)^2 eps for p x
-q members, derived there to cover the rounding of the bound and of the
-exact norm, LAPACK's sigma_max included.  The exact norm runs on the member
-of largest bound, then on the worst row and on the members whose bound
-reaches that value.  x -> fl(fl(x / denom) / delta) is monotone, so the
-largest ratio has the bits of the largest over every member's ratio.  The
-closed-form pairs and vector outputs take every member's error, which costs
-no more than a bound.
+Every member of a stack gets its output error in one call.  At (inf,1),
+(inf,2), (2,1) and (2,2), the pairs without a closed form,
+:func:`_supremum_bounds` is the one caller of
+:func:`~condlab.norms.operator_norm_bounds`: it bounds the norm of each
+sample's first-order image H by the sum of |h_ij|, of the column or row
+2-norms, or ||H||_F, inflated by a margin derived there that covers the
+rounding of the bound and of the exact norm, LAPACK's sigma_max included.
 
 The reported estimate is the max of sampled and directional ratios at the
 smallest delta; no extrapolation is applied.
@@ -290,21 +283,6 @@ class _Instance:
         is enumerated once per matrix."""
         return _relerror_to(self.exact, model, self.op.max_enum_dim, self._denom(model))
 
-    def largest_error(self, model):
-        """``outputs -> (the largest relerror(., exact output, model) over
-        the members of ``outputs`` but the last; the last member's)``, as
-        :func:`_largest_and_last` puts it.
-
-        The largest error of a stack of perturbed inverses at a pair of
-        ``BOUNDED_PAIRS`` goes through :func:`_screened_largest`; any other
-        takes every member's error."""
-        max_enum_dim, denom = self.op.max_enum_dim, self._denom(model)
-        if denom is not None and (model.r, model.s) in BOUNDED_PAIRS:
-            return lambda outputs: _screened_largest(
-                outputs - self.exact, model.r, model.s, max_enum_dim, denom)
-        err = _relerror_to(self.exact, model, max_enum_dim, denom)
-        return lambda outputs: _largest_and_last(err(outputs))
-
     def _denom(self, model):
         if self.row.output == "inverse" and model.mode == NORMWISE and model.s is not None:
             return self.op.norm(model.r, model.s, inverse=True)
@@ -316,36 +294,6 @@ def _largest_and_last(values):
     other; the last value).  The largest is NaN if any value it covers is,
     as with ``np.max``."""
     return np.max(values[:-1], initial=-np.inf), values[-1]
-
-
-def _screened_largest(d, r, s, max_enum_dim, denom):
-    """:func:`_largest_and_last` of ||D||_rs / denom over the members D of
-    the stack ``d``, with the exact norm taken only where it can be the
-    largest.
-
-    The exact (r, s) norm runs first on the member but the last with the
-    largest bound from :func:`~condlab.norms.operator_norm_bounds`, and
-    then, as one C-contiguous stack, on the last member and on every member
-    whose bound is not below that value.  A bound is never below the value
-    the exact norm computes (its docstring derives the margin gamma = 64
-    (p + q)^2 eps for p x q members), so a member left out has a smaller
-    value than one taken, and the maximum has the bits of the maximum over
-    all members.  A NaN bound is not below anything, so a member with one
-    is taken, as is a member whose bound overflowed.  Every member gets the
-    bits it gets in any stack, so the last member's value is the one of an
-    unscreened call.
-    """
-    members = len(d) - 1
-    values, taken = np.empty(0), np.array([members])
-    if members:
-        bound = operator_norm_bounds(d[:members], r, s)
-        top = int(np.argmax(bound))  # the first NaN, if any
-        values = operator_norm_values(d[top:top + 1], r, s, max_enum_dim)
-        rest = ~(bound < values[0])
-        rest[top] = False
-        taken = np.append(np.flatnonzero(rest), taken)
-    values = np.append(values, operator_norm_values(d[taken], r, s, max_enum_dim))
-    return _largest_and_last(values / denom)
 
 
 def _worst_row(inst, input_model):
@@ -711,19 +659,14 @@ def _ratios(inst, input_model, output_model, default_out, config):
     whose last sample takes the worst row's place, the samples whose bound
     is not below the largest error of the first.  If any of the perturbed
     matrices is singular within tolerance, the estimate raises
-    DeltaTooLarge at that delta.  The largest error of a stack comes from
-    :meth:`_Instance.largest_error`, which takes
-    the exact norm of a perturbed inverse at (inf,1), (inf,2), (2,1) and
-    (2,2) only where its bound, inflated by gamma = 64 (p + q)^2 eps,
-    reaches the exact norm of the member of largest bound (see
-    :func:`_screened_largest`); it has the bits of the largest over every
-    sample, NaN included.  The worst row is evaluated always exactly, and
-    its output error is measured in the default output model
-    ``default_out`` of the kind, in the samples' call when that is the
-    model asked for.
+    DeltaTooLarge at that delta.  Every member of a stack gets its output
+    error, and the largest is NaN if any sample's is.  The worst row is
+    evaluated always exactly, and its output error is measured in the
+    default output model ``default_out`` of the kind, in the samples' call
+    when that is the model asked for.
     """
     op, vec = inst.op, inst.vec
-    err = inst.largest_error(output_model)
+    err = inst.output_error(output_model)
     blocks = _input_blocks(inst, input_model)
     worst = _worst_row(inst, input_model)
     worst_err = None if output_model == default_out else inst.output_error(default_out)
@@ -737,7 +680,7 @@ def _ratios(inst, input_model, output_model, default_out, config):
         first = _first_members(bound)
         out = _perturbed_outputs(
             inst, _plus(op.a, _rows(da, first), w_da), _plus(vec, _rows(db, first), w_db), delta)
-        largest, value = err(out)
+        largest, value = _largest_and_last(err(out))
         if worst_err is not None:
             value = worst_err(out[-1])
         if bound is not None:
@@ -746,7 +689,7 @@ def _ratios(inst, input_model, output_model, default_out, config):
                 out = _perturbed_outputs(
                     inst, _plus(op.a, _rows(da, rest[:-1]), _rows(da, rest[-1])),
                     _plus(vec, _rows(db, rest[:-1]), _rows(db, rest[-1])), delta)
-                largest = np.max((largest, *err(out)))
+                largest = np.max(err(out), initial=largest)
         yield largest / delta, value / divisor
 
 
@@ -812,7 +755,7 @@ def _screen_operand(op):
 
 def _supremum_bounds(inst, w_a, w_b, model):
     """delta -> U, where U_k bounds the relative output error that
-    :meth:`_Instance.largest_error` computes for sample k at delta, or
+    :meth:`_Instance.output_error` computes for sample k at delta, or
     +inf where the member has no finite bound or no pivot certificate; or
     None when the output ``model`` has no such bound.  ``w_a`` and ``w_b``
     are the samples' perturbations at delta = 1 (None for b when the kind

@@ -15,8 +15,9 @@ were scored elementwise.  Single matrices and stacks share one core, and
 the (2,2) norm comes from LAPACK.  At those four pairs without a closed
 form, :func:`operator_norm_bounds` gives cheap bounds that are exact on
 rank-one matrices up to a derived margin and never below the computed
-value, so a caller that wants only the largest norm of a stack can skip
-members whose bound falls below a value already found.
+value; its one caller, ``empirical._supremum_bounds``, bounds the
+first-order image of every sample of the estimator with them.  A norm
+beyond DBL_MAX raises ResultOverflow at every pair.
 
 Also provides the rank-one norm interpolator: given unit vectors x, y it
 builds B = y u^T with ||B||_rs = 1 and B x = y, the workhorse behind the
@@ -31,7 +32,7 @@ from math import inf
 import numpy as np
 
 from . import linalg
-from .errors import DimensionTooLarge, NotUnitVector, ZeroVector
+from .errors import DimensionTooLarge, NotUnitVector, ResultOverflow, ZeroVector
 from .linalg import as_matrix, spectral_norm_attainer
 
 DEFAULT_MAX_ENUM_DIM = 20
@@ -263,46 +264,51 @@ def _best_signs(t, s):
 
 def _operator_norms(a, r, s, max_enum_dim, want_attainers):
     """(values, attainers or None) of the (r, s) norm over a stack of matrices;
-    the (2,2) attainer takes a single matrix."""
+    the (2,2) attainer takes a single matrix.  Raises ResultOverflow when a
+    norm exceeds DBL_MAX."""
     r, s = norm_index(r), norm_index(s)
     a = as_matrix(a)
     lead, m = a.shape[:-2], a.shape[-1]
     attainers = None
-    if r == 1.0:
-        vals = vector_norm(np.swapaxes(a, -2, -1), s)
-        values = np.max(vals, axis=-1)
-        if want_attainers:
-            attainers = np.eye(m)[np.argmax(vals, axis=-1)]
-    elif s == inf:
-        rstar = dual_exponent(r)
-        vals = vector_norm(a, rstar)
-        values = np.max(vals, axis=-1)
-        if want_attainers:
-            i = np.argmax(vals, axis=-1)[..., None, None]
-            row = np.take_along_axis(a, i, axis=-2)[..., 0, :]
-            attainers = np.where(row >= 0.0, 1.0, -1.0) if rstar == 1.0 else _unit_2(row)
-            attainers[values == 0.0] = np.eye(m)[0]
-    elif r == 2.0 and s == 2.0:
-        if not want_attainers:
-            return linalg.singular_values(a)[..., 0], None
-        values, attainers = spectral_norm_attainer(a)  # a single matrix
-    else:
-        # (2, 1) enumerates over rows: sup ||A x||_1 = max over z of ||A^T z||_2
-        t = a if r == inf else np.swapaxes(a, -2, -1)
-        if t.shape[-1] > max_enum_dim:
-            raise DimensionTooLarge(f"({r:g},{s:g}) norm needs 2^{t.shape[-1]} sign vectors")
-        t = t.reshape((-1,) + t.shape[-2:])
-        _, exponent = np.frexp(np.max(np.abs(t), axis=(1, 2)))
-        t = np.ldexp(t, -exponent[:, None, None])  # exact power-of-two scaling
-        s = s if r == inf else 2.0
-        z = _best_signs(t, s)
-        image = np.einsum("...j,...ij->...i", z, t)
-        norm = vector_norm(image, s)
-        values = np.ldexp(norm, exponent).reshape(lead)
-        if want_attainers and r == 2.0:
-            z = image / np.where(norm > 0.0, norm, 1.0)[:, None]
-            z[norm == 0.0] = np.eye(m)[0]
-        attainers = z.reshape(lead + (m,)) if want_attainers else None
+    with np.errstate(over="ignore"):
+        if r == 1.0:
+            vals = vector_norm(np.swapaxes(a, -2, -1), s)
+            values = np.max(vals, axis=-1)
+            if want_attainers:
+                attainers = np.eye(m)[np.argmax(vals, axis=-1)]
+        elif s == inf:
+            rstar = dual_exponent(r)
+            vals = vector_norm(a, rstar)
+            values = np.max(vals, axis=-1)
+            if want_attainers:
+                i = np.argmax(vals, axis=-1)[..., None, None]
+                row = np.take_along_axis(a, i, axis=-2)[..., 0, :]
+                attainers = np.where(row >= 0.0, 1.0, -1.0) if rstar == 1.0 else _unit_2(row)
+                attainers[values == 0.0] = np.eye(m)[0]
+        elif r == 2.0 and s == 2.0:
+            if want_attainers:
+                values, attainers = spectral_norm_attainer(a)  # a single matrix
+            else:
+                values = linalg.singular_values(a)[..., 0]
+        else:
+            # (2, 1) enumerates over rows: sup ||A x||_1 = max over z of ||A^T z||_2
+            t = a if r == inf else np.swapaxes(a, -2, -1)
+            if t.shape[-1] > max_enum_dim:
+                raise DimensionTooLarge(f"({r:g},{s:g}) norm needs 2^{t.shape[-1]} sign vectors")
+            t = t.reshape((-1,) + t.shape[-2:])
+            _, exponent = np.frexp(np.max(np.abs(t), axis=(1, 2)))
+            t = np.ldexp(t, -exponent[:, None, None])  # exact power-of-two scaling
+            s = s if r == inf else 2.0
+            z = _best_signs(t, s)
+            image = np.einsum("...j,...ij->...i", z, t)
+            norm = vector_norm(image, s)
+            values = np.ldexp(norm, exponent).reshape(lead)
+            if want_attainers and r == 2.0:
+                z = image / np.where(norm > 0.0, norm, 1.0)[:, None]
+                z[norm == 0.0] = np.eye(m)[0]
+            attainers = z.reshape(lead + (m,)) if want_attainers else None
+    if np.any(np.isinf(values)):
+        raise ResultOverflow("operator norm exceeds the largest finite double")
     return values, attainers
 
 
@@ -335,6 +341,7 @@ def operator_norm_bounds(a, r, s):
     """Upper bounds on :func:`operator_norm_values` over a stack, one per
     member, at a pair of ``BOUNDED_PAIRS``; each within a factor 1 + gamma
     of the (r, s) norm of a rank-one member (Higham, ASNA, section 6.3).
+    ``empirical._supremum_bounds`` is the one caller.
 
     The bound B is sum_ij |a_ij| at (inf,1), the sum of the column 2-norms
     at (inf,2), the sum of the row 2-norms at (2,1) and ||A||_F at (2,2):

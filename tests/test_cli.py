@@ -331,6 +331,27 @@ def test_result_overflow_is_a_bad_input():
     assert code == cli.EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("r,s,value", [
+    ("1", "1", None), ("inf", "inf", None), ("inf", "1", None), ("inf", "2", None),
+    ("2", "1", None), ("1", "2", 1e308 * np.sqrt(2.0)), ("2", "2", 1e308 * np.sqrt(2.0)),
+    ("1", "inf", 1e308), ("2", "inf", 1e308 * np.sqrt(2.0))])
+def test_norm_command_beyond_dbl_max(tmp_path, capsys, r, s, value):
+    # 1e308 [[1, 1], [1, -1]]: a norm past DBL_MAX exits 1, where it printed
+    # Infinity and exited 0; the finite norms keep their values
+    path = tmp_path / "huge.csv"
+    matio.write_matrix_csv(path, 1e308 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+    argv = ["norm", "--matrix", str(path), "--r", r, "--s", s]
+    if value is None:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "condlab: operator norm exceeds the largest finite double\n"
+    else:
+        code, env = run_json(capsys, argv)
+        assert code == 0
+        assert env["payload"]["value"] == value
+
+
 _KINDS = ["inversion", "matvec", "solve-fixed-a", "solve-fixed-b", "solve-both"]
 # every command that reads files, and whether it needs a vector as well
 _FILE_COMMANDS = [

@@ -912,120 +912,18 @@ def test_singular_samples_and_worst_row_raise_delta_too_large(kind):
         emp.estimate_condition(kind, a, b, config=config)
 
 
-# members of a stack for the screen: a Gaussian draw, a rank-one matrix (its
-# bound is attained), a zero matrix, and an earlier member repeated, negated,
-# with its rows reversed, or scaled by 1 + k eps (exact ties and near ties)
-_MEMBERS = st.sampled_from(
-    ("gaussian", "rank_one", "zero", "repeat", "negate", "flip", "nudge"))
-
-
-@given(st.sampled_from(norms.BOUNDED_PAIRS), st.integers(1, 5), st.integers(1, 5),
-       st.lists(_MEMBERS, min_size=1, max_size=12),
-       st.sampled_from((None, np.nan, np.inf, -np.inf)), st.integers(0, 2**16))
-@settings(max_examples=300, deadline=None)
-def test_screened_largest_is_the_largest_value_bit_for_bit(pair, p, q, kinds, bad, seed):
-    r, s = pair
-    stack = []
-    for k, kind in enumerate(kinds):
-        if kind == "gaussian" or (kind in ("repeat", "negate", "flip", "nudge") and not stack):
-            member = gaussian(seed, k, shape=(p, q))
-        elif kind == "rank_one":
-            member = np.outer(gaussian(seed, k, 0, shape=(p,)), gaussian(seed, k, 1, shape=(q,)))
-        elif kind == "zero":
-            member = np.zeros((p, q))
-        else:
-            member = stack[seed % len(stack)]
-            member = {"repeat": member, "negate": -member, "flip": member[::-1],
-                      "nudge": member * (1 + (k % 5 - 2) * np.finfo(float).eps)}[kind]
-        stack.append(member)
-    stack = np.array(stack)
-    if bad is not None:
-        stack[seed % len(stack), seed % p, seed % q] = bad
-    for denom in (1.0, 3.0):
-        if bad is not None:  # both raise on the non-finite member
-            with pytest.raises(ValueError, match="matrix entries must be finite"):
-                norms.operator_norm_values(stack, r, s)
-            with pytest.raises(ValueError, match="matrix entries must be finite"):
-                emp._screened_largest(stack, r, s, 20, denom)
-            continue
-        values = norms.operator_norm_values(stack, r, s) / denom
-        largest, last_value = emp._screened_largest(stack, r, s, 20, denom)
-        assert largest == (values[:-1].max() if len(values) > 1 else -np.inf)
-        assert last_value == values[-1]
-
-
-@pytest.mark.parametrize("r,s", norms.BOUNDED_PAIRS)
-def test_screened_largest_of_near_ties(r, s):
-    # copies of one rank-one matrix scaled by 1 + k eps, |k| <= 3: every
-    # bound is within a few ulps of every value, so a screen without its
-    # margin gamma drops the largest member of some of these stacks: 7 of
-    # the 1500 at (2,2) (the enumeration pairs are easier to break through
-    # the bounds alone, see test_norms.py)
-    eps = np.finfo(np.float64).eps
-    for t in range(1500 if (r, s) == (2.0, 2.0) else 200):
-        p, q = 1 + t % 5, 1 + t // 5 % 5
-        y = np.outer(gaussian(433, t, 0, shape=(p,)), gaussian(433, t, 1, shape=(q,)))
-        k = np.floor(7 * rng.uniforms(rng.substream(434, t), 4)) - 3
-        stack = y * (1 + k * eps)[:, None, None]
-        values = norms.operator_norm_values(stack, r, s)
-        # an all-zero last row, as the worst direction's, leaves every copy
-        # to the screen
-        stack = np.append(stack, np.zeros((1, p, q)), axis=0)
-        assert emp._screened_largest(stack, r, s, 20, 1.0)[0] == values.max(), t
-
-
-def _plain_largest(d, r, s, max_enum_dim, denom):
-    """:func:`empirical._screened_largest` without the screen: every member's
-    exact norm."""
-    values = norms.operator_norm_values(d, r, s, max_enum_dim) / denom
-    return emp._largest_and_last(values)
-
-
 def test_screen_keeps_every_report_of_a_sweep(monkeypatch):
     # the benchmark's shape: one Gaussian matrix with kappa_2 below 1e3,
     # every kind and pair, two deltas of 1000 samples; against every
-    # sample factored and every member's exact norm
+    # sample factored
     a = gaussian(431, 0, shape=(7, 7))
     assert np.linalg.cond(a) < 1e3
     b = gaussian(431, 1, shape=(7,))
     config = emp.EstimatorConfig(deltas=(1e-6, 1e-7), samples_per_delta=1000, seed=38)
     cases = _sweep_cases(a, b)
     screened = _sweep(cases, config, cold=False)
-    monkeypatch.setattr(emp, "_screened_largest", _plain_largest)
     monkeypatch.setattr(emp, "_supremum_bounds", _every_member)
     assert _sweep(cases, config, cold=True) == screened
-
-
-@pytest.mark.parametrize("r,s", [(1, "inf"), (2, "inf"), (1, 2), (2, 2)])
-def test_screen_takes_few_exact_norms_per_inversion_stack(monkeypatch, r, s):
-    # the output pairs (inf,1), (inf,2), (2,1) and (2,2); a warm second
-    # estimate finds the draws' norms and A's in the memos, so its only
-    # exact norms are the norm screen's.  With every sample a candidate it
-    # sees each delta's full stack: the member of largest bound alone, then
-    # the members that can still be the largest with the worst row.  With
-    # the first-order screen it sees the first stack, the sample of largest
-    # bound and the worst row, and then at most a few candidates
-    a = gaussian(432, 0, shape=(6, 6))
-    config = emp.EstimatorConfig(deltas=(1e-5, 1e-6, 1e-7), samples_per_delta=300, seed=39)
-    want = emp.estimate_condition("inversion", a, r=r, s=s, config=config)
-    evaluated = []
-    operator_norm_values = emp.operator_norm_values
-
-    def spy(m, *args):
-        evaluated.append(len(m))
-        return operator_norm_values(m, *args)
-
-    monkeypatch.setattr(emp, "operator_norm_values", spy)
-    with monkeypatch.context() as m:
-        m.setattr(emp, "_supremum_bounds", _every_member)
-        assert emp.estimate_condition("inversion", a, r=r, s=s, config=config) == want
-    assert evaluated[0::2] == [1, 1, 1]
-    assert len(evaluated) == 6
-    assert all(1 <= k <= 1 + 300 // 20 for k in evaluated[1::2]), evaluated
-    evaluated.clear()
-    assert emp.estimate_condition("inversion", a, r=r, s=s, config=config) == want
-    assert evaluated[:2] == [1, 1] and 6 <= len(evaluated) <= 12, evaluated
-    assert sum(evaluated) <= 3 * (2 + 300 // 20), evaluated
 
 
 def test_worst_inversion_perturbation_rejects_non_finite_delta():

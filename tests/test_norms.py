@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from math import inf
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condlab import norms
-from condlab.errors import DimensionTooLarge, NotUnitVector, ZeroVector
+from condlab.errors import DimensionTooLarge, NotUnitVector, ResultOverflow, ZeroVector
 
 import enumeration_reference
 from conftest import gaussian
@@ -251,7 +252,11 @@ def test_bounds_are_never_below_the_computed_values(shape, r, s):
     y = gaussian(215, *shape, shape=(100, shape[0]))
     u = gaussian(216, *shape, shape=(100, shape[1]))
     rank_one = y[:, :, None] * u[:, None, :]
-    for stack in (g, rank_one):
+    # near ties: copies of each rank-one matrix scaled by 1 + k eps, |k| <= 3,
+    # every bound within a few ulps of its value
+    nudge = 1 + np.arange(-3, 4) * np.finfo(np.float64).eps
+    near_ties = (rank_one[:, None] * nudge[:, None, None]).reshape((-1,) + shape)
+    for stack in (g, rank_one, near_ties):
         for k in (-1074, -1070, -1060, -1000, 0, 600, 1010):
             scaled = np.ldexp(stack, k)
             bounds = norms.operator_norm_bounds(scaled, r, s)
@@ -276,6 +281,27 @@ def test_bounds_of_zero_and_non_finite_members():
         if (r, s) not in norms.BOUNDED_PAIRS:
             with pytest.raises(ValueError, match="no rank-one bound"):
                 norms.operator_norm_bounds(stack, r, s)
+
+
+def test_norm_beyond_dbl_max_raises_without_a_warning():
+    # 1e308 [[1, 1], [1, -1]]: the norms that sum magnitudes reach 2e308 or
+    # more; the others stay finite and keep their values
+    a = 1e308 * np.array([[1.0, 1.0], [1.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r, s in ((1, 1), (inf, inf), (inf, 1), (inf, 2), (2, 1)):
+            with pytest.raises(ResultOverflow, match="exceeds the largest finite double"):
+                norms.operator_norm_values(a, r, s)
+            with pytest.raises(ResultOverflow):
+                norms.operator_norm(a, r, s)
+            with pytest.raises(ResultOverflow):  # one member of a stack
+                norms.operator_norm_values(np.stack([np.eye(2), a]), r, s)
+        with pytest.raises(ResultOverflow):
+            norms.operator_norm_values(np.full((2, 2), 1e308), 2, 2)
+        for r, s, want in ((1, 2, 1e308 * np.sqrt(2.0)), (2, 2, 1e308 * np.sqrt(2.0)),
+                           (1, inf, 1e308), (2, inf, 1e308 * np.sqrt(2.0))):
+            assert norms.operator_norm_values(a, r, s) == want, (r, s)
+            assert norms.operator_norm(a, r, s).value == want, (r, s)
 
 
 def test_enumeration_dimension_gate_on_stacks():
