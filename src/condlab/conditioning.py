@@ -90,7 +90,8 @@ def problem_kind(kind):
     kind = str(kind).strip().lower().replace("-", "_")
     if kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem kind {kind!r}; expected one of {PROBLEM_KINDS}")
-    return kind
+    # the table's own string, so that the reports of a sweep share one copy
+    return PROBLEM_KINDS[PROBLEM_KINDS.index(kind)]
 
 
 def _problem(kind, a, vec, r, s):
@@ -228,6 +229,9 @@ def condition_closed_form(
     row = KINDS[kind]
 
     if row.output == "product":
+        # the value and alpha do not change when x is scaled, and x 2^-e, e
+        # the binary exponent of max|x_i|, is exact and keeps A x finite
+        vec = np.ldexp(vec, -np.frexp(np.max(np.abs(vec)))[1])
         image = a @ vec
         denom = vector_norm(image, s)
         anorm = op.norm(r, s)

@@ -19,12 +19,13 @@ at that delta: the delta-sphere then reaches the singular set
 (delta kappa_rs(A) >= 1 for the normwise models), where the supremum is
 infinite.
 
-Four bounded :func:`functools.lru_cache` functions share work across
-estimates.  Each keeps read-only arrays and evicts the least recently used
-entry first, and threads may share it: two threads that miss on the same
-key both build the value, and one of the equal values is kept.  A hit
-returns what a miss would compute, so no cache changes a bit of any
-report.
+Four bounded caches share work across estimates: three
+:func:`functools.lru_cache` functions and the draw cache, which is bounded
+by the values it holds rather than by its entries.  Each keeps read-only
+arrays and evicts the least recently used entry first, and threads may
+share it: two threads that miss on the same key both build the value, and
+one of the equal values is kept.  A hit returns what a miss would compute,
+so no cache changes a bit of any report.
 
 * The operand cache keeps the :class:`~condlab.conditioning._Operand` of
   the most recent matrix, keyed on A's bytes, its shape and the
@@ -36,15 +37,16 @@ report.
   A's bytes and the operand holds a copy, so changing the caller's A in
   place gives a new operand.  One entry is enough for such a sweep, and
   the next matrix evicts it.
-* The draw cache keeps the last 4 normal draws, one copy of each and a
-  stack of matrices batch-last, with their normwise norms and
-  componentwise divisors, keyed on the draw's keys and the shape drawn.
-  The keys depend only on the seed, the sample index and the block, not on
-  the problem kind or on (r, s).  Four is enough because a sweep over
-  every kind and pair of one instance touches three draws (the matrix
-  block of inversion, solve_fixed_b and solve_both; the vectors of matvec
-  and solve_fixed_a; the right-hand-side block of solve_both), and few
-  enough that the next instance's draws evict them.
+* The draw cache keeps normal draws of at most 4 * 2^20 values in all,
+  one copy of each and a stack of matrices batch-last, with their normwise
+  norms and componentwise divisors, keyed on the draw's keys and the shape
+  drawn.  The keys depend only on the seed, the sample index and the
+  block, not on the problem kind or on (r, s).  A sweep over every kind
+  and pair of one instance touches three draws (the matrix block of
+  inversion, solve_fixed_b and solve_both; the vectors of matvec and
+  solve_fixed_a; the right-hand-side block of solve_both), so a round of
+  the benchmark's ``estimator`` workload, three sizes, touches nine, about
+  0.21 million values, and a second round draws none of them again.
 * The key cache keeps the substream keys of the last 4 (seed, samples,
   block) triples, the keys the draw cache is keyed on, so a sweep derives
   them once per block, not once per estimate.
@@ -69,9 +71,12 @@ the same bits alone as inside a stack.  A GEMM row need not have the bits of
 a matrix-vector product, so matvec's worst ratio can differ in its last bits
 from ``A @ (x + dx)`` taken alone (relative 1e-9 at delta = 1e-7, where the
 output error cancels).  The perturbed matrices A + dA are written into one
-batch-last buffer ``(n, n, members + 1)``, the worst row's last, and the LU
-factors and solves work on it in that layout (see :mod:`condlab.linalg`), so
-no stack is concatenated or transposed on its way to the solutions.
+batch-last buffer ``(n, n, members)``, each delta's worst row after its
+samples, and the LU factors and solves work on it in that layout (see
+:mod:`condlab.linalg`), so no stack is concatenated or transposed on its way
+to the solutions.  A buffer holds at most a delta's samples and its worst
+row, so a stack of several deltas takes no more memory than one delta's
+stack of every sample.
 
 An estimate keeps only the largest sampled ratio of each delta, so a kind
 that perturbs A factors only the samples that can set it.  Under a normwise
@@ -88,9 +93,11 @@ the samples whose bound reaches the largest error found.  The others cannot
 exceed it, so the largest ratio has the bits of the largest over every
 sample, and a singular sample, which has no certificate, still raises
 DeltaTooLarge at its delta.  A componentwise output model has no bound, and
-there every sample is in the first stack.  A round of the benchmark's
-``estimator`` workload at its default seed factors 605 of the 162 162
-perturbed matrices.
+there every sample is in the first stack.  The first stacks of every delta
+are factored in one batch-last buffer and one call of the batched LU, and
+so are the second stacks: a round of the benchmark's ``estimator``
+workload at its default seed factors 605 of the 162 162 perturbed
+matrices in 86 calls, one per estimate and five more.
 
 Every member of a stack gets its output error in one call.  At (inf,1),
 (inf,2), (2,1) and (2,2), the pairs without a closed form,
@@ -108,6 +115,8 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from numbers import Real
@@ -385,7 +394,55 @@ def _batch_last(stack):
     return np.moveaxis(np.moveaxis(stack, 0, -1).copy(), -1, 0)
 
 
-@functools.lru_cache(maxsize=4)
+#: The draw cache keeps draws of at most this many values in all: four of
+#: ``_MEMO_MAX_VALUES``, or many more of the sizes a sweep draws.
+_DRAW_CACHE_VALUES = 4 * _MEMO_MAX_VALUES
+
+_DrawCacheInfo = namedtuple("_DrawCacheInfo", "hits misses currsize values")
+
+
+class _DrawCache:
+    """``function`` memoized on its arguments, bounded by the number of
+    values of the draws it keeps, ``_DRAW_CACHE_VALUES``, rather than by
+    their count: a new entry evicts the least recently used ones until it
+    fits, and never itself.  ``function`` returns (a draw, a dict).
+    Threads may share it as they may an lru_cache: a miss builds its entry
+    outside the lock, and when two threads miss on one key both get the
+    entry kept first."""
+
+    def __init__(self, function):
+        self.__wrapped__ = function
+        self._lock = threading.Lock()
+        self.cache_clear()
+
+    def __call__(self, *key):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self._hits += 1
+                return entry
+            self._misses += 1
+        entry = self.__wrapped__(*key)
+        with self._lock:
+            if key in self._entries:
+                return self._entries[key]
+            while self._entries and self._values + entry[0].size > _DRAW_CACHE_VALUES:
+                self._values -= self._entries.popitem(last=False)[1][0].size
+            self._entries[key] = entry
+            self._values += entry[0].size
+        return entry
+
+    def cache_info(self):
+        with self._lock:
+            return _DrawCacheInfo(self._hits, self._misses, len(self._entries), self._values)
+
+    def cache_clear(self):
+        with self._lock:
+            self._entries, self._values, self._hits, self._misses = OrderedDict(), 0, 0, 0
+
+
+@_DrawCache
 def _draws(keys_data, keys_shape, shape):
     """(the read-only normal draw of ``shape`` per key, {}) for the uint64
     keys with the bytes ``keys_data`` and ``keys_shape``: a vector per key
@@ -415,8 +472,8 @@ def _keys(seed, samples, block=None):
 def _draw(keys, shape):
     """(the normal draw of ``keys`` of ``shape``, a dict of what derives from it).
 
-    The draw is read-only and new unless one of the last draws in the cache
-    had the same keys and shape; the dict is the caller's to fill with
+    The draw is read-only and new unless a draw that the cache keeps had
+    the same keys and shape; the dict is the caller's to fill with
     read-only arrays derived from the draw, one value per matrix or vector
     of it (its norms, its componentwise divisors)."""
     draws = _draws if keys.size * math.prod(shape) <= _MEMO_MAX_VALUES else _draws.__wrapped__
@@ -604,37 +661,97 @@ def _perturbations(inst, blocks, deltas, seed, samples):
             for delta in deltas)
 
 
-def _plus(base, d, last):
-    """``base + d`` for a stack ``d`` of perturbations of ``base``, with
-    ``base + last`` as one more member at the end, in one batch-last
-    buffer; returned as its ``(members,) + base.shape`` view, or None when
-    ``d`` is None."""
-    if d is None:
+def _stack(base, parts, members):
+    """``base + d[which]``, then ``base + last`` unless ``last`` is None,
+    for each part (which, (d, last)) of ``parts`` in turn, ``members`` in
+    all, in one batch-last buffer; returned as its ``(members,) +
+    base.shape`` view, or None when ``d`` is None: the kind keeps
+    ``base``."""
+    if parts[0][1][0] is None:
         return None
-    out = np.moveaxis(np.empty(base.shape + (len(d) + 1,)), -1, 0)
-    np.add(base, d, out=out[:-1])
-    np.add(base, last, out=out[-1])
+    out = np.moveaxis(np.empty(base.shape + (members,)), -1, 0)
+    at = 0
+    for which, (d, last) in parts:
+        rows = d[which]
+        np.add(base, rows, out=out[at:at + len(rows)])
+        at += len(rows)
+        if last is not None:
+            np.add(base, last, out=out[at])
+            at += 1
     return out
 
 
-def _perturbed_outputs(inst, a_tilde, b_tilde, delta):
+def _perturbed_outputs(inst, a_tilde, b_tilde, deltas):
     """The exact outputs of the perturbed problems with matrices ``a_tilde``,
     or A when that is None, and vectors ``b_tilde``, or the instance's when
     that is None, in order.  A fixed A multiplies the vectors in one GEMM or
-    solves them as one block of right-hand sides.  Raises DeltaTooLarge at
-    ``delta`` if any matrix of ``a_tilde`` is singular within tolerance."""
+    solves them as one block of right-hand sides.  If any matrix of
+    ``a_tilde`` is singular within tolerance, raises DeltaTooLarge at the
+    first such member's entry of ``deltas``, which holds one delta per
+    member."""
     if a_tilde is None:
         if inst.row.output == "product":
             return b_tilde @ inst.op.a.T
         return inst.op.solve(b_tilde.T).T
     lu, perm, _, singular = _lu_raw(a_tilde)
     if singular.any():
-        raise _singular_at(delta)
+        raise _singular_at(deltas[np.argmax(singular)])
     if inst.row.output == "inverse":
         eye = np.broadcast_to(np.eye(lu.shape[-1]), lu.shape)
         return _lu_solve_packed(lu, perm, eye)
     rhs = np.broadcast_to(inst.vec, lu.shape[:-1]) if b_tilde is None else b_tilde
     return _lu_solve_packed(lu, perm, rhs[..., None])[..., 0]
+
+
+def _members(segment):
+    """The number of perturbed problems of ``segment`` (see :func:`_stacks`)."""
+    _, which, *blocks = segment
+    d, last = next(block for block in blocks if block[0] is not None)
+    return (len(d) if isinstance(which, slice) else len(which)) + (last is not None)
+
+
+def _stacks(inst, segments, err, limit):
+    """(the outputs, their errors under ``err``) of each of ``segments`` in
+    turn, from stacks that take consecutive whole segments while they hold
+    at most ``limit`` members.
+
+    A segment (delta, which, (da, w_da), (db, w_db)) is the perturbed
+    problems at delta of the samples ``which`` of the perturbations ``da``
+    of A and ``db`` of the vector, then, unless ``w_da`` and ``w_db`` are
+    None, the one that moves A by ``w_da`` and the vector by ``w_db``; a
+    block the kind keeps is (None, None).  A stack is one
+    batch-last buffer, one :func:`_lu_raw` call, one solve and one ``err``
+    call.  LU, solves and norms give each member the same bits alone as
+    inside a stack, so the grouping moves no bit; a GEMM row need not, but
+    matvec's segments each hold a whole delta's ``limit`` members and get a
+    stack of their own.  A stack with a singular matrix raises
+    DeltaTooLarge at the delta of its earliest segment that holds one.
+    """
+    group, size = [], 0
+    for segment in segments:
+        members = _members(segment)
+        if group and size + members > limit:
+            yield from _evaluate(inst, group, err)
+            group, size = [], 0
+        group.append(segment)
+        size += members
+    if group:
+        yield from _evaluate(inst, group, err)
+
+
+def _evaluate(inst, group, err):
+    """(the outputs, their errors under ``err``) of each segment of
+    ``group`` in turn, from one stack."""
+    counts = [_members(segment) for segment in group]
+    a_tilde = _stack(inst.op.a, [(which, a) for _, which, a, _ in group], sum(counts))
+    b_tilde = _stack(inst.vec, [(which, b) for _, which, _, b in group], sum(counts))
+    deltas = np.repeat([delta for delta, *_ in group], counts)
+    out = _perturbed_outputs(inst, a_tilde, b_tilde, deltas)
+    errors = err(out)
+    at = 0
+    for count in counts:
+        yield out[at:at + count], errors[at:at + count]
+        at += count
 
 
 def _ratios(inst, input_model, output_model, default_out, config):
@@ -650,22 +767,24 @@ def _ratios(inst, input_model, output_model, default_out, config):
     sphere (common random numbers), so the first delta of a schedule matches
     a one-delta schedule bit for bit.
 
-    Each delta evaluates a first stack: its samples and, as the last row,
+    Each delta evaluates a first segment: its samples and, as the last row,
     the worst direction.  For a kind that perturbs A under a normwise output
     model, the directions are read at delta = 1 first, and
     :func:`_supremum_bounds` bounds every sample's output error from them;
-    the first stack then takes only the sample of largest bound and the
-    samples with no finite bound or pivot certificate, and a second stack,
-    whose last sample takes the worst row's place, the samples whose bound
-    is not below the largest error of the first.  If any of the perturbed
-    matrices is singular within tolerance, the estimate raises
-    DeltaTooLarge at that delta.  Every member of a stack gets its output
-    error, and the largest is NaN if any sample's is.  The worst row is
-    evaluated always exactly, and its output error is measured in the
+    the first segment then takes only the sample of largest bound and the
+    samples with no finite bound or pivot certificate, and a second
+    segment the samples whose bound is not below the largest error of the
+    first.  :func:`_stacks` evaluates every delta's first segment, then
+    every second one, in as few stacks as hold at most a delta's samples
+    and its worst row each: one stack per pass when every delta's segments
+    are small, one per delta when each takes every sample.  If any of the
+    perturbed matrices is singular within tolerance, the estimate raises
+    DeltaTooLarge at the first delta that has one.  Every member gets its
+    output error, and the largest is NaN if any sample's is.  The worst row
+    is evaluated always exactly, and its output error is measured in the
     default output model ``default_out`` of the kind, in the samples' call
     when that is the model asked for.
     """
-    op, vec = inst.op, inst.vec
     err = inst.output_error(output_model)
     blocks = _input_blocks(inst, input_model)
     worst = _worst_row(inst, input_model)
@@ -674,40 +793,48 @@ def _ratios(inst, input_model, output_model, default_out, config):
     radii = (1.0,) * screened + config.deltas
     samples = _perturbations(inst, blocks, radii, config.seed, config.samples_per_delta)
     bounds = _supremum_bounds(inst, *next(samples), output_model) if screened else None
-    for delta, (da, db) in zip(config.deltas, samples):
-        w_da, w_db, divisor = worst(delta)
-        bound = None if bounds is None else bounds(delta)
-        first = _first_members(bound)
-        out = _perturbed_outputs(
-            inst, _plus(op.a, _rows(da, first), w_da), _plus(vec, _rows(db, first), w_db), delta)
-        largest, value = _largest_and_last(err(out))
-        if worst_err is not None:
-            value = worst_err(out[-1])
-        if bound is not None:
-            rest = np.flatnonzero(~(first | (bound < largest)))
-            if len(rest):  # the last of them takes the worst row's place
-                out = _perturbed_outputs(
-                    inst, _plus(op.a, _rows(da, rest[:-1]), _rows(da, rest[-1])),
-                    _plus(vec, _rows(db, rest[:-1]), _rows(db, rest[-1])), delta)
-                largest = np.max(err(out), initial=largest)
+    limit = config.samples_per_delta + 1
+    rows = [(delta, da, db, worst(delta), None if bounds is None else bounds(delta))
+            for delta, (da, db) in zip(config.deltas, samples)]
+    firsts = [_first_members(bound) for *_, bound in rows]
+    found = []
+    for out, errors in _stacks(inst, [(delta, first, (da, w_da), (db, w_db))
+                                      for (delta, da, db, (w_da, w_db, _), _), first
+                                      in zip(rows, firsts)], err, limit):
+        largest, value = _largest_and_last(errors)
+        found.append((largest, value if worst_err is None else worst_err(out[-1])))
+    rests = [_rest_members(bound, first, largest)
+             for (*_, bound), first, (largest, _) in zip(rows, firsts, found)]
+    seconds = _stacks(inst, [(delta, rest, (da, None), (db, None))
+                             for (delta, da, db, *_), rest in zip(rows, rests) if len(rest)],
+                      err, limit)
+    for (delta, _, _, (*_, divisor), _), (largest, value), rest in zip(rows, found, rests):
+        if len(rest):
+            largest = np.max(next(seconds)[1], initial=largest)
         yield largest / delta, value / divisor
 
 
-def _rows(d, which):
-    """``d[which]``, or None when ``d`` is None."""
-    return None if d is None else d[which]
-
-
 def _first_members(bound):
-    """The samples that the first stack of a delta takes: all of them when
-    there is no ``bound``, else the one of largest finite bound and every
-    one whose bound is not finite, as a mask."""
+    """The samples that the first segment of a delta takes: all of them
+    when there is no ``bound``, else the one of largest finite bound and
+    every one whose bound is not finite, as indices."""
     if bound is None:
         return slice(None)
     first = ~(bound < np.inf)
     if not first.all():
         first[np.argmax(np.where(first, -np.inf, bound))] = True
-    return first
+    return np.flatnonzero(first)
+
+
+def _rest_members(bound, first, largest):
+    """The samples that the second segment of a delta takes, as indices:
+    none when there is no ``bound``, else those outside ``first`` whose
+    bound is not below ``largest``, the largest error of the first."""
+    if bound is None:
+        return ()
+    rest = ~(bound < largest)
+    rest[first] = False
+    return np.flatnonzero(rest)
 
 
 #: The largest order the screen bounds.  Past it the growth bound 2^(n-1)

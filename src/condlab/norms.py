@@ -16,8 +16,9 @@ the (2,2) norm comes from LAPACK.  At those four pairs without a closed
 form, :func:`operator_norm_bounds` gives cheap bounds that are exact on
 rank-one matrices up to a derived margin and never below the computed
 value; its one caller, ``empirical._supremum_bounds``, bounds the
-first-order image of every sample of the estimator with them.  A norm
-beyond DBL_MAX raises ResultOverflow at every pair.
+first-order image of every sample of the estimator with them.  A vector
+norm or an operator norm beyond DBL_MAX raises ResultOverflow, at every
+exponent and every pair.
 
 Also provides the rank-one norm interpolator: given unit vectors x, y it
 builds B = y u^T with ||B||_rs = 1 and B x = y, the workhorse behind the
@@ -87,8 +88,18 @@ def vector_norm(x, r):
     """1-, 2- or inf-norm along the last axis.
 
     The 2-norm is scaled by the largest magnitude first, so extreme inputs
-    neither underflow nor overflow when squared.
+    neither underflow nor overflow when squared.  Raises ResultOverflow when
+    a norm exceeds DBL_MAX.
     """
+    with np.errstate(over="ignore"):
+        norm = _vector_norm(x, r)
+    if np.isinf(norm).any():
+        raise ResultOverflow("vector norm exceeds the largest finite double")
+    return norm
+
+
+def _vector_norm(x, r):
+    """:func:`vector_norm` with an overflowed norm left at inf."""
     r = norm_index(r)
     x = np.asarray(x, dtype=np.float64)
     if r == 1.0:
@@ -272,13 +283,13 @@ def _operator_norms(a, r, s, max_enum_dim, want_attainers):
     attainers = None
     with np.errstate(over="ignore"):
         if r == 1.0:
-            vals = vector_norm(np.swapaxes(a, -2, -1), s)
+            vals = _vector_norm(np.swapaxes(a, -2, -1), s)
             values = np.max(vals, axis=-1)
             if want_attainers:
                 attainers = np.eye(m)[np.argmax(vals, axis=-1)]
         elif s == inf:
             rstar = dual_exponent(r)
-            vals = vector_norm(a, rstar)
+            vals = _vector_norm(a, rstar)
             values = np.max(vals, axis=-1)
             if want_attainers:
                 i = np.argmax(vals, axis=-1)[..., None, None]
@@ -301,7 +312,7 @@ def _operator_norms(a, r, s, max_enum_dim, want_attainers):
             s = s if r == inf else 2.0
             z = _best_signs(t, s)
             image = np.einsum("...j,...ij->...i", z, t)
-            norm = vector_norm(image, s)
+            norm = _vector_norm(image, s)
             values = np.ldexp(norm, exponent).reshape(lead)
             if want_attainers and r == 2.0:
                 z = image / np.where(norm > 0.0, norm, 1.0)[:, None]

@@ -352,6 +352,31 @@ def test_norm_command_beyond_dbl_max(tmp_path, capsys, r, s, value):
         assert env["payload"]["value"] == value
 
 
+@pytest.fixture
+def huge_vector(tmp_path, files):
+    path = tmp_path / "huge_b.csv"
+    matio.write_matrix_csv(path, np.array([[1e308], [1e308]]))
+    return ["--matrix", files["diag12.csv"], "--vector", str(path)]
+
+
+def test_matvec_cond_of_a_vector_near_dbl_max(capsys, huge_vector):
+    # A x overflows for x = [1e308, 1e308]; the value and alpha, those of
+    # x = [1, 1], are printed where NaN was
+    code, env = run_json(capsys, ["cond", "matvec", *huge_vector])
+    assert code == 0
+    assert env["payload"]["value"] == pytest.approx(np.sqrt(8.0 / 5.0), rel=1e-15)
+    assert env["payload"]["alpha"] == pytest.approx(np.sqrt(8.0 / 5.0) / 2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("argv", [["cond", "solve-fixed-a"], ["cond", "solve-both"], ["mixed"]])
+def test_vector_norm_beyond_dbl_max(capsys, huge_vector, argv):
+    # ||b||_1 = 2e308 exits 1, where Infinity was printed with exit 0
+    assert main([*argv, *huge_vector, "--r", "1", "--s", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "condlab: vector norm exceeds the largest finite double\n"
+
+
 _KINDS = ["inversion", "matvec", "solve-fixed-a", "solve-fixed-b", "solve-both"]
 # every command that reads files, and whether it needs a vector as well
 _FILE_COMMANDS = [

@@ -1,4 +1,5 @@
 import pathlib
+import warnings
 from math import inf, isinf, sqrt
 
 import numpy as np
@@ -179,6 +180,22 @@ def test_matvec_decomposition_invariant():
         x = gaussian(305, t, 1, shape=(n,))
         r = cond.condition_closed_form("matvec", a, x, 2, 2)
         assert r.value == pytest.approx(r.alpha * r.kappa, rel=1e-12)
+
+
+def test_matvec_closed_form_of_a_vector_near_dbl_max():
+    # A x overflows for x = [1e308, 1e308], but the value and alpha do not
+    # change when x is scaled: they are those of x 2^-600, bit for bit,
+    # and no warning is raised
+    a = np.diag([1.0, 2.0])
+    x = np.array([1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r, s in ALL_PAIRS:
+            huge = cond.condition_closed_form("matvec", a, x, r, s)
+            scaled = cond.condition_closed_form("matvec", a, np.ldexp(x, -600), r, s)
+            assert huge == scaled, (r, s)
+    assert cond.condition_closed_form("matvec", a, x, 2, 2).value == pytest.approx(
+        sqrt(8.0 / 5.0), rel=1e-15)
 
 
 def test_solve_fixed_b_equals_kappa():

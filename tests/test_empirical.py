@@ -591,14 +591,20 @@ def test_memo_keeps_one_copy_of_each_draw(monkeypatch):
         assert all(x.shape == g.shape[:1] for x in derived.values())
 
 
-def test_memo_keeps_at_most_four_draws():
+def test_memo_keeps_draws_within_its_value_budget(monkeypatch):
+    # a sweep over n draws 20 n^2 + 2 * 20 n values, 1 480 over n = 3, 4, 5;
+    # under a budget of 1 000 the cache stays within it, and keeps the
+    # 5 x 5 sweep's three draws and the 4 x 4 right-hand sides
+    budget = 1000
+    monkeypatch.setattr(emp, "_DRAW_CACHE_VALUES", budget)
     config = emp.EstimatorConfig(deltas=(1e-6,), samples_per_delta=20, seed=26)
     for n in (3, 4, 5):
         a = gaussian(420, n, 0, shape=(n, n))
         b = gaussian(420, n, 1, shape=(n,))
         _sweep(_sweep_cases(a, b, pairs=[(2, 2)]), config, cold=False)
-        assert emp._draws.cache_info().currsize <= 4
-    assert emp._draws.cache_info().currsize == 4
+        assert emp._draws.cache_info().values <= budget
+    info = emp._draws.cache_info()
+    assert (info.currsize, info.values, info.misses) == (4, 80 + 500 + 100 + 100, 9)
 
 
 @pytest.mark.parametrize("size,kept", [(1 << 10, True), ((1 << 10) + 1, False)])
@@ -626,8 +632,53 @@ def test_requests_past_the_cap_evict_nothing():
         assert emp._draw(rng.substream(29, i, np.arange(10)), (3,)) is entry
 
 
-def test_memo_under_threads():
-    # threads that share the cache draw the same directions and leave it bounded
+def test_draw_past_the_budget_evicts_the_least_recent(monkeypatch):
+    # a draw that overflows the budget evicts the least recently used
+    # entries until it fits, and never itself
+    monkeypatch.setattr(emp, "_DRAW_CACHE_VALUES", 100)
+    keys = [rng.substream(30, i, np.arange(10)) for i in range(4)]
+    kept = [emp._draw(k, (3,)) for k in keys[:3]]  # 90 values
+    assert emp._draw(keys[0], (3,)) is kept[0]  # now the most recent
+    kept.append(emp._draw(keys[3], (3,)))  # 120 > 100 evicts the draw of keys[1]
+    assert emp._draws.cache_info()[2:] == (3, 90)
+    for i in (0, 2, 3):
+        assert emp._draw(keys[i], (3,)) is kept[i]
+    assert emp._draw(keys[1], (3,)) is not kept[1]  # drawn again, evicting keys[0]
+    large = emp._draw(rng.substream(30, 9, np.arange(25)), (4,))  # 100 values
+    assert emp._draws.cache_info()[2:] == (1, 100)
+    assert emp._draw(rng.substream(30, 9, np.arange(25)), (4,)) is large
+
+
+def test_warm_benchmark_sweep_draws_nothing():
+    # the benchmark's shape: sizes 4, 7 and 10, every kind and pair, two
+    # deltas of 1000 samples.  Its nine draws, 207 000 values, fit the
+    # budget, so a second sweep takes every one of them from the cache
+    config = emp.EstimatorConfig(deltas=(1e-6, 1e-7), samples_per_delta=1000, seed=39)
+    cases = [case for n in (4, 7, 10) for case in _sweep_cases(
+        conditioned(432, n, 100.0), gaussian(432, n, shape=(n,)))]
+    _sweep(cases, config, cold=False)
+    cold = emp._draws.cache_info()
+    assert (cold.misses, cold.currsize, cold.values) == (9, 9, 207_000)
+    _sweep(cases, config, cold=False)
+    assert emp._draws.cache_info().misses == cold.misses
+
+
+def test_mixed_condition_loop_draws_once_per_size():
+    # acceptance criterion 4's loop: solve_both on 20 matrices over the 7
+    # sizes 2..8, one seed, 1000 samples.  Each size draws a matrix block
+    # and a right-hand-side block once, 14 draws in all
+    config = emp.EstimatorConfig(deltas=(1e-6,), seed=40)
+    for t in range(20):
+        n = 2 + t % 7
+        a = conditioned(433, n, 10.0)
+        emp.estimate_condition("solve_both", a, gaussian(433, t, shape=(n,)), config=config)
+    assert emp._draws.cache_info().misses == 14
+
+
+def test_memo_under_threads(monkeypatch):
+    # threads that share the cache draw the same directions and leave it
+    # within its budget, here four of the six draws of 30 values
+    monkeypatch.setattr(emp, "_DRAW_CACHE_VALUES", 4 * 30)
     base = np.ones(3)
     all_keys = [rng.substream(28, i, np.arange(10)) for i in range(6)]
     want = [next(emp._sphere_vectors(base, (1.0,), k, emp.normwise(2))) for k in all_keys]
@@ -656,7 +707,8 @@ def test_memo_under_threads():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert not errors
-    assert emp._draws.cache_info().currsize <= 4
+    info = emp._draws.cache_info()
+    assert info.currsize <= 4 and info.values == 30 * info.currsize
 
 
 def test_singular_matrix_outcomes_per_kind():
@@ -842,47 +894,103 @@ def _every_member(inst, w_a, w_b, model):
 
 
 def test_one_perturbed_stack_per_delta(monkeypatch):
-    # with every sample a candidate, every kind evaluates its samples and its
-    # worst direction as one stack, samples + 1 members, once per delta.
-    # With the screen, matvec and solve_fixed_a keep that one stack; a kind
-    # that perturbs A evaluates per delta a first stack that ends with the
-    # worst row, then at most one stack of the candidates left, and no
-    # sample twice
-    stacks = []
+    # with every sample a candidate, every kind evaluates each delta's
+    # samples and worst direction as one stack of samples + 1 members.
+    # With the screen, matvec and solve_fixed_a keep that; a kind that
+    # perturbs A evaluates every delta's first segment in one stack, each
+    # segment of at least 2 members that ends with the worst row, then at
+    # most one stack of the candidates left, and no sample twice
+    calls = []
     perturbed_outputs = emp._perturbed_outputs
 
-    def spy(inst, a_tilde, b_tilde, delta):
-        stacks.append((delta, len(b_tilde if a_tilde is None else a_tilde)))
-        factored.append((delta, a_tilde))
-        return perturbed_outputs(inst, a_tilde, b_tilde, delta)
+    def spy(inst, a_tilde, b_tilde, deltas):
+        calls.append((deltas, a_tilde))
+        return perturbed_outputs(inst, a_tilde, b_tilde, deltas)
 
-    factored = []
     monkeypatch.setattr(emp, "_perturbed_outputs", spy)
     a = gaussian(427, 0, shape=(4, 4))
     b = gaussian(427, 1, shape=(4,))
     deltas = (1e-5, 1e-6, 1e-7)
     config = emp.EstimatorConfig(deltas=deltas, samples_per_delta=30, seed=35)
     for kind in conditioning.PROBLEM_KINDS:
-        stacks.clear()
-        factored.clear()
-        rep = emp.estimate_condition(kind, a, None if kind == "inversion" else b, config=config)
+        calls.clear()
+        vec = None if kind == "inversion" else b
+        rep = emp.estimate_condition(kind, a, vec, config=config)
         assert [d.resampled for d in rep.per_delta] == [0, 0, 0]
+        for at, _ in calls:  # every stack keeps the schedule's order
+            assert list(at) == sorted(at, reverse=True), kind
         if not conditioning.KINDS[kind].perturbs_a:
-            assert stacks == [(d, 31) for d in deltas], kind
+            assert [(set(at), len(at)) for at, _ in calls] == [({d}, 31) for d in deltas], kind
             continue
+        assert 1 <= len(calls) <= 2, (kind, [len(at) for at, _ in calls])
+        (at, first), *second = calls
+        inst = emp._Instance(kind, emp._operand(a, norms.DEFAULT_MAX_ENUM_DIM), vec, 2, 2)
+        worst = emp._worst_row(inst, emp._default_models(kind, 2, 2)[0])
+        assert set(at) == set(deltas)
         for d in deltas:
-            sizes = [size for at, size in stacks if at == d]
-            assert 1 <= len(sizes) <= 2 and 2 <= sizes[0] and sum(sizes) <= 31, (kind, sizes)
-            first, *rest = [m for at, m in factored if at == d]
-            samples = np.concatenate([first[:-1], *rest]).reshape(sum(sizes) - 1, -1)
-            assert len(np.unique(samples, axis=0)) == len(samples)
-        assert [at for at, _ in stacks] == sorted((at for at, _ in stacks), reverse=True)
+            segment = first[at == d]
+            assert len(segment) >= 2 and np.array_equal(segment[-1], a + worst(d)[0]), (kind, d)
+            rest = [m[at2 == d] for at2, m in second]
+            samples = np.concatenate([segment[:-1], *rest]).reshape(-1, 16)
+            assert len(np.unique(samples, axis=0)) == len(samples) <= 30
     with monkeypatch.context() as m:
         m.setattr(emp, "_supremum_bounds", _every_member)
         for kind in conditioning.PROBLEM_KINDS:
-            stacks.clear()
+            calls.clear()
             emp.estimate_condition(kind, a, None if kind == "inversion" else b, config=config)
-            assert stacks == [(d, 31) for d in deltas], kind
+            assert [(set(at), len(at)) for at, _ in calls] == [({d}, 31) for d in deltas], kind
+
+
+def _count_factorizations(monkeypatch):
+    """The sizes of the stacks that :func:`empirical._lu_raw` factors, as
+    the estimator calls it."""
+    factored = []
+    lu_raw = emp._lu_raw
+
+    def spy(m):
+        factored.append(len(m))
+        return lu_raw(m)
+
+    monkeypatch.setattr(emp, "_lu_raw", spy)
+    return factored
+
+
+def test_one_lu_call_per_pass(monkeypatch):
+    # a screened estimate factors every delta's first segment in one call,
+    # and the second segments in at most one more; unscreened, under a
+    # componentwise output model or with every sample a candidate, each
+    # delta takes a call of its own
+    factored = _count_factorizations(monkeypatch)
+    a = gaussian(428, 0, shape=(6, 6))
+    b = gaussian(428, 1, shape=(6,))
+    deltas = (1e-4, 1e-5, 1e-6, 1e-7)
+    config = emp.EstimatorConfig(deltas=deltas, samples_per_delta=200, seed=36)
+    for kind in ("inversion", "solve_fixed_b", "solve_both"):
+        vec = None if kind == "inversion" else b
+        for r, s in PAIRS:
+            factored.clear()
+            emp.estimate_condition(kind, a, vec, r, s, config=config)
+            assert len(factored) in (1, 2) and factored[0] >= 2 * len(deltas), (kind, r, s)
+        factored.clear()
+        emp.estimate_condition(kind, a, vec, output_model=emp.componentwise_max, config=config)
+        assert factored == [201] * len(deltas), kind
+        factored.clear()
+        with monkeypatch.context() as m:
+            m.setattr(emp, "_supremum_bounds", _every_member)
+            emp.estimate_condition(kind, a, vec, config=config)
+        assert factored == [201] * len(deltas), kind
+
+
+@pytest.mark.parametrize("kind", ("inversion", "solve_fixed_b", "solve_both"))
+def test_earliest_singular_delta_is_named(kind):
+    # on diag(1, 3e-13) both deltas reach the singular set; one stack
+    # factors both first segments, and the refusal names the first delta
+    a = np.diag([1.0, 3e-13])
+    b = None if kind == "inversion" else np.array([0.0, 1.0])
+    for deltas in ((3.1e-13,), (3e-13,), (3.1e-13, 3e-13)):
+        config = emp.EstimatorConfig(deltas=deltas, samples_per_delta=200, seed=3)
+        with pytest.raises(DeltaTooLarge, match=f"^A - E is singular at delta={deltas[0]:g}$"):
+            emp.estimate_condition(kind, a, b, config=config)
 
 
 @pytest.mark.parametrize("kind", ("inversion", "solve_fixed_b", "solve_both"))
@@ -1017,12 +1125,13 @@ def _bounds_and_errors(kind, a, b, r, s, input_model, output_model, config):
     bounds = emp._supremum_bounds(inst, *next(samples), output_model)
     err = inst.output_error(output_model)
     for delta, (da, db) in zip(config.deltas, samples):
-        a_tilde = emp._plus(op.a, da[:], da[-1])[:-1]
+        a_tilde = emp._stack(op.a, [(slice(None), (da, None))], len(da))
         lu, perm, _, singular = linalg._lu_raw(a_tilde)
         if inst.row.output == "inverse":
             out = linalg._lu_solve_packed(lu, perm, np.broadcast_to(np.eye(len(a)), lu.shape))
         else:
-            rhs = np.broadcast_to(b, lu.shape[:-1]) if db is None else emp._plus(b, db, db[-1])[:-1]
+            rhs = (np.broadcast_to(b, lu.shape[:-1]) if db is None
+                   else emp._stack(b, [(slice(None), (db, None))], len(db)))
             out = linalg._lu_solve_packed(lu, perm, rhs[..., None])[..., 0]
         errors = np.full(len(out), np.nan)  # a singular sample's factors are garbage
         with np.errstate(all="ignore"):

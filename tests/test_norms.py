@@ -283,6 +283,25 @@ def test_bounds_of_zero_and_non_finite_members():
                 norms.operator_norm_bounds(stack, r, s)
 
 
+def test_vector_norm_beyond_dbl_max_raises_without_a_warning():
+    # [1e308, 1e308]: the 1-norm is 2e308; the 2-norm and the inf-norm
+    # stay finite and keep their values
+    x = np.array([1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResultOverflow, match="^vector norm exceeds the largest finite double$"):
+            norms.vector_norm(x, 1)
+        with pytest.raises(ResultOverflow):  # one vector of a stack
+            norms.vector_norm(np.stack([np.ones(2), x]), 1)
+        with pytest.raises(ResultOverflow):  # 2e308 after the scaling
+            norms.vector_norm(np.full(4, 1e308), 2)
+        assert norms.vector_norm(x, 2) == 1e308 * np.sqrt(2.0)
+        assert norms.vector_norm(x, inf) == 1e308
+        # the operator norms that sum these vectors keep their own message
+        with pytest.raises(ResultOverflow, match="^operator norm exceeds"):
+            norms.operator_norm_values(np.diag(x)[::-1] + np.diag(x), 1, 1)
+
+
 def test_norm_beyond_dbl_max_raises_without_a_warning():
     # 1e308 [[1, 1], [1, -1]]: the norms that sum magnitudes reach 2e308 or
     # more; the others stay finite and keep their values
