@@ -21,12 +21,13 @@ output a solution raise SingularMatrix, because A^-1 b does not exist, and
 distance_to_singularity raises because its formula divides by ||A^-1||.
 
 Every function here reads A, A^-1 and their norms from one
-:class:`_Operand`.  It factors A at most once, by the calls that
-:func:`~condlab.linalg.invert` makes, so A^-1 has the bits of
-``invert(A)``: LU factors kept in linalg's batch-last layout, and a
-substitution in linalg's one fixed order, which gives a matrix the same
-bits alone as inside the estimator's stacks.  It computes each norm of A
-and of A^-1 at most once.
+:class:`_Operand`.  It factors A at most once, through linalg's one LU
+front door, the calls that :func:`~condlab.linalg.invert` makes, so A^-1
+has the bits of ``invert(A)``: LU factors kept in linalg's batch-last
+layout, and a substitution in linalg's one fixed order, which gives a
+matrix the same bits alone as inside the estimator's stacks.  It computes
+each norm of A and of A^-1 at most once, and the terms that the
+estimator's supremum screen reads of A, A^-1 and A's factors once.
 Norms are values from the value-only core
 (:func:`~condlab.norms.operator_norm_values`, LAPACK at (2,2)), except at
 the enumeration pairs, where the value is that of
@@ -34,17 +35,17 @@ the enumeration pairs, where the value is that of
 and its attainer share one search.  Attainers are read only for the
 nearest singular perturbation and the estimator's worst directions.
 
-A caller that already holds an operand passes it through the private
-``_op`` parameter: the estimator keeps the operand of its last matrix, so
-that A is factored once per matrix across a sweep of estimates, not once
-per estimate.
+A caller that already holds an operand passes it to :func:`kappa` or
+:func:`condition_closed_form` through the private ``_op`` parameter: the
+estimator keeps the operand of its last matrix, so that A is factored once
+per matrix across a sweep of estimates, not once per estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf
+from math import inf, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -144,17 +145,18 @@ def _read_only(x):
 
 
 class _Operand:
-    """A matrix A with its LU factors, A^-1, and the operator norms of A and
-    A^-1, each computed at most once.
+    """A matrix A with its LU factors, A^-1, the operator norms of A and
+    A^-1, and the terms the estimator's supremum screen reads, each computed
+    at most once.
 
-    A is factored only when something asks, by the same ``_lu_raw`` and
-    ``_lu_solve_packed`` calls that ``invert`` and ``solve`` make, so A^-1
-    and every solve have their bits.  The factors are ``_lu_raw``'s views
-    of its batch-last working arrays, and every solve substitutes in the
-    fixed order that ``_lu_solve_packed`` documents.  Matvec needs A^-1 only
-    for the kappa and alpha of its closed form, so a singular A leaves those
-    out.  The factors and A^-1 are read-only, because the estimator's
-    operand cache shares them.
+    A is factored only when something asks, by the same ``_factor`` and
+    ``_inverse`` calls that ``invert`` makes, so A^-1 and every solve have
+    the bits of ``invert`` and ``solve``.  The factors are ``_lu_raw``'s
+    views of its batch-last working arrays, and every solve substitutes in
+    the fixed order that ``_lu_solve_packed`` documents.  Matvec needs A^-1
+    only for the kappa and alpha of its closed form, so a singular A leaves
+    those out.  The factors, A^-1 and the screen's arrays are read-only,
+    because the estimator's operand cache shares them.
     """
 
     def __init__(self, a, max_enum_dim):
@@ -165,17 +167,38 @@ class _Operand:
     @cached_property
     def factors(self):
         """Packed LU and row permutation of A; raises SingularMatrix."""
-        lu, perm, _, singular = linalg._lu_raw(as_square(self.a))
-        if np.any(singular):
-            raise SingularMatrix("cannot invert: matrix is singular within tolerance")
+        lu, perm = linalg._factor(
+            as_square(self.a), "cannot invert: matrix is singular within tolerance")
         return _read_only(lu), _read_only(perm)
 
     @cached_property
     def inverse(self):
         """A^-1 with the bits of ``invert(A)``; raises SingularMatrix."""
-        lu, perm = self.factors
-        eye = np.broadcast_to(np.eye(lu.shape[-1]), lu.shape)
-        return _read_only(linalg._lu_solve_packed(lu, perm, eye))
+        return _read_only(linalg._inverse(*self.factors))
+
+    @cached_property
+    def screen_terms(self):
+        """What the estimator's supremum screen reads of A and of the
+        computed A^-1 = X^: max|a_ij|, ||A||_1, ||A||_inf, the row and
+        column sums of |X^|, their total S, ||X^||_1, ||X^||_inf, omega =
+        gamma_3n max(|L^||U^|) S from A's factors, which bounds the error of
+        X^ (Higham, ASNA, Theorem 9.4, section 14.3), q = omega / (1 -
+        omega) and the lower bound on sigma_min(A).  Raises SingularMatrix."""
+        a, x = self.a, self.inverse
+        n = len(a)
+        with np.errstate(all="ignore"):
+            abs_a, abs_x = np.abs(a), np.abs(x)
+            x_rows, x_cols = abs_x.sum(axis=1), abs_x.sum(axis=0)
+            total = x_rows.sum()
+            lu, _ = self.factors
+            lower = np.abs(np.tril(lu, -1)) + np.eye(n)
+            omega = linalg._gamma(3 * n) * (lower @ np.abs(np.triu(lu))).max() * total
+            q = omega / (1.0 - omega)
+            x_one, x_inf = x_cols.max(), x_rows.max()
+            sigma_lo = 1.0 / ((1.0 + q) * sqrt(x_one * x_inf))
+            return (abs_a.max(), abs_a.sum(axis=0).max(), abs_a.sum(axis=1).max(),
+                    _read_only(x_rows), _read_only(x_cols), total, x_one, x_inf, omega, q,
+                    sigma_lo)
 
     def solve(self, rhs):
         """A^-1 rhs for a block ``(n, k)`` of right-hand sides."""
@@ -211,8 +234,18 @@ def kappa(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM, *, _op=None):
     return op.norm(r, s) * inv_norm
 
 
+def _unit_scaled(vec):
+    """``vec`` times 2^-e, e the binary exponent of max|vec_i|: exact, and
+    brings the largest magnitude into [1/2, 1)."""
+    return np.ldexp(vec, -np.frexp(np.max(np.abs(vec)))[1])
+
+
 def _solution_term(op, vec, r, s):
-    """||A^-1||_sr * ||b||_s / ||A^-1 b||_r from the operand's inverse."""
+    """||A^-1||_sr * ||b||_s / ||A^-1 b||_r from the operand's inverse.
+
+    The term does not change when b is scaled, so it is taken for
+    :func:`_unit_scaled` b, whose norm stays finite."""
+    vec = _unit_scaled(vec)
     sol = op.inverse @ vec
     denom = vector_norm(sol, r)
     if denom == 0.0:
@@ -229,9 +262,9 @@ def condition_closed_form(
     row = KINDS[kind]
 
     if row.output == "product":
-        # the value and alpha do not change when x is scaled, and x 2^-e, e
-        # the binary exponent of max|x_i|, is exact and keeps A x finite
-        vec = np.ldexp(vec, -np.frexp(np.max(np.abs(vec)))[1])
+        # the value and alpha do not change when x is scaled, and the
+        # scaling keeps A x finite
+        vec = _unit_scaled(vec)
         image = a @ vec
         denom = vector_norm(image, s)
         anorm = op.norm(r, s)
@@ -259,13 +292,13 @@ def condition_closed_form(
     return ConditionReport(kind, value=kap + term, kappa=kap, mixed_term=term)
 
 
-def mixed_condition(a, b, r=2, s=2, max_enum_dim=DEFAULT_MAX_ENUM_DIM, *, _op=None):
+def mixed_condition(a, b, r=2, s=2, max_enum_dim=DEFAULT_MAX_ENUM_DIM):
     """Mixed condition number of (A, b) -> A^-1 b: kappa plus the solution term.
 
     Always sandwiched between kappa and 2*kappa.
     """
     r, s = norm_index(r), norm_index(s)  # checked before A, as A before b
-    return condition_closed_form("solve_both", as_square(a), b, r, s, max_enum_dim, _op=_op)
+    return condition_closed_form("solve_both", as_square(a), b, r, s, max_enum_dim)
 
 
 def inverse_norm(a, r, s, max_enum_dim=DEFAULT_MAX_ENUM_DIM):

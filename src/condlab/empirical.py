@@ -19,7 +19,7 @@ at that delta: the delta-sphere then reaches the singular set
 (delta kappa_rs(A) >= 1 for the normwise models), where the supremum is
 infinite.
 
-Four bounded caches share work across estimates: three
+Three bounded caches share work across estimates: two
 :func:`functools.lru_cache` functions and the draw cache, which is bounded
 by the values it holds rather than by its entries.  Each keeps read-only
 arrays and evicts the least recently used entry first, and threads may
@@ -30,13 +30,15 @@ so no cache changes a bit of any report.
 * The operand cache keeps the :class:`~condlab.conditioning._Operand` of
   the most recent matrix, keyed on A's bytes, its shape and the
   enumeration cap.  The operand holds a read-only copy of A, its LU
-  factors, A^-1, and every norm of A and A^-1, with the attainers,
-  computed so far; the closed form reads the same operand.  So a sweep of
-  estimates over kinds and pairs on one matrix factors A once and
-  enumerates each of these norms once, not once per estimate.  The key is
-  A's bytes and the operand holds a copy, so changing the caller's A in
-  place gives a new operand.  One entry is enough for such a sweep, and
-  the next matrix evicts it.
+  factors, A^-1, every norm of A and A^-1, with the attainers, computed so
+  far, and what :func:`_supremum_bounds` reads of A, A^-1 and the factors
+  (the sums and maxima of |A| and |A^-1|, and the backward-error scale of
+  A's factors); the closed form reads the same operand.  So a sweep of
+  estimates over kinds and pairs on one matrix factors A once, enumerates
+  each of these norms once and takes the screen's terms once, not once per
+  estimate.  The key is A's bytes and the operand holds a copy, so
+  changing the caller's A in place gives a new operand.  One entry is
+  enough for such a sweep, and the next matrix evicts it.
 * The draw cache keeps normal draws of at most 4 * 2^20 values in all,
   one copy of each and a stack of matrices batch-last, with their normwise
   norms and componentwise divisors, keyed on the draw's keys and the shape
@@ -50,9 +52,6 @@ so no cache changes a bit of any report.
 * The key cache keeps the substream keys of the last 4 (seed, samples,
   block) triples, the keys the draw cache is keyed on, so a sweep derives
   them once per block, not once per estimate.
-* The screen's operand cache keeps what :func:`_supremum_bounds` reads of
-  the last operand (the sums and maxima of |A| and |A^-1|, and the
-  backward-error scale of A's factors), keyed on the operand itself.
 
 No cache takes a matrix, a draw or keys of more than 2^20 values: such a
 one is built, returned and not kept, and it evicts nothing.
@@ -139,6 +138,9 @@ from .errors import DeltaTooLarge, ZeroComponent, ZeroVector
 # these names.
 from .linalg import (  # noqa: F401
     DEFAULT_PIVOT_TOL,
+    _U,
+    _gamma,
+    _inverse,
     _lu_raw,
     _lu_solve_packed,
     as_square,
@@ -247,7 +249,7 @@ def worst_inversion_perturbation(a, r, s, delta, max_enum_dim=DEFAULT_MAX_ENUM_D
         raise ValueError("delta must be positive")
     _, y, w = _extremal_pair(_Operand(a, max_enum_dim), r, s)
     e = delta * rank_one_interpolator(w / vector_norm(w, r), y, r, s)
-    if np.any(_lu_raw(a - e)[3]):
+    if np.any(_lu_raw(a - e)[2]):
         raise _singular_at(delta)
     return e
 
@@ -693,12 +695,11 @@ def _perturbed_outputs(inst, a_tilde, b_tilde, deltas):
         if inst.row.output == "product":
             return b_tilde @ inst.op.a.T
         return inst.op.solve(b_tilde.T).T
-    lu, perm, _, singular = _lu_raw(a_tilde)
+    lu, perm, singular = _lu_raw(a_tilde)
     if singular.any():
         raise _singular_at(deltas[np.argmax(singular)])
     if inst.row.output == "inverse":
-        eye = np.broadcast_to(np.eye(lu.shape[-1]), lu.shape)
-        return _lu_solve_packed(lu, perm, eye)
+        return _inverse(lu, perm)
     rhs = np.broadcast_to(inst.vec, lu.shape[:-1]) if b_tilde is None else b_tilde
     return _lu_solve_packed(lu, perm, rhs[..., None])[..., 0]
 
@@ -849,37 +850,6 @@ _SCREEN_RANGE = 2.0**256
 #: Relative margin for the rounding of the bound's own arithmetic.
 _SCREEN_ROUNDING = 2.0**-30
 
-_U = 2.0**-53  # unit roundoff of binary64
-
-
-def _gamma(k):
-    """Higham's gamma_k = k u / (1 - k u)."""
-    return k * _U / (1.0 - k * _U)
-
-
-@functools.lru_cache(maxsize=1)
-def _screen_operand(op):
-    """What :func:`_supremum_bounds` reads of A and of the computed A^-1 of
-    the operand ``op``, taken once per operand: max|a_ij|, ||A||_1,
-    ||A||_inf, the row and column sums of |A^-1|, their total S, ||A^-1||_1,
-    ||A^-1||_inf, omega = gamma_3n max(|L^||U^|) S from A's factors, q =
-    omega / (1 - omega) and the lower bound on sigma_min(A)."""
-    a, x = op.a, op.inverse
-    n = len(a)
-    with np.errstate(all="ignore"):
-        abs_a, abs_x = np.abs(a), np.abs(x)
-        x_rows, x_cols = abs_x.sum(axis=1), abs_x.sum(axis=0)
-        total = x_rows.sum()
-        lu, _ = op.factors
-        lower = np.abs(np.tril(lu, -1)) + np.eye(n)
-        omega = _gamma(3 * n) * (lower @ np.abs(np.triu(lu))).max() * total
-        q = omega / (1.0 - omega)
-        x_one, x_inf = x_cols.max(), x_rows.max()
-        sigma_lo = 1.0 / ((1.0 + q) * math.sqrt(x_one * x_inf))
-        return (abs_a.max(), abs_a.sum(axis=0).max(), abs_a.sum(axis=1).max(),
-                _read_only(x_rows), _read_only(x_cols), total, x_one, x_inf, omega, q, sigma_lo)
-
-
 def _supremum_bounds(inst, w_a, w_b, model):
     """delta -> U, where U_k bounds the relative output error that
     :meth:`_Instance.output_error` computes for sample k at delta, or
@@ -970,7 +940,7 @@ def _supremum_bounds(inst, w_a, w_b, model):
     inverse = inst.row.output == "inverse"
     u, x = _U, op.inverse
     a_max, a_one, a_inf, x_rows, x_cols, total, x_one, x_inf, omega, q, sigma_lo = (
-        _screen_operand(op))
+        op.screen_terms)
     if inverse:
         denom, scales = inst._denom(model), (a_max, total)
     else:

@@ -16,11 +16,18 @@ copy; only the solution comes back C-contiguous.  When every matrix of a
 stack picks the same pivot row, which is the case for small perturbations
 of one matrix, the rows are swapped by slices.  Every matrix still goes
 through the same scalar operations in the same order as it would alone, so
-its packed factors, permutation, parity and singular flag, and every
-solution and inverse, are bitwise the same whether it is handled alone or
-inside any stack.  The substitutions run in one fixed, documented order
-(see ``_lu_solve_packed``) with no dot products, so their bits depend on
-neither the batch nor the BLAS.
+its packed factors, permutation and singular flag, and every solution and
+inverse, are bitwise the same whether it is handled alone or inside any
+stack.  The substitutions run in one fixed, documented order (see
+``_lu_solve_packed``) with no dot products, so their bits depend on neither
+the batch nor the BLAS.
+
+LU has one front door: ``_factor`` factors and raises SingularMatrix with
+its caller's message when a matrix is singular within tolerance, and
+``_inverse`` forms A^-1 from packed factors by one solve against the
+identity.  Only a caller that raises another error reads ``_lu_raw``'s
+singular mask itself.  The unit roundoff ``_U`` and Higham's ``_gamma``,
+which bound the rounding of these kernels, are defined here as well.
 
 Singular values have one entry point, ``_jacobi``, and one engine, LAPACK
 (``np.linalg.svd``): value-only stacks skip the singular vectors, and the
@@ -48,6 +55,13 @@ from .errors import NoConvergence, ResultOverflow, SingularMatrix
 
 #: Relative pivot tolerance below which a matrix is reported singular.
 DEFAULT_PIVOT_TOL = 1e-13
+
+_U = 2.0**-53  # unit roundoff of binary64
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u) (ASNA, section 3.1)."""
+    return k * _U / (1.0 - k * _U)
 
 
 def as_matrix(a):
@@ -96,7 +110,7 @@ class LUFactors:
 
 
 def _lu_raw(a):
-    """Batched LU, no raising: returns (packed LU, perm, parity, singular mask).
+    """Batched LU, no raising: returns (packed LU, perm, singular mask).
 
     The stack is factored in a batch-last working array ``w`` of shape
     ``(n, n, batch)``: row i of every matrix is the contiguous block
@@ -113,10 +127,10 @@ def _lu_raw(a):
     At each step the first matrix's pivot row is checked against every
     matrix with elementwise compares; when all agree, which they do for
     small perturbations of one matrix, that row pair of ``w`` and of the
-    permutations is swapped by slices and every parity flips at once.
-    Otherwise each matrix's pivot is found by ``argmax`` and exchanged
-    through flat indices.  A single matrix is eliminated on its own
-    ``(n, n)`` rows.
+    permutations is swapped by slices.  Otherwise each matrix's pivot is
+    found by ``argmax`` and exchanged through flat indices.  A single matrix
+    is eliminated on its own ``(n, n)`` rows.  No parity is tracked:
+    :func:`lu_decompose` derives it from the permutation.
 
     The packed factors and the permutation come back in the ``(..., n, n)``
     and ``(..., n)`` shapes as transposed views of the working arrays, so
@@ -130,44 +144,41 @@ def _lu_raw(a):
     w = a.reshape(-1, n, n).transpose(1, 2, 0).copy()
     limit = DEFAULT_PIVOT_TOL * np.max(np.abs(w), axis=(0, 1))
     if w.shape[-1] == 1:
-        perm, parity, singular = _eliminate_one(w[..., 0], limit[0])
+        perm, singular = _eliminate_one(w[..., 0], limit[0])
     else:
-        perm, parity, singular = _eliminate_stack(w, limit)
+        perm, singular = _eliminate_stack(w, limit)
     return (
         w.transpose(2, 0, 1).reshape(lead + (n, n)),
         perm.T.reshape(lead + (n,)),
-        parity.reshape(lead),
         singular.reshape(lead),
     )
 
 
 def _eliminate_one(w, limit):
     """Eliminate one matrix in place on its rows ``w``; (perm as ``(n, 1)``,
-    parity, singular flag) as arrays of one matrix."""
+    singular flag) as arrays of one matrix."""
     n = len(w)
     perm = np.arange(n)
-    parity, singular = 1.0, False
+    singular = False
     for k in range(n - 1):
         p = k + int(np.argmax(np.abs(w[k:, k])))
         if p != k:
             w[[k, p]] = w[[p, k]]
             perm[[k, p]] = perm[[p, k]]
-            parity = -parity
         singular = singular or bool(abs(w[k, k]) <= limit)
         f = w[k + 1 :, k]
         if not singular:
             f /= w[k, k]
         w[k + 1 :, k + 1 :] -= f[:, None] * w[k, k + 1 :]
     singular = singular or bool(abs(w[-1, -1]) <= limit)
-    return perm[:, None], np.array([parity]), np.array([singular])
+    return perm[:, None], np.array([singular])
 
 
 def _eliminate_stack(w, limit):
     """Eliminate the batch-last stack ``w`` in place; (perm as ``(n, batch)``,
-    parity, singular mask)."""
+    singular mask)."""
     n, _, nb = w.shape
     perm = np.arange(n).repeat(nb).reshape(n, nb)
-    parity = np.ones(nb)
     singular = np.zeros(nb, dtype=bool)
     # a split pivot moves w[k] and w[k + j] through flat indices into w and perm
     batch = np.arange(nb)
@@ -182,11 +193,8 @@ def _eliminate_stack(w, limit):
             if p:
                 w[[k, k + p]] = w[[k + p, k]]
                 perm[[k, k + p]] = perm[[k + p, k]]
-                np.negative(parity, out=parity)
         else:
-            j = np.argmax(col, axis=0)
-            moved = j != 0
-            piv_row = k + j
+            piv_row = k + np.argmax(col, axis=0)
             at = piv_row * nb + batch
             row = perm_flat[at]
             perm_flat[at] = perm[k]
@@ -195,13 +203,28 @@ def _eliminate_stack(w, limit):
             row = w_flat[at]
             w_flat[at] = w[k]
             w[k] = row
-            parity = np.where(moved, -parity, parity)
         singular |= np.abs(w[k, k]) <= limit
         f = w[k + 1 :, k]
         f /= np.where(singular, 1.0, w[k, k])
         w[k + 1 :, k + 1 :] -= f[:, None] * w[k, None, k + 1 :]
     singular |= np.abs(w[-1, -1]) <= limit
-    return perm, parity, singular
+    return perm, singular
+
+
+def _factor(a, message):
+    """(packed LU, perm) of :func:`_lu_raw`; raises SingularMatrix with
+    ``message`` when any matrix is singular within tolerance."""
+    lu, perm, singular = _lu_raw(a)
+    if np.any(singular):
+        raise SingularMatrix(message)
+    return lu, perm
+
+
+def _parity(perm):
+    """The sign of each permutation, +1.0 or -1.0: (-1)^(number of pairs
+    i < j with perm[i] > perm[j]), which is (-1)^(number of row swaps)."""
+    inversions = np.triu(perm[..., :, None] > perm[..., None, :]).sum(axis=(-2, -1))
+    return np.where(inversions % 2 == 1, -1.0, 1.0)
 
 
 def lu_decompose(a):
@@ -209,16 +232,13 @@ def lu_decompose(a):
 
     Raises SingularMatrix when any pivot magnitude falls to
     ``DEFAULT_PIVOT_TOL * max|a_ij|`` or below, i.e. the input sits within
-    tolerance of the singular set.
+    tolerance of the singular set.  ``parity`` is the sign of the
+    permutation, det(P).
     """
-    lu, perm, parity, singular = _lu_raw(a)
-    if np.any(singular):
-        raise SingularMatrix("pivot below tolerance; matrix is singular within tolerance")
-    n = lu.shape[-1]
-    eye = np.eye(n)
-    lower = np.tril(lu, -1) + eye
+    lu, perm = _factor(a, "pivot below tolerance; matrix is singular within tolerance")
+    lower = np.tril(lu, -1) + np.eye(lu.shape[-1])
     upper = np.triu(lu)
-    return LUFactors(permutation=perm, unit_lower=lower, upper=upper, parity=parity)
+    return LUFactors(permutation=perm, unit_lower=lower, upper=upper, parity=_parity(perm))
 
 
 def _lu_solve_packed(lu, perm, b):
@@ -271,9 +291,7 @@ def solve(a, b):
     a ``b`` whose rows do not number n raises ValueError.
     """
     a = as_square(a)
-    lu, perm, _, singular = _lu_raw(a)
-    if np.any(singular):
-        raise SingularMatrix("cannot solve: matrix is singular within tolerance")
+    lu, perm = _factor(a, "cannot solve: matrix is singular within tolerance")
     b = np.asarray(b, dtype=np.float64)
     vector_rhs = b.ndim == a.ndim - 1
     if vector_rhs:
@@ -289,12 +307,12 @@ def invert(a):
     relative to kappa(A) * eps; for ill-conditioned inputs they degrade
     proportionally and are not asserted here.
     """
-    a = as_square(a)
-    lu, perm, _, singular = _lu_raw(a)
-    if np.any(singular):
-        raise SingularMatrix("cannot invert: matrix is singular within tolerance")
-    n = a.shape[-1]
-    return _lu_solve_packed(lu, perm, np.broadcast_to(np.eye(n), a.shape))
+    return _inverse(*_factor(as_square(a), "cannot invert: matrix is singular within tolerance"))
+
+
+def _inverse(lu, perm):
+    """A^-1 from packed factors: one solve against the identity columns."""
+    return _lu_solve_packed(lu, perm, np.broadcast_to(np.eye(lu.shape[-1]), lu.shape))
 
 
 @dataclass

@@ -106,7 +106,8 @@ def _vector_norm(x, r):
         return _reduce_last(np.add, np.abs(x))
     if r == 2.0:
         scale = _reduce_last(np.maximum, np.abs(x))[..., None]
-        y = x / np.where(scale > 0.0, scale, 1.0)
+        # an infinite entry is left unscaled, so the norm is inf, not inf / inf
+        y = x / np.where((scale > 0.0) & (scale < inf), scale, 1.0)
         return scale[..., 0] * np.sqrt(_reduce_last(np.add, y * y))
     return _reduce_last(np.maximum, np.abs(x))
 

@@ -26,12 +26,10 @@ def conditioned(seed, n, kappa):
 
 
 def clear_memos():
-    """Empty the estimator's caches: operands, draws, sample keys and what
-    the screen reads of an operand."""
+    """Empty the estimator's caches: operands, draws and sample keys."""
     empirical._operands.cache_clear()
     empirical._draws.cache_clear()
     empirical._sample_keys.cache_clear()
-    empirical._screen_operand.cache_clear()
 
 
 @pytest.fixture(autouse=True)

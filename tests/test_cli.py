@@ -369,12 +369,21 @@ def test_matvec_cond_of_a_vector_near_dbl_max(capsys, huge_vector):
 
 
 @pytest.mark.parametrize("argv", [["cond", "solve-fixed-a"], ["cond", "solve-both"], ["mixed"]])
-def test_vector_norm_beyond_dbl_max(capsys, huge_vector, argv):
-    # ||b||_1 = 2e308 exits 1, where Infinity was printed with exit 0
-    assert main([*argv, *huge_vector, "--r", "1", "--s", "1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "condlab: vector norm exceeds the largest finite double\n"
+def test_vector_norm_beyond_dbl_max(tmp_path, capsys, huge_vector, argv):
+    # ||b||_1 = 2e308, but the solution term does not change when b is
+    # scaled: the command prints what it prints for b 2^-600, where it
+    # exited 1 (and printed Infinity before that)
+    small = tmp_path / "small_b.csv"
+    matio.write_matrix_csv(small, np.ldexp(np.array([[1e308], [1e308]]), -600))
+    outputs = []
+    for vector in (huge_vector, [*huge_vector[:2], "--vector", str(small)]):
+        assert main([*argv, *vector, "--r", "1", "--s", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    if argv[1:] == ["solve-fixed-a"]:
+        assert json.loads(outputs[0])["payload"]["value"] == 4.0 / 3.0
 
 
 _KINDS = ["inversion", "matvec", "solve-fixed-a", "solve-fixed-b", "solve-both"]

@@ -198,6 +198,23 @@ def test_matvec_closed_form_of_a_vector_near_dbl_max():
         sqrt(8.0 / 5.0), rel=1e-15)
 
 
+def test_solution_term_of_a_vector_near_dbl_max():
+    # ||b||_1 = 2e308 overflows, but the solution term does not change when
+    # b is scaled: every kind that perturbs b, and mixed_condition, gives the
+    # report of b 2^-600, bit for bit, and no warning is raised
+    a = np.diag([1.0, 2.0])
+    b = np.array([1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r, s in ALL_PAIRS:
+            for kind in ("solve_fixed_a", "solve_both"):
+                huge = cond.condition_closed_form(kind, a, b, r, s)
+                assert huge == cond.condition_closed_form(kind, a, np.ldexp(b, -600), r, s)
+            assert cond.mixed_condition(a, b, r, s) == cond.mixed_condition(
+                a, np.ldexp(b, -600), r, s)
+    assert cond.condition_closed_form("solve_fixed_a", a, b, 1, 1).value == 4.0 / 3.0
+
+
 def test_solve_fixed_b_equals_kappa():
     for t in range(10):
         a = gaussian(306, t, shape=(4, 4))
@@ -259,7 +276,7 @@ def test_operand_inverse_is_invert_and_read_only():
     want = linalg.invert(a)
     assert op.inverse.shape == want.shape and op.inverse.tobytes() == want.tobytes()
     assert op.solve(b).tobytes() == linalg.solve(a, b).tobytes()
-    for x in (op.inverse, *op.factors):
+    for x in (op.inverse, *op.factors, *op.screen_terms[3:5]):
         assert not x.flags.writeable
         with pytest.raises(ValueError):
             x[0] = 0

@@ -1,3 +1,4 @@
+import functools
 import sys
 import threading
 from unittest import mock
@@ -327,7 +328,7 @@ def test_a_singular_sample_raises_delta_too_large(kind):
     b = None if kind == "inversion" else np.array([1.0, -1.0])
     model = emp._default_models(kind, 2.0, 2.0)[0]
     inst = emp._Instance(kind, emp._operand(a, 20), b, 2.0, 2.0)
-    assert not linalg._lu_raw((a + emp._worst_row(inst, model)(1e-12)[0])[None])[3].any()
+    assert not linalg._lu_raw((a + emp._worst_row(inst, model)(1e-12)[0])[None])[2].any()
     for deltas in ((1e-12,), (1e-12, 1e-14)):
         config = emp.EstimatorConfig(deltas=deltas, samples_per_delta=200, seed=3)
         with pytest.raises(DeltaTooLarge, match=r"^A - E is singular at delta=1e-12$"):
@@ -754,6 +755,25 @@ def test_sweep_factors_a_once_and_enumerates_each_inverse_norm_once(monkeypatch)
     assert sorted(searched) == [("inverse", 1.0), ("inverse", 2.0), ("transpose", 2.0)]
 
 
+def test_sweep_takes_the_screen_terms_once(monkeypatch):
+    # the screen's terms of A, A^-1 and A's factors live on the kept operand:
+    # every kind and pair of one matrix reads them from one computation
+    a = gaussian(421, 0, shape=(5, 5))
+    b = gaussian(421, 1, shape=(5,))
+    terms, taken = conditioning._Operand.screen_terms.func, []
+
+    def spy(op):
+        taken.append(op)
+        return terms(op)
+
+    screen_terms = functools.cached_property(spy)
+    screen_terms.__set_name__(conditioning._Operand, "screen_terms")
+    monkeypatch.setattr(conditioning._Operand, "screen_terms", screen_terms)
+    _sweep(_sweep_cases(a, b),
+           emp.EstimatorConfig(deltas=(1e-6, 1e-7), samples_per_delta=20, seed=29), cold=False)
+    assert len(taken) == 1 and taken[0] is emp._operand(a, emp.DEFAULT_MAX_ENUM_DIM)
+
+
 def test_operand_memo_copies_a_and_keys_on_its_bytes():
     # changing the caller's A in place between two estimates gives the
     # report of a cleared cache, and the cache's arrays are read-only
@@ -1126,7 +1146,7 @@ def _bounds_and_errors(kind, a, b, r, s, input_model, output_model, config):
     err = inst.output_error(output_model)
     for delta, (da, db) in zip(config.deltas, samples):
         a_tilde = emp._stack(op.a, [(slice(None), (da, None))], len(da))
-        lu, perm, _, singular = linalg._lu_raw(a_tilde)
+        lu, perm, singular = linalg._lu_raw(a_tilde)
         if inst.row.output == "inverse":
             out = linalg._lu_solve_packed(lu, perm, np.broadcast_to(np.eye(len(a)), lu.shape))
         else:

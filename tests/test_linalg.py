@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from condlab import linalg, randomlab, rng
+from condlab import conditioning, linalg, norms, randomlab, rng
 from condlab.conditioning import kappa
 from condlab.errors import ResultOverflow, SingularMatrix
 
@@ -30,6 +30,22 @@ def test_lu_permutation_matrix():
 def test_lu_rank_one_raises():
     with pytest.raises(SingularMatrix):
         linalg.lu_decompose(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def test_every_factorization_raises_its_own_singular_message():
+    # one singular member of a stack is enough; each caller keeps its message
+    stack = np.stack([np.eye(2), np.ones((2, 2))])
+    calls = [
+        (linalg.lu_decompose, "pivot below tolerance; matrix is singular within tolerance"),
+        (linalg.invert, "cannot invert: matrix is singular within tolerance"),
+        (lambda a: linalg.solve(a, np.ones(2)), "cannot solve: matrix is singular within tolerance"),
+        (lambda a: conditioning._Operand(a, norms.DEFAULT_MAX_ENUM_DIM).factors,
+         "cannot invert: matrix is singular within tolerance"),
+    ]
+    for call, message in calls:
+        for a in (stack, stack[1]):
+            with pytest.raises(SingularMatrix, match=f"^{message}$"):
+                call(a)
 
 
 def test_lu_reconstruction_100_seeded():
@@ -93,19 +109,22 @@ def _lu_oracle_cases(n):
 def test_lu_raw_matches_scalar_reference_bitwise(n):
     cases = _lu_oracle_cases(n)
     stack = np.stack(cases).reshape(2, 3, n, n)
-    lu, perm, parity, singular = linalg._lu_raw(stack)
-    assert lu.shape == (2, 3, n, n) and perm.shape == parity.shape + (n,) == (2, 3, n)
+    lu, perm, singular = linalg._lu_raw(stack)
+    assert lu.shape == (2, 3, n, n) and perm.shape == singular.shape + (n,) == (2, 3, n)
     # batch-last: the factors are views of (n, n, batch) and (n, batch) arrays
     assert lu.reshape(6, n, n).transpose(1, 2, 0).flags.c_contiguous
     assert perm.reshape(6, n).T.flags.c_contiguous
     for i, a in enumerate(cases):
         want = _lu_reference(a, linalg.DEFAULT_PIVOT_TOL)
         alone = linalg._lu_raw(a)
-        inside = tuple(x[divmod(i, 3)] for x in (lu, perm, parity, singular))
+        inside = tuple(x[divmod(i, 3)] for x in (lu, perm, singular))
         for g in (alone, inside):
             assert np.array_equal(g[0], want[0]), i
             assert np.array_equal(g[1], want[1]), i
-            assert g[2] == want[2] and bool(g[3]) == want[3], i
+            # lu_decompose's parity is the sign of the permutation
+            assert linalg._parity(g[1]) == want[2] and bool(g[2]) == want[3], i
+    parities = [_lu_reference(a, linalg.DEFAULT_PIVOT_TOL)[2] for a in cases]
+    assert np.array_equal(linalg._parity(perm), np.reshape(parities, (2, 3)))
     # the cases do what they are named for
     assert _lu_reference(cases[1], linalg.DEFAULT_PIVOT_TOL)[3]
     if n >= 2:
@@ -171,10 +190,11 @@ def test_lu_raw_agreeing_and_split_pivots_match_reference_bitwise(n):
     for name, stack in _pivot_stacks(n):
         want = [_lu_reference(a, tol) for a in stack]
         got = linalg._lu_raw(stack)
+        parity = linalg._parity(got[1])
         for i, w in enumerate(want):
             assert _same_bits(got[0][i], w[0]), (name, i)
             assert np.array_equal(got[1][i], w[1]), (name, i)
-            assert got[2][i] == w[2] and bool(got[3][i]) == w[3], (name, i)
+            assert parity[i] == w[2] and bool(got[2][i]) == w[3], (name, i)
         pivots = np.array([w[4] for w in want])  # (members, steps)
         agree = np.all(pivots == pivots[0], axis=0)
         # the stacks do what they are named for
@@ -226,7 +246,7 @@ def _solve_stacks(n):
 def test_lu_solve_packed_matches_scalar_reference_bitwise(n):
     tol = linalg.DEFAULT_PIVOT_TOL
     for name, stack in _solve_stacks(n):
-        lu, perm, _, singular = linalg._lu_raw(stack)
+        lu, perm, singular = linalg._lu_raw(stack)
         assert not singular.any()
         perms = perm.reshape(6, n)
         assert np.all(perms == perms[0]) == (name == "agree" or n == 1), name

@@ -297,6 +297,12 @@ def test_vector_norm_beyond_dbl_max_raises_without_a_warning():
             norms.vector_norm(np.full(4, 1e308), 2)
         assert norms.vector_norm(x, 2) == 1e308 * np.sqrt(2.0)
         assert norms.vector_norm(x, inf) == 1e308
+        # an infinite entry overflows at every exponent; the 2-norm was NaN
+        for r in (1, 2, inf):
+            with pytest.raises(ResultOverflow, match="^vector norm exceeds"):
+                norms.vector_norm(np.array([inf, 1.0]), r)
+        # and the core that the operator norms share sees inf, not NaN
+        assert norms._vector_norm(np.array([[1.0, -inf], [1.0, 1.0]]), 2)[0] == inf
         # the operator norms that sum these vectors keep their own message
         with pytest.raises(ResultOverflow, match="^operator norm exceeds"):
             norms.operator_norm_values(np.diag(x)[::-1] + np.diag(x), 1, 1)
