@@ -26,8 +26,10 @@ front door, the calls that :func:`~condlab.linalg.invert` makes, so A^-1
 has the bits of ``invert(A)``: LU factors kept in linalg's batch-last
 layout, and a substitution in linalg's one fixed order, which gives a
 matrix the same bits alone as inside the estimator's stacks.  It computes
-each norm of A and of A^-1 at most once, and the terms that the
-estimator's supremum screen reads of A, A^-1 and A's factors once.
+each norm of A and of A^-1 at most once, the terms that the
+estimator's supremum screen reads of A, A^-1 and A's factors once, and
+A^-1 b once for the last vector b; it holds the screen's terms of its
+sample draws for the estimator.
 Norms are values from the value-only core
 (:func:`~condlab.norms.operator_norm_values`, LAPACK at (2,2)), except at
 the enumeration pairs, where the value is that of
@@ -147,7 +149,7 @@ def _read_only(x):
 class _Operand:
     """A matrix A with its LU factors, A^-1, the operator norms of A and
     A^-1, and the terms the estimator's supremum screen reads, each computed
-    at most once.
+    at most once, and A^-1 b of the last vector b it solved for.
 
     A is factored only when something asks, by the same ``_factor`` and
     ``_inverse`` calls that ``invert`` makes, so A^-1 and every solve have
@@ -155,14 +157,20 @@ class _Operand:
     views of its batch-last working arrays, and every solve substitutes in
     the fixed order that ``_lu_solve_packed`` documents.  Matvec needs A^-1
     only for the kappa and alpha of its closed form, so a singular A leaves
-    those out.  The factors, A^-1 and the screen's arrays are read-only,
-    because the estimator's operand cache shares them.
+    those out.  The factors, A^-1, the solution and the screen's arrays are
+    read-only, because the estimator's operand cache shares them.
+
+    ``sample_terms`` is the estimator's to fill: what its screen derives
+    from A and a draw of sample directions, which does not depend on the
+    norm pair or on delta (see ``empirical._supremum_bounds``).
     """
 
     def __init__(self, a, max_enum_dim):
         self.a = np.asarray(a, dtype=np.float64)
         self.max_enum_dim = max_enum_dim
         self._norms = {}
+        self._solved = None
+        self.sample_terms = {}
 
     @cached_property
     def factors(self):
@@ -203,6 +211,15 @@ class _Operand:
     def solve(self, rhs):
         """A^-1 rhs for a block ``(n, k)`` of right-hand sides."""
         return linalg._lu_solve_packed(*self.factors, rhs)
+
+    def solution(self, vec):
+        """A^-1 vec, read-only; the operand keeps that of the last ``vec``,
+        so a sweep over kinds and pairs of one instance solves once."""
+        key = vec.tobytes()
+        solved = self._solved
+        if solved is None or solved[0] != key:
+            solved = self._solved = key, _read_only(self.solve(vec[:, None])[:, 0])
+        return solved[1]
 
     def norm(self, r, s, inverse=False, attainer=False):
         """||A||_rs, or ||A^-1||_rs with ``inverse``, as a float; with

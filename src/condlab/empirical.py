@@ -30,15 +30,19 @@ so no cache changes a bit of any report.
 * The operand cache keeps the :class:`~condlab.conditioning._Operand` of
   the most recent matrix, keyed on A's bytes, its shape and the
   enumeration cap.  The operand holds a read-only copy of A, its LU
-  factors, A^-1, every norm of A and A^-1, with the attainers, computed so
-  far, and what :func:`_supremum_bounds` reads of A, A^-1 and the factors
-  (the sums and maxima of |A| and |A^-1|, and the backward-error scale of
-  A's factors); the closed form reads the same operand.  So a sweep of
-  estimates over kinds and pairs on one matrix factors A once, enumerates
-  each of these norms once and takes the screen's terms once, not once per
-  estimate.  The key is A's bytes and the operand holds a copy, so
-  changing the caller's A in place gives a new operand.  One entry is
-  enough for such a sweep, and the next matrix evicts it.
+  factors, A^-1, A^-1 b of the last vector b, every norm of A and A^-1,
+  with the attainers, computed so far, what :func:`_supremum_bounds` reads
+  of A, A^-1 and the factors (the sums and maxima of |A| and |A^-1|, and
+  the backward-error scale of A's factors), and the screen's terms of the
+  draw it last screened (:func:`_unscaled_term`: the largest column and
+  row sums of each |V_k|, X^ V_k X^ and X^ V_k x^, with V_k a sample's
+  direction before its scale); the closed form reads the same operand.
+  So a sweep of estimates over kinds and pairs on one matrix factors A
+  once, solves for b once, enumerates each of these norms once and takes
+  each of the screen's terms once, not once per estimate.  The key is A's
+  bytes and the operand holds a copy, so changing the caller's A in place
+  gives a new operand.  One entry is enough for such a sweep, and the next
+  matrix evicts it.
 * The draw cache keeps normal draws of at most 4 * 2^20 values in all,
   one copy of each and a stack of matrices batch-last, with their normwise
   norms and componentwise divisors, keyed on the draw's keys and the shape
@@ -53,8 +57,8 @@ so no cache changes a bit of any report.
   block) triples, the keys the draw cache is keyed on, so a sweep derives
   them once per block, not once per estimate.
 
-No cache takes a matrix, a draw or keys of more than 2^20 values: such a
-one is built, returned and not kept, and it evicts nothing.
+No cache takes a matrix, a draw, keys or a screen term of more than 2^20
+values: such a one is built, returned and not kept, and it evicts nothing.
 
 Random sampling alone systematically under-covers a sup over a
 high-dimensional sphere, so for every problem kind the estimator also
@@ -82,13 +86,14 @@ that perturbs A factors only the samples that can set it.  Under a normwise
 output model every sample k gets an upper bound U_k on its computed output
 error before anything is factored (:func:`_supremum_bounds`): the norm of
 its first-order image -A^-1 E_k A^-1 or A^-1 (db_k - E_k x), which is
-linear in delta, so two GEMMs per estimate over the draw serve every delta,
-raised by a margin derived there from the second-order remainder and the
-backward errors of LU with partial pivoting (Higham, ASNA, sections 3.5, 9
-and 14).  The first stack of a delta takes the sample of largest bound,
-every sample without a finite bound or a certificate that its pivots stay
-above the singularity tolerance, and the worst row; a second stack takes
-the samples whose bound reaches the largest error found.  The others cannot
+linear in delta and in the sample's scale s_k (E_k = delta s_k V_k), so
+two GEMMs per matrix and draw serve every delta, pair and kind, raised by
+a margin derived there from the second-order remainder and the backward
+errors of LU with partial pivoting (Higham, ASNA, sections 3.5, 9 and
+14).  The first stack of a delta takes the sample of largest bound, every
+sample without a finite bound or a certificate that its pivots stay above
+the singularity tolerance, and the worst row; a second stack takes the
+samples whose bound reaches the largest error found.  The others cannot
 exceed it, so the largest ratio has the bits of the largest over every
 sample, and a singular sample, which has no certificate, still raises
 DeltaTooLarge at its delta.  A componentwise output model has no bound, and
@@ -129,6 +134,7 @@ from .conditioning import (
     _Operand,
     _problem,
     _read_only,
+    _unit_scaled,
     condition_closed_form,
 )
 from .errors import DeltaTooLarge, ZeroComponent, ZeroVector
@@ -277,16 +283,23 @@ def _operand(a, max_enum_dim):
 class _Instance:
     """One problem instance: its kind's row of ``KINDS``, the operand of A,
     the vector, the norm pair, and the exact output (A x, A^-1 or A^-1 b),
-    which the operand's factors give their bits."""
+    which the operand's factors give their bits.
+
+    The vector is taken times 2^-e, e the binary exponent of its largest
+    magnitude, which keeps A x, the vector's norms and the radii of its
+    sphere finite.  Every ratio the estimator reports is a quotient of
+    relative errors, which a power-of-two scaling leaves bit for bit while
+    nothing it scales underflows."""
 
     def __init__(self, kind, op, vec, r, s):
+        vec = None if vec is None else _unit_scaled(vec)
         self.row, self.op, self.vec, self.r, self.s = KINDS[kind], op, vec, r, s
         if self.row.output == "product":
             self.exact = op.a @ vec
         elif self.row.output == "inverse":
             self.exact = op.inverse
         else:
-            self.exact = op.solve(vec[:, None])[:, 0]
+            self.exact = op.solution(vec)
 
     def output_error(self, model):
         """``relerror(., exact output, model)`` as a function.  The normwise
@@ -519,12 +532,23 @@ class _Scaled:
         return factor * self.unit[which]
 
 
+#: What :func:`_supremum_bounds` reads of a stack of perturbations of A:
+#: one positive ``scale`` s_k per member and the ``draw`` of normal
+#: matrices G_k, batch-last, such that the member at delta is within five
+#: roundings of delta s_k V_k, V_k = G_k, or |A| o G_k entrywise when
+#: ``weighted``; ``tag`` names the draw by its keys.
+_Directions = namedtuple("_Directions", "scale draw weighted tag")
+
+
 def _sphere_matrices(op, deltas, keys, model):
-    """Perturbations of the matrix of the operand ``op`` on the delta-sphere
-    of ``model``, one per key, for each of ``deltas`` in turn: the directions
-    and their norms come from the cache, and are rescaled lazily for every
-    delta, and for the members asked for (a :class:`_Scaled` stack).  The
-    radius reads ||A||_rs from ``op``.
+    """(the directions, the perturbations for each of ``deltas`` in turn)
+    of the matrix of the operand ``op`` on the delta-sphere of ``model``,
+    one per key.  The directions and their norms come from the cache, and
+    are rescaled lazily for every delta, and for the members asked for (a
+    :class:`_Scaled` stack).  The radius reads ||A||_rs from ``op``.  The
+    directions are a :data:`_Directions`: s_k is ||A||_rs / ||G_k||_rs for
+    a normwise model, else 1 / d_k, d_k the divisor of the componentwise
+    sphere.
 
     The cache keeps the draw batch-last, so each stack has the shape
     ``(keys, n, m)`` and batch-last memory.  What derives from the draw, its
@@ -544,13 +568,15 @@ def _sphere_matrices(op, deltas, keys, model):
         norm_key = model.r, model.s, op.max_enum_dim
         gnorm = per_matrix(norm_key, lambda c: operator_norm_values(c, *norm_key))
         ref = op.norm(model.r, model.s)
-        return (_Scaled((delta * ref / gnorm)[:, None, None], g) for delta in deltas)
+        return (_Directions(ref / gnorm, g, False, keys.tobytes()),
+                (_Scaled((delta * ref / gnorm)[:, None, None], g) for delta in deltas))
     if np.any(base == 0.0):
         raise ZeroComponent("componentwise perturbation of a zero entry")
     reduce = np.max if model.mode == COMPONENTWISE_MAX else np.sum
     divisor = per_matrix(model.mode, lambda c: reduce(np.abs(c.reshape(len(c), -1)), axis=1))
     unit = g / divisor[:, None, None]
-    return (_Scaled(delta * np.abs(base), unit) for delta in deltas)
+    return (_Directions(1.0 / divisor, g, True, keys.tobytes()),
+            (_Scaled(delta * np.abs(base), unit) for delta in deltas))
 
 
 def _default_models(kind, r, s):
@@ -641,26 +667,27 @@ def _input_blocks(inst, input_model):
 
 
 def _perturbations(inst, blocks, deltas, seed, samples):
-    """(dA or None, dv or None) for each of ``deltas`` in turn, from one draw
-    per sample: sample k < ``samples`` draws block j from substream
-    (seed, 0, k, 0, j), or its vector from (seed, 0, k) when the kind
-    perturbs only the vector."""
+    """(the :data:`_Directions` of A's block or None, (dA or None, dv or
+    None) for each of ``deltas`` in turn), from one draw per sample: sample
+    k < ``samples`` draws block j from substream (seed, 0, k, 0, j), or its
+    vector from (seed, 0, k) when the kind perturbs only the vector."""
     matrix_model, vector_model, whole = blocks
     if matrix_model is None:
         keys = _keys(seed, samples)
-        return ((None, dv) for dv in _sphere_vectors(inst.vec, deltas, keys, vector_model))
+        return None, ((None, dv) for dv in _sphere_vectors(inst.vec, deltas, keys, vector_model))
     radii = deltas if whole else (1.0,)
-    da = _sphere_matrices(inst.op, radii, _keys(seed, samples, 0), matrix_model)
+    directions, da = _sphere_matrices(inst.op, radii, _keys(seed, samples, 0), matrix_model)
     if vector_model is None:
-        return ((d, None) for d in da)
+        return directions, ((d, None) for d in da)
     db = _sphere_vectors(inst.vec, radii, _keys(seed, samples, 1), vector_model)
     if whole:  # blockwise max: both blocks sit on their own delta-sphere
-        return zip(da, db)
+        return directions, zip(da, db)
     # blockwise sum: split the budget so that the block errors add to delta
     t = rng.uniforms(_keys(seed, samples, 2), 1)[:, 0]
     da, db = next(da)[:], next(db)
-    return ((_Scaled((delta * t)[:, None, None], da), db * (delta * (1.0 - t))[:, None])
-            for delta in deltas)
+    return (directions._replace(scale=t * directions.scale),
+            ((_Scaled((delta * t)[:, None, None], da), db * (delta * (1.0 - t))[:, None])
+             for delta in deltas))
 
 
 def _stack(base, parts, members):
@@ -792,8 +819,10 @@ def _ratios(inst, input_model, output_model, default_out, config):
     worst_err = None if output_model == default_out else inst.output_error(default_out)
     screened = inst.row.perturbs_a and output_model.mode == NORMWISE
     radii = (1.0,) * screened + config.deltas
-    samples = _perturbations(inst, blocks, radii, config.seed, config.samples_per_delta)
-    bounds = _supremum_bounds(inst, *next(samples), output_model) if screened else None
+    directions, samples = _perturbations(inst, blocks, radii, config.seed,
+                                         config.samples_per_delta)
+    bounds = (_supremum_bounds(inst, directions, next(samples)[1], output_model)
+              if screened else None)
     limit = config.samples_per_delta + 1
     rows = [(delta, da, db, worst(delta), None if bounds is None else bounds(delta))
             for delta, (da, db) in zip(config.deltas, samples)]
@@ -850,16 +879,59 @@ _SCREEN_RANGE = 2.0**256
 #: Relative margin for the rounding of the bound's own arithmetic.
 _SCREEN_ROUNDING = 2.0**-30
 
+def _unscaled_term(op, w_a, name, extra, build):
+    """The term ``name`` of the unscaled directions V_k of ``w_a``, a
+    :data:`_Directions`, read-only: ``build(V)``, V the stack ``(n, n,
+    samples)``, or the value kept on the operand ``op``.  No such term
+    depends on the norm pair, on delta or on the scales s_k, so a sweep over
+    kinds and pairs of one matrix builds each once per draw, not once per
+    estimate.
+
+    ``op.sample_terms`` keeps one value per ``name`` and kind of direction,
+    with the draw's keys and ``extra`` (what else the term reads, such as
+    the vector): a request with other keys or ``extra`` replaces it, so an
+    operand keeps the terms of the draw it was last screened with.  A term
+    of more than ``_MEMO_MAX_VALUES`` values is built, returned and not
+    kept."""
+    slot, tag = (name, w_a.weighted), (w_a.tag, extra)
+    kept = op.sample_terms.get(slot)
+    if kept is not None and kept[0] == tag:
+        return kept[1]
+    v = np.moveaxis(w_a.draw, 0, -1)  # a C-contiguous view of the batch-last draw
+    value = _read_only(build(np.abs(op.a)[:, :, None] * v if w_a.weighted else v))
+    if value.size <= _MEMO_MAX_VALUES:
+        op.sample_terms[slot] = tag, value
+    return value
+
+
+def _abs_sums(v):
+    """(the largest column sum, the largest row sum) of |V_k| for each k of
+    the stack ``v`` ``(n, n, samples)``: ||V_k||_1 and ||V_k||_inf."""
+    abs_v = np.abs(v)
+    return np.stack((abs_v.sum(axis=0).max(axis=0), abs_v.sum(axis=1).max(axis=0)))
+
+
+def _inverse_images(x, v):
+    """X V_k X for each k of the stack ``v`` ``(n, n, samples)``, in two
+    GEMMs, as a stack ``(samples, n, n)`` with batch-last memory."""
+    n = len(x)
+    xv = (x @ v.reshape(n, -1)).reshape(v.shape)  # X V_k, batch-last
+    return np.moveaxis(x.T @ xv, -1, 0)
+
+
 def _supremum_bounds(inst, w_a, w_b, model):
     """delta -> U, where U_k bounds the relative output error that
     :meth:`_Instance.output_error` computes for sample k at delta, or
     +inf where the member has no finite bound or no pivot certificate; or
-    None when the output ``model`` has no such bound.  ``w_a`` and ``w_b``
-    are the samples' perturbations at delta = 1 (None for b when the kind
-    keeps it).
+    None when the output ``model`` has no such bound.  ``w_a`` is the
+    :data:`_Directions` of the samples' perturbations of A, and ``w_b``
+    their perturbations of b at delta = 1 (None when the kind keeps b).
 
     The bound starts from the sample's first-order image, which is linear
-    in delta, so two GEMMs per estimate serve every delta.  Notation: u =
+    in delta and in the sample's scale s_k, so the terms of its unscaled
+    direction V_k, two GEMMs and the sums of |V_k|, are taken once per
+    matrix and draw (:func:`_unscaled_term`) and serve every delta, pair
+    and kind; an estimate scales them by s_k.  Notation: u =
     2^-53 and gamma_k = k u / (1 - k u) (Higham, ASNA, section 3.1); X and
     x are A^-1 and A^-1 b, X^ and x^ their computed values, n the order,
     J the all-ones matrix, Sigma the sum of the magnitudes, ||.|| the
@@ -869,25 +941,40 @@ def _supremum_bounds(inst, w_a, w_b, model):
     solution's norm is its sigma-norm.  X^ and x^ have row sums x_r =
     |X^| 1 and column sums x_c = |X^|^T 1, S = Sigma|X^|, and Xi = x_r x_c^T.
 
-    * The perturbation.  W_k, read at delta = 1 from the same sphere code,
-      gives dA_k = fl(delta W_k (1 + theta)), within gamma_5 delta |W_k| of
-      delta W_k (five roundings against two), so the perturbed matrix is
-      M_k = fl(A + dA_k) = A + D_k with |D_k - delta W_k| <= gamma_7 delta
-      |W_k| + u |A|; b's block likewise, with w_k.  max|W_k| is taken as
-      min(||W_k||_1, ||W_k||_inf), which is not below it.
+    * The perturbation.  W_k is the exact product s_k V_k of the computed
+      scale and direction.  The sphere code computes dA_k within five
+      roundings of delta s_k V_k, as products and quotients of the
+      same inputs: fl(fl(fl(delta ||A||) / ||G_k||) G_k) against s_k =
+      fl(||A|| / ||G_k||) and V_k = G_k under a normwise model (four),
+      fl(fl(delta |A|) fl(G_k / d_k)) against s_k = fl(1 / d_k) and V_k =
+      fl(|A| o G_k) under a componentwise one (five), and fl(fl(delta t_k)
+      fl(c_k G_k)) against s_k = fl(t_k c_k) under the blockwise sum
+      (four).  So dA_k is within gamma_5 delta |W_k| of delta W_k, and the
+      perturbed matrix is M_k = fl(A + dA_k) = A + D_k with |D_k - delta
+      W_k| <= gamma_7 delta |W_k| + u |A|; b's block likewise, with w_k its
+      computed perturbation at delta = 1 (five roundings against two).
+      max|W_k| is taken as min(||W_k||_1, ||W_k||_inf) = s_k min(||V_k||_1,
+      ||V_k||_inf), which is not below it.
     * The second-order remainder.  With F_k = X D_k, the exact output
       error is (I + F_k)^-1 f_k, f_k = -X D_k X for the inverse and
       X (db_k - D_k x) for a solution, so its norm is at most [[f_k]] /
       (1 - phi_k) for phi_k >= max(||F_k||_1, ||F_k||_inf), which is at
       least || |F_k| ||_sigma,sigma, since ||.||_2 <= sqrt(||.||_1
       ||.||_inf): the remainder is ||F_k|| / (1 - ||F_k||) relative.
-    * The first-order image and its GEMM rounding.  H_k = X^ W_k X^ for the
-      inverse, X^ (w_k - W_k x^) for a solution, is computed for every k
-      in two GEMMs; whatever order a BLAS sums in, each entry is within
-      gamma_2n |X^| |W_k| |X^| <= gamma_2n max|W_k| Xi, or gamma_2n+2 |X^|
-      (|w_k| + |W_k| |x^|), of the exact product (ASNA, section 3.5).
-      ||H_k|| is at most :func:`~condlab.norms.operator_norm_bounds` at
+    * The first-order image and its GEMM rounding.  For the inverse, H_k =
+      s_k G_k with G_k = X^ V_k X^ computed for every k in two GEMMs;
+      whatever order a BLAS sums in, each entry of G_k is within gamma_2n
+      |X^| |V_k| |X^| of the exact product (ASNA, section 3.5), so H_k is
+      within gamma_2n |X^| |W_k| |X^| <= gamma_2n max|W_k| Xi of X^ W_k
+      X^, s_k being positive.  ||H_k|| = s_k ||G_k||, and ||G_k|| is at
+      most :func:`~condlab.norms.operator_norm_bounds` at
       ``BOUNDED_PAIRS`` and the computed norm times 1 + gamma_v elsewhere.
+      For a solution, H_k = fl(fl(X^ w_k) - fl(s_k P_k)) with P_k = fl(X^
+      fl(V_k x^)): gamma_2n for P_k, u for the scale and u for the
+      difference, and gamma_n for X^ w_k, so H_k is within gamma_2n+2 |X^|
+      (|w_k| + |W_k| |x^|) of X^ (w_k - W_k x^), and ||H_k|| is at most
+      its computed norm times 1 + gamma_v.  The one rounding of s_k times
+      a norm is the bound's own.
     * A^-1 and x.  The computed columns of X^ solve (A + dA_j) x^_j = e_j
       with |dA_j| <= gamma_3n |L^||U^| (ASNA, Theorem 9.4, section 14.3),
       so |X^ - X| <= eta |X| J |X^| with eta = gamma_3n max(|L^||U^|),
@@ -920,10 +1007,11 @@ def _supremum_bounds(inst, w_a, w_b, model):
       eps, times the exact one (operator_norm_bounds derives LAPACK's
       sigma_max; the sign search and the closed forms round less), and the
       division by the reference norm adds a factor 1 + u.
-    * The bound's own rounding.  Every quantity above is a sum, product or
-      quotient of at most n^2 + 64 nonnegative computed numbers, or one of
-      the differences 1 - phi_k and 1 - eta_k Sigma|Y_k| with a subtrahend
-      <= 1/2; for n <= ``_SCREEN_MAX_DIM`` each is within 2^-40 of its
+    * The bound's own rounding.  Every quantity above, the products by s_k
+      included, is a sum, product or quotient of at most n^2 + 64
+      nonnegative computed numbers, or one of the differences 1 - phi_k and
+      1 - eta_k Sigma|Y_k| with a subtrahend <= 1/2; for n <=
+      ``_SCREEN_MAX_DIM`` each is within 2^-40 of its
       exact value, so phi_k and the bound are raised by 2^-30, and the terms
       of order u are doubled.  The doubling also covers gradual underflow:
       the scales max|A|, Sigma|X^|, max|b|, Sigma|x^| and delta lie in
@@ -955,27 +1043,28 @@ def _supremum_bounds(inst, w_a, w_b, model):
     gamma_v = 64.0 * (2 * n) ** 3 * 2.0 * u
     scale = (1.0 + gamma_v) * (1.0 + u) * (1.0 + _SCREEN_ROUNDING) / denom
     with np.errstate(all="ignore"):
-        # the samples' directions at delta = 1, with max|W_k| <= min(||W_k||_1, ||W_k||_inf)
-        wm = np.ascontiguousarray(np.moveaxis(w_a[:], 0, -1))  # (n, n, samples)
-        abs_w = np.abs(wm)
-        w_one, w_inf = abs_w.sum(axis=0).max(axis=0), abs_w.sum(axis=1).max(axis=0)
+        # max|W_k| <= min(||W_k||_1, ||W_k||_inf), and ||s_k V_k|| = s_k ||V_k||
+        v_one, v_inf = _unscaled_term(op, w_a, "sums", (), _abs_sums)
+        w_one, w_inf = w_a.scale * v_one, w_a.scale * v_inf
         w_max = np.minimum(w_one, w_inf)
         sigma = model.s if inverse else model.r
         rank_one = vector_norm(x_rows, sigma)  # [[x_r]], times ||x_c||_rho* for Xi
         if inverse:
             rank_one *= vector_norm(x_cols, dual_exponent(model.r))
-            xw = (x @ wm.reshape(n, -1)).reshape(n, n, -1)  # X^ W_k, batch-last
-            image = np.moveaxis(x.T @ xw, -1, 0)  # X^ W_k X^, batch-last
+            image = _unscaled_term(op, w_a, "inverse image", (),
+                                   lambda v: _inverse_images(x, v))
             if (model.r, model.s) in BOUNDED_PAIRS:
                 size = operator_norm_bounds(image, model.r, model.s)
             else:
                 size = operator_norm_values(image, model.r, model.s) * (1.0 + gamma_v)
+            size = w_a.scale * size
         else:
             wb_max = 0.0 if w_b is None else np.abs(w_b).max(axis=1)
-            image = np.einsum("ijk,j->ik", wm, xs)  # W_k x^
+            image = w_a.scale * _unscaled_term(op, w_a, "solution image", xs.tobytes(),
+                                               lambda v: x @ np.einsum("ijk,j->ik", v, xs))
             if w_b is not None:
-                image = w_b.T - image
-            size = vector_norm((x @ image).T, sigma) * (1.0 + gamma_v)
+                image = x @ w_b.T - image  # X^ (w_k - W_k x^), one column per sample
+            size = vector_norm(image.T, sigma) * (1.0 + gamma_v)
 
     def bounds(delta):
         if not 1.0 / _SCREEN_RANGE <= delta <= _SCREEN_RANGE:

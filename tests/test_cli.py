@@ -386,6 +386,24 @@ def test_vector_norm_beyond_dbl_max(tmp_path, capsys, huge_vector, argv):
         assert json.loads(outputs[0])["payload"]["value"] == 4.0 / 3.0
 
 
+@pytest.mark.parametrize("kind", ["matvec", "solve-fixed-a", "solve-both"])
+def test_estimate_of_a_vector_near_dbl_max(tmp_path, capsys, huge_vector, kind):
+    # the estimator takes b times 2^-1024, as the closed form does: the
+    # command prints what it prints for that vector, where A x overflowed
+    # or ||b||_1 = 2e308 exited 1
+    small = tmp_path / "small_b.csv"
+    matio.write_matrix_csv(small, np.ldexp(np.array([[1e308], [1e308]]), -1024))
+    outputs = []
+    for vector in (huge_vector, [*huge_vector[:2], "--vector", str(small)]):
+        argv = ["estimate", kind, *vector, "--r", "1", "--s", "1",
+                "--delta", "1e-5,1e-6", "--samples", "50", "--seed", "3"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
 _KINDS = ["inversion", "matvec", "solve-fixed-a", "solve-fixed-b", "solve-both"]
 # every command that reads files, and whether it needs a vector as well
 _FILE_COMMANDS = [

@@ -359,18 +359,22 @@ def test_solve_both_samples_on_the_rs_and_s_spheres(monkeypatch, r, s):
     delta = 1e-2
     seen = {}
 
-    def spy(name):
+    def spy(name, directions):
         sphere = getattr(emp, name)
 
-        def drawn(base, deltas, keys, model):
-            for radius, d in zip(deltas, sphere(base, deltas, keys, model)):
+        def kept(deltas, stacks):
+            for radius, d in zip(deltas, stacks):
                 seen.setdefault(name, {})[radius] = d[:]
                 yield d
 
+        def drawn(base, deltas, keys, model):
+            out = sphere(base, deltas, keys, model)
+            return (out[0], kept(deltas, out[1])) if directions else kept(deltas, out)
+
         monkeypatch.setattr(emp, name, drawn)
 
-    spy("_sphere_matrices")
-    spy("_sphere_vectors")
+    spy("_sphere_matrices", directions=True)
+    spy("_sphere_vectors", directions=False)
     emp.estimate_condition(
         "solve_both", a, b, r, s,
         config=emp.EstimatorConfig(deltas=(delta,), samples_per_delta=50, seed=18),
@@ -378,7 +382,8 @@ def test_solve_both_samples_on_the_rs_and_s_spheres(monkeypatch, r, s):
     da, db = seen["_sphere_matrices"][delta], seen["_sphere_vectors"][delta]
     assert len(da) == len(db) == 50
     want_a = delta * norms.operator_norm_values(a, r, s)
-    want_b = delta * norms.vector_norm(b, s)
+    # the instance keeps b times 2^-e, which brings max|b_i| into [1/2, 1)
+    want_b = delta * norms.vector_norm(conditioning._unit_scaled(b), s)
     assert np.max(np.abs(norms.operator_norm_values(da, r, s) / want_a - 1.0)) <= 1e-12
     assert np.max(np.abs(norms.vector_norm(db, s) / want_b - 1.0)) <= 1e-12
 
@@ -774,6 +779,60 @@ def test_sweep_takes_the_screen_terms_once(monkeypatch):
     assert len(taken) == 1 and taken[0] is emp._operand(a, emp.DEFAULT_MAX_ENUM_DIM)
 
 
+def test_sweep_builds_the_unscaled_terms_once(monkeypatch):
+    # the screen's terms of the draw V_k (the sums of |V_k|, X^ V_k X^ and
+    # X^ V_k x^) depend on A, b and the draw alone: the 27 screened estimates
+    # of a 45-estimate sweep build each once and scale it by s_k
+    a = gaussian(421, 0, shape=(5, 5))
+    b = gaussian(421, 1, shape=(5,))
+    term, built = emp._unscaled_term, []
+
+    def spy(op, w_a, name, extra, build):
+        def counted(v):
+            built.append((name, op, w_a.tag))
+            return build(v)
+
+        return term(op, w_a, name, extra, counted)
+
+    monkeypatch.setattr(emp, "_unscaled_term", spy)
+    _sweep(_sweep_cases(a, b),
+           emp.EstimatorConfig(deltas=(1e-6, 1e-7), samples_per_delta=20, seed=29), cold=False)
+    assert sorted(name for name, *_ in built) == ["inverse image", "solution image", "sums"]
+    op = emp._operand(a, emp.DEFAULT_MAX_ENUM_DIM)
+    assert all(owner is op for _, owner, _ in built)
+    assert len({tag for *_, tag in built}) == 1
+
+
+def test_sweep_solves_once(monkeypatch):
+    # A^-1 b is kept on the operand: the 27 estimates of a sweep that output
+    # a solution share one solve of b, next to the solves of the perturbed b
+    a = gaussian(421, 0, shape=(5, 5))
+    b = gaussian(421, 1, shape=(5,))
+    solve, single = conditioning._Operand.solve, []
+
+    def spy(op, rhs):
+        single.append(rhs.shape[1] == 1)
+        return solve(op, rhs)
+
+    monkeypatch.setattr(conditioning._Operand, "solve", spy)
+    _sweep(_sweep_cases(a, b),
+           emp.EstimatorConfig(deltas=(1e-6, 1e-7), samples_per_delta=20, seed=29), cold=False)
+    assert sum(single) == 1
+
+
+@pytest.mark.parametrize("kind", ("matvec", "solve_fixed_a", "solve_fixed_b", "solve_both"))
+def test_estimate_of_a_vector_near_dbl_max(kind):
+    # A x overflowed for x = [1e308, 1e308], and ||b||_1 = 2e308 raised
+    # ResultOverflow: the estimator takes the vector times 2^-1024, so the
+    # report is that of [1e308, 1e308] 2^-1024, bit for bit, at every pair
+    a = np.diag([1.0, 2.0])
+    b = np.array([1e308, 1e308])
+    config = emp.EstimatorConfig(deltas=(1e-5, 1e-6), samples_per_delta=50, seed=3)
+    for r, s in PAIRS:
+        want = emp.estimate_condition(kind, a, np.ldexp(b, -1024), r, s, config=config)
+        assert emp.estimate_condition(kind, a, b, r, s, config=config) == want, (r, s)
+
+
 def test_operand_memo_copies_a_and_keys_on_its_bytes():
     # changing the caller's A in place between two estimates gives the
     # report of a cleared cache, and the cache's arrays are read-only
@@ -910,7 +969,7 @@ def test_folded_worst_direction_keeps_its_bits(output_model):
 def _every_member(inst, w_a, w_b, model):
     """:func:`empirical._supremum_bounds` with every sample's bound U_k at
     +inf: each delta factors all of its samples, as before the screen."""
-    return lambda delta: np.full(len(w_a), np.inf)
+    return lambda delta: np.full(len(w_a.scale), np.inf)
 
 
 def test_one_perturbed_stack_per_delta(monkeypatch):
@@ -1132,17 +1191,26 @@ def test_screened_estimate_is_the_estimate_of_every_member(
         assert _outcome(*args) == screened
 
 
-def _bounds_and_errors(kind, a, b, r, s, input_model, output_model, config):
-    """For each delta: (U, the computed output error of every sample on the
-    full stack, the samples that _lu_raw flags singular)."""
-    op = emp._operand(a, norms.DEFAULT_MAX_ENUM_DIM)
-    inst = emp._Instance(kind, op, b, r, s)
+def _screen(kind, a, b, r, s, input_model, output_model, config):
+    """(the instance, its output model, U as a function of delta or None,
+    the perturbations of each delta of ``config``), as the estimate builds
+    them."""
+    inst = emp._Instance(kind, emp._operand(a, norms.DEFAULT_MAX_ENUM_DIM), b, r, s)
     input_model = input_model or emp._default_models(kind, r, s)[0]
     output_model = output_model or emp._default_models(kind, r, s)[1]
     blocks = emp._input_blocks(inst, input_model)
-    samples = emp._perturbations(inst, blocks, (1.0,) + config.deltas, config.seed,
-                                 config.samples_per_delta)
-    bounds = emp._supremum_bounds(inst, *next(samples), output_model)
+    directions, samples = emp._perturbations(inst, blocks, (1.0,) + config.deltas,
+                                             config.seed, config.samples_per_delta)
+    bounds = emp._supremum_bounds(inst, directions, next(samples)[1], output_model)
+    return inst, output_model, bounds, samples
+
+
+def _bounds_and_errors(kind, a, b, r, s, input_model, output_model, config):
+    """For each delta: (U, the computed output error of every sample on the
+    full stack, the samples that _lu_raw flags singular)."""
+    inst, output_model, bounds, samples = _screen(kind, a, b, r, s, input_model, output_model,
+                                                  config)
+    op = inst.op
     err = inst.output_error(output_model)
     for delta, (da, db) in zip(config.deltas, samples):
         a_tilde = emp._stack(op.a, [(slice(None), (da, None))], len(da))
@@ -1150,8 +1218,8 @@ def _bounds_and_errors(kind, a, b, r, s, input_model, output_model, config):
         if inst.row.output == "inverse":
             out = linalg._lu_solve_packed(lu, perm, np.broadcast_to(np.eye(len(a)), lu.shape))
         else:
-            rhs = (np.broadcast_to(b, lu.shape[:-1]) if db is None
-                   else emp._stack(b, [(slice(None), (db, None))], len(db)))
+            rhs = (np.broadcast_to(inst.vec, lu.shape[:-1]) if db is None
+                   else emp._stack(inst.vec, [(slice(None), (db, None))], len(db)))
             out = linalg._lu_solve_packed(lu, perm, rhs[..., None])[..., 0]
         errors = np.full(len(out), np.nan)  # a singular sample's factors are garbage
         with np.errstate(all="ignore"):
@@ -1183,6 +1251,51 @@ def test_supremum_bound_is_never_below_a_computed_error(
     finite = np.isfinite(bound)
     assert not (finite & singular).any()
     assert np.all(errors[finite] <= bound[finite]), np.max(errors[finite] / bound[finite])
+
+
+_SCREENED_KINDS = ("inversion", "solve_fixed_b", "solve_both")
+
+
+def _cold_bounds(args, deltas):
+    """U at each of ``deltas`` for the screen of ``args``, or None."""
+    bounds = _screen(*args)[2]
+    return None if bounds is None else [bounds(delta) for delta in deltas]
+
+
+@given(st.sampled_from(_SCREENED_KINDS), st.integers(1, 8), _FAMILIES, _LOG_KAPPAS,
+       st.sampled_from((0, -40, 40, -300, 300)), _NORMS, _NORMS,
+       st.sampled_from((None, "componentwise_max", "componentwise_sum", "normwise")),
+       _NORMS, _NORMS, st.lists(_DELTAS, min_size=1, max_size=3, unique=True),
+       st.integers(1, 60), st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_kept_terms_give_the_cold_bounds(
+        kind, n, family, log_kappa, scale, r, s, input_name, r2, s2, deltas, samples, seed):
+    # U of one estimate, bit for bit, whether its operand starts empty or
+    # keeps the terms of other estimates of A at another pair under every
+    # input model: every screened kind with another vector, then inversion
+    # with another seed, so that a term kept under too short a key shows
+    a, b = _instance(family, n, log_kappa, scale, seed)
+    config = emp.EstimatorConfig(deltas=(1.0,), samples_per_delta=samples, seed=seed)
+    args = (kind, a, b, r, s, _model(input_name, r2, s2), None, config)
+    try:
+        cold = _cold_bounds(args, deltas)
+    except (SingularMatrix, ZeroComponent):
+        return
+    clear_memos()
+    warm_ups = [(warm_kind, b[::-1].copy(), seed) for warm_kind in _SCREENED_KINDS]
+    for warm_kind, vector, other in warm_ups + [("inversion", None, seed + 1)]:
+        for model in (None, emp.componentwise_max, emp.componentwise_sum):
+            warm_config = emp.EstimatorConfig(deltas=(1.0,), samples_per_delta=samples,
+                                              seed=other)
+            try:
+                _screen(warm_kind, a, vector, r2, s2, model, None, warm_config)
+            except ZeroComponent:
+                pass
+    warm = _cold_bounds(args, deltas)
+    if cold is None:
+        assert warm is None
+    else:
+        assert all(np.array_equal(c, w) for c, w in zip(cold, warm))
 
 
 @pytest.mark.parametrize("kind", ("inversion", "solve_fixed_b", "solve_both"))
